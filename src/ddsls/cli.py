@@ -22,7 +22,7 @@ from . import analysis, lqg, synth
 from .blockops import CostWeights, obs_stack, psd_sqrt, spectral_norm, toeplitz_stack
 from .experiments import compare_controllers, parallel_map
 from .hankel import build_hankel
-from .lti import LtiSystem, average, generate_ensemble, save_ensemble, simulate
+from .lti import LtiSystem, _atomic_write, average, generate_ensemble, save_ensemble, simulate
 
 DEFAULT_CONFIG = {
     "system": {
@@ -46,13 +46,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
-
-
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _write_json(path: str, obj) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -235,10 +236,24 @@ def average(ens: Ensemble) -> Trajectory:
 # Serialization: one CSV per trajectory plus a JSON manifest per ensemble.
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Replace ``path`` by a file holding ``text``, never leaving a partial file.
+
+    The text goes to a uniquely named temporary file in the target directory
+    (so concurrent writers never share one), is flushed to disk, and then
+    renamed over the target.  The result has mode 0644.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.chmod(tmp, 0o644)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def save_trajectory_csv(traj: Trajectory, path: str) -> None:

@@ -11,7 +11,20 @@ Three layers:
 * ``gamma_search`` — the outer scalar search for the quasi-convex program
   min f(gamma) / (1 - gamma), where f(gamma) is the inner optimal value
   with ball radius gamma / (sqrt(L) * eps): a coarse grid followed by
-  golden-section refinement of the bracketing interval.
+  golden-section refinement of the bracketing interval.  Its status is the
+  worst status of the inner solves at the returned gamma.
+
+The same splitting runs in three shapes: ``ConstrainedLeastSquares`` (one
+dense block), ``BlockDiagonalProblem`` (independent diagonal blocks in
+lockstep) and ``CoupledCausalProblem`` (the full causal block-triangular
+variable).  The coupled one never forms the Kronecker basis of its free
+blocks: the affine projection applies the nullspace projector P = N N^T to
+each block row, and the quadratic step of block column j uses the Woodbury
+identity on K_j = C_j (I (x) P) C_j^T, one small (rows x rows)
+eigendecomposition per block column made once at build.  Its ball
+projection goes through the eigendecomposition of the small right Gram
+matrix (``ball_projection_batch``), and its returned point is blended
+toward the minimum-norm feasible point so that it lies in the ball exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +51,8 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Inner solve statuses from best to worst.
+_STATUS_RANK = ("optimal", "max-iter", "infeasible")
 
 
 class InfeasibleEpsilon(RuntimeError):
@@ -420,6 +435,13 @@ class CoupledCausalProblem:
     (diagonal blocks to the identity, lower blocks to zero).  The objective
     couples blocks within a block column; the spectral ball couples all of
     them, handled by splitting exactly as in the single-block case.
+
+    The free part of every block lies in the nullspace of A, so the affine
+    projection is ``G_part + mask * (P V)`` with P = N N^T applied to each
+    block row.  For block column j with cost columns C_j (block rows j..L-1)
+    the quadratic step solves its reduced normal equations through the
+    Woodbury identity on K_j = C_j (I (x) P) C_j^T, a (rows x rows) matrix
+    eigendecomposed once at build; the step never forms the reduced basis.
     """
 
     def __init__(self, C: np.ndarray, A: np.ndarray, L: int, cols: int, n: int):
@@ -433,27 +455,26 @@ class CoupledCausalProblem:
         self._pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
         self._null = Vt[rank:].T  # cols x d, orthonormal
         self.floor = float(np.linalg.svd(self._pinv, compute_uv=False)[0])
-        d = self._null.shape[1]
+        self._P = self._null @ self._null.T
+        # Block (i, j) of the variable is free iff i >= j.
+        self._mask = np.kron(np.tril(np.ones((L, L))), np.ones((cols, n)))
 
-        # Per block column jb: free blocks are rows jb..L-1; the reduced
-        # basis is I_{L-jb} (x) null placed at those block rows.
-        self._col_data = []
-        G_part = np.zeros((cols * L, n * L))
-        for jb in range(L):
-            rows = slice(jb * cols, L * cols)
-            ccols = self.C[:, rows.start : rows.stop]
-            k = L - jb
-            basis = np.zeros((k * cols, k * d))
-            for i in range(k):
-                basis[i * cols : (i + 1) * cols, i * d : (i + 1) * d] = self._null
-            CB = ccols @ basis
-            lam, W = np.linalg.eigh(CB.T @ CB)
-            part = np.zeros((k * cols, n))
-            part[:cols] = self._pinv
-            G_part[rows, jb * n : (jb + 1) * n] = part
-            lin = basis.T @ (ccols.T @ (ccols @ part))
-            self._col_data.append((rows, basis, lam, W, lin, ccols, part))
-        self.G_part = G_part
+        self.G_part = np.kron(np.eye(L), self._pinv)
+
+        rows = self.C.shape[0]
+        CP = np.matmul(self.C.reshape(rows, L, cols), self._P).reshape(rows, L * cols)
+        self._CP, self._CG = CP, self.C @ self.G_part
+        # K_j = F_j F_j^T with F_j = CP[:, j*cols:]; accumulate the block terms
+        # C_i P C_i^T from the last block row up.
+        F3 = CP.reshape(rows, L, cols).transpose(1, 0, 2)
+        terms = np.matmul(F3, F3.transpose(0, 2, 1))
+        _, self._eigvecs = np.linalg.eigh(np.cumsum(terms[::-1], axis=0)[::-1])
+        # Eigenvalues as ||F_j^T u||^2: structurally zero ones then come out at
+        # squared rounding level, far below the pseudo-inverse cutoff, where
+        # eigh of K_j leaves them at rounding level, next to it.
+        self._eigvals = np.stack(
+            [np.sum((CP[:, j * cols :].T @ self._eigvecs[j]) ** 2, axis=0) for j in range(L)]
+        )
         self._unconstrained: SolveReport | None = None
         self._warm = None
 
@@ -464,21 +485,55 @@ class CoupledCausalProblem:
     def _objective(self, G: np.ndarray) -> float:
         return float(np.linalg.norm(self.C @ G))
 
-    def _quad_step(self, V: np.ndarray | None, rho: float) -> np.ndarray:
-        """argmin ||C G||^2 + (rho/2)||G - V||^2 over the causal affine set."""
-        G = np.zeros_like(self.G_part)
-        for jb, (rows, basis, lam, W, lin, ccols, part) in enumerate(self._col_data):
-            csel = slice(jb * self.n, (jb + 1) * self.n)
-            rhs = -lin
-            if V is not None:
-                rhs = rhs + 0.5 * rho * (basis.T @ V[rows, csel])
-                z = W @ ((W.T @ rhs) / (lam + 0.5 * rho)[:, None])
-            else:
-                cutoff = max(lam.size, 1) * np.finfo(float).eps * max(lam.max(initial=0.0), 0.0)
-                inv = np.where(lam > cutoff, 1.0 / np.maximum(lam, 1e-300), 0.0)
-                z = W @ (inv[:, None] * (W.T @ rhs))
-            G[rows, csel] = part + basis @ z
-        return G
+    def _apply_P(self, V: np.ndarray) -> np.ndarray:
+        """P applied to every block row of V (a new array)."""
+        L, cols, n = self.L, self.cols, self.n
+        return np.matmul(self._P, V.reshape(L, cols, L * n)).reshape(L * cols, L * n)
+
+    def _project_affine(self, Y: np.ndarray) -> np.ndarray:
+        W = self._apply_P(Y)
+        W *= self._mask
+        W += self.G_part
+        return W
+
+    def _solve_columns(self, V: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """Y - mask * P C_j^T f(K_j) C_j Y per block column j, Y the affine projection of V.
+
+        f(K_j) = U_j diag(inv_j) U_j^T.  The mask commutes with P and
+        P C_i^T = (C_i P)^T, so C Y = C G_part + CP (mask * V) and the
+        correction is mask * (CP^T X): P is applied once.
+        """
+        L, n = self.L, self.n
+        rows = self.C.shape[0]
+        U = self._eigvecs
+        rhs = (self._CG + self._CP @ (V * self._mask)).reshape(rows, L, n).transpose(1, 0, 2)
+        X = np.matmul(U, inv[:, :, None] * np.matmul(U.transpose(0, 2, 1), rhs))
+        W = self._apply_P(V)
+        W -= self._CP.T @ X.transpose(1, 0, 2).reshape(rows, L * n)
+        W *= self._mask
+        W += self.G_part
+        return W
+
+    def _initial_rho(self, rho: float) -> float:
+        """Penalty matched to the curvature spread of block column 0 (else rho).
+
+        Its reduced Gram (C_0 B)^T (C_0 B), B = I_L (x) N, shares the nonzero
+        spectrum of K_0 and is singular when it is wider than K_0.
+        """
+        lam = self._eigvals[0]
+        reduced = self.L * self._null.shape[1]
+        if lam[-1] <= 0:
+            return rho
+        low = lam[lam.size - reduced] if reduced <= lam.size else 0.0
+        return float(np.sqrt(max(low, 1e-8 * lam[-1]) * lam[-1]))
+
+    def _prox(self, V: np.ndarray, rho: float) -> np.ndarray:
+        """argmin ||C G||^2 + (rho/2)||G - V||^2 over the causal affine set.
+
+        With Y the affine projection of V, Woodbury on the reduced normal
+        equations of block column j gives Y - P C_j^T (K_j + rho/2 I)^{-1} C_j Y.
+        """
+        return self._solve_columns(V, 1.0 / (self._eigvals + 0.5 * rho))
 
     def unconstrained(self) -> SolveReport:
         if self._unconstrained is None:
@@ -487,7 +542,10 @@ class CoupledCausalProblem:
                     solution=self.G_part, objective=np.inf, status="infeasible"
                 )
             else:
-                G = self._quad_step(None, 0.0)
+                lam = self._eigvals
+                cutoff = lam.shape[1] * np.finfo(float).eps * np.maximum(lam[:, -1:], 0.0)
+                inv = np.where(lam > cutoff, 1.0 / np.maximum(lam, 1e-300), 0.0)
+                G = self._solve_columns(np.zeros_like(self.G_part), inv)
                 self._unconstrained = SolveReport(
                     solution=G, objective=self._objective(G), status="optimal"
                 )
@@ -495,13 +553,6 @@ class CoupledCausalProblem:
 
     def unconstrained_norm(self) -> float:
         return float(np.linalg.svd(self.unconstrained().solution, compute_uv=False)[0])
-
-    def _project_affine(self, Y: np.ndarray) -> np.ndarray:
-        G = np.zeros_like(Y)
-        for jb, (rows, basis, _lam, _W, _lin, _ccols, part) in enumerate(self._col_data):
-            csel = slice(jb * self.n, (jb + 1) * self.n)
-            G[rows, csel] = part + basis @ (basis.T @ Y[rows, csel])
-        return G
 
     def solve(
         self,
@@ -526,21 +577,19 @@ class CoupledCausalProblem:
             Y, Uv, rho = self._warm
             Y, Uv = Y.copy(), Uv.copy()
         else:
-            Y = ball_projection(G, tau)
+            Y = ball_projection_batch(G[None], tau)[0]
             Uv = np.zeros_like(G)
-            lam = self._col_data[0][2]
-            if lam.size and lam[-1] > 0:
-                rho = float(np.sqrt(max(lam[0], 1e-8 * lam[-1]) * lam[-1]))
+            rho = self._initial_rho(rho)
         relax = 1.7
         primal_hist: list[float] = []
         dual_hist: list[float] = []
         status = "max-iter"
         it = 0
         for it in range(1, max_iter + 1):
-            G = self._quad_step(Y - Uv, rho)
+            G = self._prox(Y - Uv, rho)
             G_rel = relax * G + (1.0 - relax) * Y
             Y_prev = Y
-            Y = ball_projection(G_rel + Uv, tau)
+            Y = ball_projection_batch((G_rel + Uv)[None], tau)[0]
             Uv = Uv + G_rel - Y
             r = float(np.linalg.norm(G - Y))
             s = rho * float(np.linalg.norm(Y - Y_prev))
@@ -559,6 +608,14 @@ class CoupledCausalProblem:
                     Uv *= 2.0
         self._warm = (Y, Uv, rho)
         G_out = self._project_affine(Y)
+        # The affine projection can leave the ball by the ADMM residual; blend
+        # toward G_part (the minimum-norm feasible point, of norm floor) so the
+        # returned point is in the ball exactly: its norm is at most
+        # theta * norm + (1 - theta) * floor = tau.
+        norm = float(np.linalg.svd(G_out, compute_uv=False)[0])
+        if norm > tau:
+            theta = (tau - self.floor) / (norm - self.floor) if tau > self.floor else 0.0
+            G_out = theta * G_out + (1.0 - theta) * self.G_part
         return SolveReport(
             solution=G_out,
             objective=self._objective(G_out),
@@ -576,7 +633,8 @@ class GammaSearchResult:
     f_value: float
     solutions: list[np.ndarray]
     grid: list[tuple[float, float, float]]  # (gamma, f, h) at evaluated points
-    status: str
+    status: str  # worst inner status at the returned gamma
+    iterations: int = 0  # inner iterations of the final solve at the returned gamma
 
 
 def golden_section(fun, lo: float, hi: float, tol: float = 1e-4, max_iter: int = 200):
@@ -648,7 +706,7 @@ def gamma_search(
     hi = min(gamma_hi, max(gamma_relax, gamma_lo))
 
     evaluated: list[tuple[float, float, float]] = []
-    cache: dict[float, tuple[float, list]] = {}
+    cache: dict[float, float] = {}
     # Tolerances and iteration budgets are staged: coarse on the grid,
     # tighter while refining, strict only for the winning gamma.  Radii near
     # the feasibility floor converge very slowly and never win, so the
@@ -656,26 +714,27 @@ def gamma_search(
     grid_tol, grid_iters = max(tol, 1e-4), min(max_iter, 1200)
     refine_tol, refine_iters = max(tol, 1e-5), min(max_iter, 2500)
 
-    def f_of(gamma: float, solve_tol: float, iters: int) -> tuple[float, list]:
-        if gamma in cache:
-            return cache[gamma]
+    def evaluate(gamma: float, solve_tol: float, iters: int) -> tuple[float, list[SolveReport]]:
         tau = gamma / scale
         reports = [s.solve(tau, tol=solve_tol, max_iter=iters) for s in solvers]
         if any(r.status == "infeasible" for r in reports):
-            val, sols = np.inf, [r.solution for r in reports]
+            val = np.inf
         else:
             val = float(np.sqrt(sum(r.objective**2 for r in reports)))
-            sols = [r.solution for r in reports]
-        cache[gamma] = (val, sols)
         evaluated.append((gamma, val, val / (1.0 - gamma) if np.isfinite(val) else np.inf))
+        return val, reports
+
+    def f_of(gamma: float, solve_tol: float, iters: int) -> float:
+        if gamma not in cache:
+            cache[gamma] = evaluate(gamma, solve_tol, iters)[0]
         return cache[gamma]
 
     def h_grid_of(gamma: float) -> float:
-        val, _ = f_of(gamma, grid_tol, grid_iters)
+        val = f_of(gamma, grid_tol, grid_iters)
         return val / (1.0 - gamma) if np.isfinite(val) else np.inf
 
     def h_of(gamma: float) -> float:
-        val, _ = f_of(gamma, refine_tol, refine_iters)
+        val = f_of(gamma, refine_tol, refine_iters)
         return val / (1.0 - gamma) if np.isfinite(val) else np.inf
 
     # f never drops below the unconstrained optimum, so any gamma whose
@@ -698,14 +757,14 @@ def gamma_search(
     g_star, h_star = golden_section(h_of, lo_b, hi_b, tol=gamma_tol)
     if h_grid[best] < h_star:
         g_star = float(grid[best])
-    cache.pop(g_star, None)
-    f_star, sols = f_of(g_star, tol, min(max_iter, 10_000))
+    f_star, reports = evaluate(g_star, tol, min(max_iter, 10_000))
     h_star = f_star / (1.0 - g_star) if np.isfinite(f_star) else np.inf
     return GammaSearchResult(
         gamma=float(g_star),
         objective=float(h_star),
         f_value=float(f_star),
-        solutions=sols,
+        solutions=[r.solution for r in reports],
         grid=sorted(evaluated),
-        status="optimal",
+        status=max((r.status for r in reports), key=_STATUS_RANK.index),
+        iterations=max(r.iterations for r in reports),
     )

@@ -122,6 +122,8 @@ class SynthesisResult:
             "f_value": self.f_value,
             "eps": self.eps,
             "ghat_norm": self.ghat_norm,
+            "status": self.search.status if self.search else "optimal",
+            "iterations": self.search.iterations if self.search else 0,
             "timings": self.timings,
         }
 

@@ -110,3 +110,41 @@ def projected_gradient_spectral(
             if stall > 1500:
                 break
     return best, best_obj
+
+
+def coupled_quad_step(
+    C: np.ndarray, A: np.ndarray, L: int, cols: int, n: int, V: np.ndarray | None, rho: float
+) -> np.ndarray:
+    """argmin ||C G||^2 + (rho/2)||G - V||^2 over the causal affine set.
+
+    Reference for the coupled solver's step: one block column at a time, in
+    the explicit reduced basis I_k (x) N of the free blocks, through the
+    eigendecomposition of the reduced Gram.  ``V=None`` gives the
+    minimum-norm unconstrained minimizer (pseudo-inverse of the Gram).
+    """
+    U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0]))
+    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+    null = Vt[rank:].T
+    d = null.shape[1]
+    G = np.zeros((cols * L, n * L))
+    for jb in range(L):
+        rows = slice(jb * cols, L * cols)
+        csel = slice(jb * n, (jb + 1) * n)
+        ccols = C[:, rows]
+        k = L - jb
+        basis = np.kron(np.eye(k), null)
+        CB = ccols @ basis
+        lam, W = np.linalg.eigh(CB.T @ CB)
+        part = np.zeros((k * cols, n))
+        part[:cols] = pinv
+        rhs = -basis.T @ (ccols.T @ (ccols @ part))
+        if V is not None:
+            rhs = rhs + 0.5 * rho * (basis.T @ V[rows, csel])
+            z = W @ ((W.T @ rhs) / (lam + 0.5 * rho)[:, None])
+        else:
+            cutoff = max(lam.size, 1) * np.finfo(float).eps * max(lam.max(initial=0.0), 0.0)
+            inv = np.where(lam > cutoff, 1.0 / np.maximum(lam, 1e-300), 0.0)
+            z = W @ (inv[:, None] * (W.T @ rhs))
+        G[rows, csel] = part + basis @ z
+    return G

@@ -155,3 +155,38 @@ class TestSerialization:
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             Trajectory(x=np.zeros((5, 2)), u=np.zeros((5, 1)), w=np.ones((5, 2)))
+
+    def test_concurrent_writers_leave_a_complete_file(self, tmp_path):
+        import sys
+        import threading
+
+        from ddsls.lti import _atomic_write
+
+        path = str(tmp_path / "out.csv")
+        texts = ["a" * 200_000 + "\n", "b" * 300_000 + "\n"]
+        errors: list[BaseException] = []
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                barrier = threading.Barrier(len(texts))
+
+                def write(text):
+                    try:
+                        barrier.wait(timeout=10)
+                        _atomic_write(path, text)
+                    except BaseException as exc:  # reported through the list below
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors
+                with open(path) as fh:
+                    assert fh.read() in texts
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]

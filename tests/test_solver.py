@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ddsls.blockops import CostWeights, spectral_norm
 from ddsls.lti import LtiSystem, generate_ensemble, average
 from ddsls.solver import (
     BlockDiagonalProblem,
     ConstrainedLeastSquares,
+    CoupledCausalProblem,
     EqualityConstraint,
     InfeasibleEpsilon,
     InnerProblem,
@@ -15,8 +18,9 @@ from ddsls.solver import (
     golden_section,
     spectral_admm,
 )
-from ddsls.synth import DataHankels, _build_solvers
-from tests.oracles import kkt_equality_ls, projected_gradient_spectral
+from ddsls.synth import DataHankels, _build_solvers, stacked_cost_map
+from tests.conftest import T_BENCH
+from tests.oracles import coupled_quad_step, kkt_equality_ls, projected_gradient_spectral
 
 
 def active_radius(solver):
@@ -234,6 +238,16 @@ class TestGammaSearch:
         for sol in res.solutions:
             assert np.linalg.svd(sol, compute_uv=False).max() <= tau * (1.0 + 1e-6)
 
+    def test_status_is_worst_final_inner_status(self):
+        solvers, data = self.build_solvers(4)
+        floor = max(s.feasibility_floor for s in solvers)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * floor))
+        capped = gamma_search(solvers, eps, 3, max_iter=2)
+        assert (capped.status, capped.iterations) == ("max-iter", 2)
+        solvers, _ = self.build_solvers(4)
+        converged = gamma_search(solvers, eps, 3)
+        assert converged.status == "optimal" and 2 < converged.iterations < 50_000
+
 
 class TestBlockDiagonalProblem:
     def test_matches_per_block_closed_form(self):
@@ -268,3 +282,117 @@ def test_golden_section_on_parabola():
     x, f = golden_section(lambda x: (x - 1.3) ** 2 + 0.5, 0.0, 3.0, tol=1e-6)
     assert x == pytest.approx(1.3, abs=1e-5)
     assert f == pytest.approx(0.5, abs=1e-9)
+
+
+def coupled_instance(sys, weights, T, N, seed):
+    """Coupled problem, cost map and data from an averaged record of ``sys``."""
+    data = DataHankels.from_trajectory(average(generate_ensemble(sys, T, N, seed=seed)), weights.horizon)
+    cmap = stacked_cost_map(data, weights)
+    return CoupledCausalProblem(cmap, data.h1x, data.L, data.cols, data.n), cmap, data
+
+
+def random_plant(seed, n, m, radius):
+    """Random plant whose state matrix has spectral radius ``radius``."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= radius / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
+    return LtiSystem(A=A, B=rng.standard_normal((n, m)), noise_std=0.2)
+
+
+def assert_causal_and_feasible(G, data, atol):
+    """Zero blocks above the diagonal, h1x G(i, j) = delta_ij I below it."""
+    L, cols, n = data.L, data.cols, data.n
+    for i in range(L):
+        for j in range(L):
+            blk = G[i * cols : (i + 1) * cols, j * n : (j + 1) * n]
+            if j > i:
+                assert not blk.any()
+            else:
+                target = np.eye(n) if i == j else np.zeros((n, n))
+                assert np.abs(data.h1x @ blk - target).max() < atol
+
+
+class TestCoupledCausalProblem:
+    @pytest.fixture(scope="class")
+    def bench_instance(self, plant, bench_weights):
+        return coupled_instance(plant, bench_weights, T_BENCH, 8, seed=3)
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        n, m, L = 2, 1, 3
+        w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+        return coupled_instance(random_plant(17, n, m, 1.1), w, 15, 4, seed=17)
+
+    @pytest.mark.parametrize("which", ["bench_instance", "small"])
+    def test_unconstrained_matches_kkt_per_block_column(self, which, request):
+        prob, cmap, data = request.getfixturevalue(which)
+        G = prob.unconstrained().solution
+        L, cols, n = data.L, data.cols, data.n
+        assert_causal_and_feasible(G, data, 1e-10)
+        total = 0.0
+        for j in range(L):
+            Cj = cmap[:, j * cols :]
+            k = L - j
+            rhs = np.zeros((k * n, n))
+            rhs[:n] = np.eye(n)
+            G_ref, obj_ref = kkt_equality_ls(Cj, np.kron(np.eye(k), data.h1x), rhs)
+            Gj = G[j * cols :, j * n : (j + 1) * n]
+            # Minimizers differ along the nullspace of C_j; the residual is unique.
+            np.testing.assert_allclose(Cj @ Gj, Cj @ G_ref, rtol=0, atol=1e-9 * max(1.0, obj_ref))
+            total += obj_ref**2
+        assert prob.unconstrained().objective == pytest.approx(np.sqrt(total), rel=1e-9)
+
+    @pytest.mark.parametrize("which", ["bench_instance", "small"])
+    @pytest.mark.parametrize("factor", [1e-3, 1.0, 1e3])
+    def test_step_matches_reduced_basis_reference(self, which, factor, request):
+        prob, cmap, data = request.getfixturevalue(which)
+        rho = factor * prob._initial_rho(1.0)
+        V = np.random.default_rng(5).standard_normal(prob.G_part.shape)
+        ref = coupled_quad_step(cmap, data.h1x, data.L, data.cols, data.n, V, rho)
+        got = prob._prox(V, rho)
+        # Both solve the same shifted system, whose condition number bounds
+        # how far two backward-stable evaluations may drift apart.
+        cond = (prob._eigvals.max() + 0.5 * rho) / (0.5 * rho)
+        atol = 64 * np.finfo(float).eps * cond * np.abs(ref).max()
+        np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+    def test_initial_rho_reads_the_reduced_gram(self):
+        # Few data columns: the reduced Gram of block column 0 is square and
+        # nonsingular, so its smallest eigenvalue sets the penalty.
+        n, m, L = 2, 1, 3
+        w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+        prob, cmap, data = coupled_instance(random_plant(4, n, m, 0.9), w, 7, 4, seed=4)
+        _, _, Vt = np.linalg.svd(data.h1x)
+        CB = cmap @ np.kron(np.eye(L), Vt[n:].T)
+        assert CB.shape[1] <= CB.shape[0]
+        lam = np.linalg.eigvalsh(CB.T @ CB)
+        expected = np.sqrt(max(lam[0], 1e-8 * lam[-1]) * lam[-1])
+        assert prob._initial_rho(1.0) == pytest.approx(expected, rel=1e-9)
+
+    def test_capped_solve_returns_feasible_point(self, bench_instance):
+        prob, _, data = bench_instance
+        tau = active_radius(prob)
+        rep = prob.solve(tau, tol=1e-12, max_iter=20)
+        assert rep.status == "max-iter" and rep.iterations == 20
+        assert_causal_and_feasible(rep.solution, data, 1e-10)
+        assert spectral_norm(rep.solution) <= tau * (1.0 + 1e-12)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        L=st.integers(2, 4),
+        radius=st.sampled_from([0.5, 0.95, 1.05, 1.3]),
+        frac=st.floats(0.05, 0.95),
+    )
+    def test_capped_solve_feasible_on_random_plants(self, seed, n, m, L, radius, frac):
+        w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+        T = L + n + m * L + 8
+        prob, _, data = coupled_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
+        floor, top = prob.feasibility_floor, prob.unconstrained_norm()
+        tau = floor + frac * (top - floor)
+        rep = prob.solve(tau, tol=1e-12, max_iter=20, force_iterative=True)
+        assert rep.status in ("optimal", "max-iter")
+        assert_causal_and_feasible(rep.solution, data, 1e-10)
+        assert spectral_norm(rep.solution) <= tau * (1.0 + 1e-12)

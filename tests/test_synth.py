@@ -203,6 +203,21 @@ class TestSynthRobust:
         # The coupled parameterization can only improve on block-diagonal.
         assert full.objective <= block.objective * (1 + 1e-6)
 
+    def test_full_structure_capped_is_certified_and_reported(self):
+        rng = np.random.default_rng(31)
+        A = np.array([[0.9, 0.2], [0.0, 0.8]])
+        sys = LtiSystem(A=A, B=np.eye(2), noise_std=0.1)
+        w = CostWeights.uniform(np.eye(2), np.eye(2), horizon=3)
+        data = DataHankels.from_trajectory(average(generate_ensemble(sys, 15, 8, seed=32)), 3)
+        eps = spectral_norm(data.hw)
+        res = synth_robust(data, w, eps, structure="full", max_iter=3)
+        summary = res.summary()
+        assert (summary["status"], summary["iterations"]) == ("max-iter", 3)
+        # The robust objective bounds the returned controller only if its
+        # parameter matrix lies in the ball of radius gamma / (sqrt(L) eps).
+        assert np.sqrt(3) * eps * res.ghat_norm <= res.gamma * (1.0 + 1e-12)
+        assert synth_robust(data, w, 0.0, structure="full").summary()["status"] == "optimal"
+
     def test_negative_eps_rejected(self, bench_weights, noisy_data):
         with pytest.raises(ValueError):
             synth_robust(noisy_data, bench_weights, -1.0)
