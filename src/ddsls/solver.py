@@ -5,31 +5,37 @@ Three layers:
 * ``eq_ls`` — equality-constrained Frobenius least squares in closed form
   (nullspace method on top of an SVD of the constraint matrix).
 * ``spectral_admm`` — the same problem with an additional spectral-norm
-  ball on the variable, solved by operator splitting: the quadratic step
-  stays closed-form on the constraint nullspace, the ball projection clips
-  singular values.
+  ball on the variable (one dense block, solved by the dual Newton method
+  below).
 * ``gamma_search`` — the outer scalar search for the quasi-convex program
   min f(gamma) / (1 - gamma), where f(gamma) is the inner optimal value
   with ball radius gamma / (sqrt(L) * eps): a coarse grid followed by
   golden-section refinement of the bracketing interval.  Its status is the
-  worst status of the inner solves at the returned gamma.
+  worst status of the inner solves at the returned gamma, and its gap the
+  largest relative duality gap among them.
 
-The same splitting runs in three shapes: ``ConstrainedLeastSquares`` (one
-dense block), ``BlockDiagonalProblem`` (independent diagonal blocks in
-lockstep) and ``CoupledCausalProblem`` (the full causal block-triangular
-variable).  The coupled one never forms the Kronecker basis of its free
-blocks: the affine projection applies the nullspace projector P = N N^T to
-each block row, and the quadratic step of block column j uses the Woodbury
-identity on K_j = C_j (I (x) P) C_j^T, one small (rows x rows)
-eigendecomposition per block column made once at build.  Its ball
-projection goes through the eigendecomposition of the small right Gram
-matrix (``ball_projection_batch``), and its returned point is blended
-toward the minimum-norm feasible point so that it lies in the ball exactly.
+Independent blocks, ``BlockDiagonalProblem`` (the diagonal blocks of the
+structured program) and ``ConstrainedLeastSquares`` (its L = 1 case), are
+solved exactly through the Lagrange dual of the ball: one small n x n
+multiplier per block, maximized by a primal-dual Newton method vectorized
+over the blocks.  Each solve returns a point exactly in the ball together
+with its relative duality gap.
+
+The coupled causal block-triangular variable (``CoupledCausalProblem``)
+is solved by operator splitting (ADMM), whose returned point carries no
+gap.  It never forms the Kronecker basis of its free blocks: the affine
+projection applies the nullspace projector P = N N^T to each block row,
+and the quadratic step of block column j uses the Woodbury identity on
+K_j = C_j (I (x) P) C_j^T, one small (rows x rows) eigendecomposition per
+block column made once at build.  Its ball projection goes through the
+eigendecomposition of the small right Gram matrix
+(``ball_projection_batch``), and its returned point is blended toward the
+minimum-norm feasible point so that it lies in the ball exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,6 +94,7 @@ class SolveReport:
     iterations: int = 0
     primal_residuals: list[float] = field(default_factory=list)
     dual_residuals: list[float] = field(default_factory=list)
+    gap: float | None = None  # relative duality gap of the returned point, when certified
 
 
 def ball_projection(M: np.ndarray, tau: float) -> np.ndarray:
@@ -98,24 +105,62 @@ def ball_projection(M: np.ndarray, tau: float) -> np.ndarray:
     return (U * np.minimum(s, tau)) @ Vt
 
 
-class ConstrainedLeastSquares:
-    """One dense instance of min ||C G||_F s.t. A G = rhs (and a spectral ball).
+def _sym_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the symmetric n x n matrices, shape (n(n+1)/2, n, n)."""
+    basis = []
+    for i in range(n):
+        for j in range(i, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0 if i == j else np.sqrt(0.5)
+            basis.append(E)
+    return np.stack(basis)
 
-    Precomputes the constraint SVD, nullspace basis, and the Gram
-    eigendecomposition of C restricted to the nullspace so repeated solves
-    at different ball radii are cheap.  Solves are warm-started from the
-    previous call.
+
+def _symmetrize(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.transpose(0, 2, 1))
+
+
+class BlockDiagonalProblem:
+    """Independent blocks min ||C_k G_k||_F s.t. A G_k = rhs, ||G_k||_2 <= tau.
+
+    The blocks share the affine constraint (in the structured program the top
+    block row of the state Hankel, mapped to the identity) and each has its
+    own objective map.  Every feasible block is G_part + N Z_k, with G_part
+    the minimum-norm solution and N an orthonormal nullspace basis of A;
+    G_part is orthogonal to N, so the ball reads Z_k^T Z_k <= S with
+    S = tau^2 I - G_part^T G_part.
+
+    A block whose closed-form solution fits in the ball is finished.  The
+    others are matrix trust-region subproblems (Moré & Sorensen, SIAM J. Sci.
+    Stat. Comput. 1983, for the vector case), solved through their Lagrange
+    dual (Boyd & Vandenberghe, Convex Optimization, ch. 5): for a multiplier
+    Lam >= 0 (n x n) the Lagrangian minimizer solves the Sylvester equation
+    H Z + Z Lam = -B, with H = (C_k N)^T (C_k N) and B = (C_k N)^T C_k G_part.
+    In the eigenbases of H (precomputed) and Lam = V diag(d) V^T it is
+    z_ij = -b_ij / (sigma_i + d_j); directions where H is singular, which the
+    last blocks of the structured program have, get the pseudo-inverse's
+    zero.  The dual g(Lam) = ||C_k G_part||^2 + <Z, B> - <Lam, S> is concave
+    with gradient Z^T Z - S, and its Hessian comes from one more Sylvester
+    solve per direction.  All blocks are advanced together by a primal-dual
+    interior-point Newton method on g, with the slack X = S - Z^T Z >= 0 as
+    the primal variable.  Each step recovers a primal point that is in the
+    ball exactly (the singular values of Z S^{-1/2} clipped at one) and
+    stops once the relative duality gap of that point is at most ``tol``.
     """
 
-    def __init__(self, C: np.ndarray, constraint: EqualityConstraint | None):
-        self.C = np.asarray(C, dtype=float)
+    _CENTERING = (0.1, 0.9)  # bounds of the centering parameter sigma
+    _TO_BOUNDARY = 0.95  # fraction of the step to the edge of the cone
+    _SECULAR_STEPS = 8
+    _SECULAR_TARGET = 0.5  # start inside the ball, at half of S along each eigenvector
+
+    def __init__(self, C_list: list[np.ndarray], constraint: EqualityConstraint | None):
+        self.C = np.stack([np.asarray(c, dtype=float) for c in C_list])
+        self.L, _, ncols = self.C.shape
         self.constraint = constraint
         self._infeasible_constraint = False
-        ncols = self.C.shape[1]
         if constraint is None:
             self.G_part = np.zeros((ncols, 1))
             self.null_basis = np.eye(ncols)
-            self.floor = 0.0
         else:
             A = np.asarray(constraint.A, dtype=float)
             rhs = np.asarray(constraint.rhs, dtype=float)
@@ -123,157 +168,45 @@ class ConstrainedLeastSquares:
             tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
             rank = int(np.sum(s > tol))
             pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-            self.G_part = pinv @ rhs
-            if np.abs(A @ self.G_part - rhs).max(initial=0.0) > 1e-8 * max(
-                1.0, np.abs(rhs).max(initial=0.0)
-            ):
-                self._infeasible_constraint = True
-            self.null_basis = Vt[rank:].T
-            # The minimum-norm feasible point has the least spectral norm on
-            # the affine set, so its norm is the exact feasibility floor.
-            self.floor = float(np.linalg.svd(self.G_part, compute_uv=False)[0]) if self.G_part.size else 0.0
-        CN = self.C @ self.null_basis
-        gram = CN.T @ CN
-        self._gram_eigvals, self._gram_eigvecs = np.linalg.eigh(gram)
-        self._lin = self.null_basis.T @ (self.C.T @ (self.C @ self.G_part))
-        self._unconstrained: SolveReport | None = None
-        self._warm: tuple[np.ndarray, np.ndarray, float] | None = None
-
-    @property
-    def feasibility_floor(self) -> float:
-        return self.floor
-
-    def _objective(self, G: np.ndarray) -> float:
-        return float(np.linalg.norm(self.C @ G))
-
-    def unconstrained(self) -> SolveReport:
-        """KKT solution without the ball: exact stationarity on the nullspace."""
-        if self._unconstrained is None:
-            if self._infeasible_constraint:
-                self._unconstrained = SolveReport(
-                    solution=self.G_part, objective=np.inf, status="infeasible"
-                )
-            else:
-                lam = self._gram_eigvals
-                cutoff = max(lam.size, 1) * np.finfo(float).eps * max(lam.max(initial=0.0), 0.0)
-                inv = np.where(lam > cutoff, 1.0 / np.maximum(lam, 1e-300), 0.0)
-                z = -self._gram_eigvecs @ (inv[:, None] * (self._gram_eigvecs.T @ self._lin))
-                G = self.G_part + self.null_basis @ z
-                self._unconstrained = SolveReport(
-                    solution=G, objective=self._objective(G), status="optimal"
-                )
-        return self._unconstrained
-
-    def unconstrained_norm(self) -> float:
-        G = self.unconstrained().solution
-        return float(np.linalg.svd(G, compute_uv=False)[0]) if G.size else 0.0
-
-    def solve(
-        self,
-        tau: float | None,
-        tol: float = 1e-7,
-        max_iter: int = 50_000,
-        rho: float = 1.0,
-        force_iterative: bool = False,
-    ) -> SolveReport:
-        """Solve with ball radius tau (None or inf means unconstrained)."""
-        if self._infeasible_constraint:
-            return SolveReport(solution=self.G_part, objective=np.inf, status="infeasible")
-        if tau is None or np.isinf(tau):
-            return self.unconstrained()
-        if tau < self.floor * (1.0 - 1e-9):
-            return SolveReport(
-                solution=self.G_part, objective=np.inf, status="infeasible"
+            self.G_part = pinv @ rhs  # shared by every block
+            self._infeasible_constraint = bool(
+                np.abs(A @ self.G_part - rhs).max(initial=0.0)
+                > 1e-8 * max(1.0, np.abs(rhs).max(initial=0.0))
             )
-        base = self.unconstrained()
-        if not force_iterative and self.unconstrained_norm() <= tau * (1.0 + 1e-12):
-            return base
+            self.null_basis = Vt[rank:].T
+        # The minimum-norm feasible point has the least spectral norm on the
+        # affine set, so its norm is the exact feasibility floor.
+        self.floor = float(np.linalg.svd(self.G_part, compute_uv=False)[0]) if self.G_part.size else 0.0
 
-        G = base.solution.copy()
-        if self._warm is not None and self._warm[0].shape == G.shape:
-            Y, Uv, rho = self._warm
-            Y, Uv = Y.copy(), Uv.copy()
-        else:
-            Y = ball_projection(G, tau)
-            Uv = np.zeros_like(G)
-            # Penalty matched to the curvature spread of the quadratic term.
-            lam = self._gram_eigvals
-            if lam.size and lam[-1] > 0:
-                rho = float(np.sqrt(max(lam[0], 1e-8 * lam[-1]) * lam[-1]))
-
-        eigvals, eigvecs = self._gram_eigvals, self._gram_eigvecs
-        relax = 1.7
-        primal_hist: list[float] = []
-        dual_hist: list[float] = []
-        status = "max-iter"
-        it = 0
-        for it in range(1, max_iter + 1):
-            rhs = -self._lin + 0.5 * rho * (self.null_basis.T @ (Y - Uv))
-            z = eigvecs @ ((eigvecs.T @ rhs) / (eigvals + 0.5 * rho)[:, None])
-            G = self.G_part + self.null_basis @ z
-            G_rel = relax * G + (1.0 - relax) * Y
-            Y_prev = Y
-            Y = ball_projection(G_rel + Uv, tau)
-            Uv = Uv + G_rel - Y
-            r = float(np.linalg.norm(G - Y))
-            s = rho * float(np.linalg.norm(Y - Y_prev))
-            primal_hist.append(r)
-            dual_hist.append(s)
-            scale = max(1.0, float(np.linalg.norm(G)), float(np.linalg.norm(Y)))
-            if r <= tol * scale and s <= tol * scale:
-                status = "optimal"
-                break
-            if it % 10 == 0:
-                if r > 10.0 * s:
-                    rho *= 2.0
-                    Uv /= 2.0
-                elif s > 10.0 * r:
-                    rho /= 2.0
-                    Uv *= 2.0
-        self._warm = (Y, Uv, rho)
-        # Ball-feasible iterate, tightened to satisfy the affine set exactly.
-        G_out = self.G_part + self.null_basis @ (self.null_basis.T @ Y)
-        return SolveReport(
-            solution=G_out,
-            objective=self._objective(G_out),
-            status=status,
-            iterations=it,
-            primal_residuals=primal_hist,
-            dual_residuals=dual_hist,
-        )
-
-
-class BlockDiagonalProblem:
-    """All diagonal blocks of the structured program, advanced in lockstep.
-
-    Every block shares the constraint matrix (top block row of the state
-    Hankel, mapped to the identity) but has its own objective map.  The
-    blocks are independent given the ball radius, so one vectorized ADMM
-    iterates all of them together; a block whose unconstrained solution
-    already fits in the ball is finished in closed form.
-    """
-
-    def __init__(self, C_list: list[np.ndarray], constraint: EqualityConstraint):
-        A = np.asarray(constraint.A, dtype=float)
-        rhs = np.asarray(constraint.rhs, dtype=float)
-        self.L = len(C_list)
-        self.C = np.stack([np.asarray(c, dtype=float) for c in C_list])
-        U, s, Vt = np.linalg.svd(A, full_matrices=True)
-        tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-        rank = int(np.sum(s > tol))
-        self._infeasible_constraint = rank < A.shape[0]
-        pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-        self.G_part = pinv @ rhs  # shared by every block
-        self.null_basis = Vt[rank:].T
-        self.floor = float(np.linalg.svd(self.G_part, compute_uv=False)[0])
-
-        CN = np.matmul(self.C, self.null_basis)  # (L, c, d)
-        gram = np.matmul(CN.transpose(0, 2, 1), CN)
-        self._eigvals, self._eigvecs = np.linalg.eigh(gram)
-        CG = np.matmul(self.C, np.broadcast_to(self.G_part, (self.L, *self.G_part.shape)))
-        self._lin = np.matmul(CN.transpose(0, 2, 1), CG)  # (L, d, n)
+        CN = np.matmul(self.C, self.null_basis)  # (L, rows, d)
+        CG = np.matmul(self.C, self.G_part)
+        # The Gram eigenbasis from the SVD of C_k N: orthonormal at rounding
+        # level, which the returned point's exact feasibility rests on (eigh
+        # of the Gram lost up to 1e-10 of it on the benchmark plant, inside
+        # its rounding-level cluster), and squared singular values put flat
+        # directions at squared rounding level.
+        _, s, Vt = np.linalg.svd(CN, full_matrices=True)
+        self._eigvecs = Vt.transpose(0, 2, 1)
+        sig = np.zeros(Vt.shape[:2])
+        sig[:, : s.shape[1]] = s**2
+        lin = np.matmul(Vt, np.matmul(CN.transpose(0, 2, 1), CG))
+        # Gram eigenvalues at rounding level are flat directions (the
+        # pseudo-inverse's zeros); the linear term lies in the Gram's range,
+        # so what it shows there is rounding too.
+        cutoff = sig.shape[1] * np.finfo(float).eps * sig[:, :1]
+        self._flat = sig <= cutoff
+        self._sig = np.where(self._flat, 0.0, sig)
+        lin[self._flat] = 0.0
+        self._lin = lin  # B in the Gram eigenbasis, (L, d, n)
+        self._c0 = np.einsum("kij,kij->k", CG, CG)  # ||C_k G_part||^2
+        n = self.G_part.shape[1]
+        self._basis = _sym_basis(n).reshape(-1, n * n)
+        E = self._basis.reshape(-1, n, n)
+        # <E_a, sym(E_b X)> for the Newton system's slack term, as a map of vec(X).
+        products = np.einsum("aij,bjk->abik", E, E).reshape(-1, n, n)
+        self._basis_products = _symmetrize(products).reshape(-1, n * n)
         self._unconstrained: SolveReport | None = None
-        self._warm = None
+        self._warm: tuple[float, np.ndarray] | None = None  # (tau, multipliers) of the last solve
 
     @property
     def feasibility_floor(self) -> float:
@@ -285,19 +218,25 @@ class BlockDiagonalProblem:
     def _combined(self, G: np.ndarray) -> float:
         return float(np.sqrt(np.sum(self._objectives(G) ** 2)))
 
+    def _stacked(self, M: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(M, (self.L, *M.shape)).copy()
+
+    def _to_blocks(self, Z: np.ndarray, k) -> np.ndarray:
+        """G_part + N U_k Z for Z in the Gram eigenbasis of blocks k."""
+        return self.G_part[None] + np.matmul(self.null_basis[None], np.matmul(self._eigvecs[k], Z))
+
     def unconstrained(self) -> SolveReport:
+        """KKT solution without the ball: exact stationarity on the nullspace."""
         if self._unconstrained is None:
             if self._infeasible_constraint:
-                sol = np.broadcast_to(self.G_part, (self.L, *self.G_part.shape)).copy()
-                self._unconstrained = SolveReport(solution=sol, objective=np.inf, status="infeasible")
-            else:
-                lam, V = self._eigvals, self._eigvecs
-                cutoff = lam.shape[1] * np.finfo(float).eps * np.maximum(lam[:, -1:], 0.0)
-                inv = np.where(lam > cutoff, 1.0 / np.maximum(lam, 1e-300), 0.0)
-                z = -np.matmul(V, inv[:, :, None] * np.matmul(V.transpose(0, 2, 1), self._lin))
-                G = self.G_part[None] + np.matmul(self.null_basis[None], z)
                 self._unconstrained = SolveReport(
-                    solution=G, objective=self._combined(G), status="optimal"
+                    solution=self._stacked(self.G_part), objective=np.inf, status="infeasible"
+                )
+            else:
+                inv = np.divide(1.0, self._sig, out=np.zeros_like(self._sig), where=~self._flat)
+                G = self._to_blocks(-inv[:, :, None] * self._lin, slice(None))
+                self._unconstrained = SolveReport(
+                    solution=G, objective=self._combined(G), status="optimal", gap=0.0
                 )
         return self._unconstrained
 
@@ -307,95 +246,243 @@ class BlockDiagonalProblem:
     def unconstrained_norm(self) -> float:
         return float(self.unconstrained_norms().max())
 
-    def solve(
-        self,
-        tau: float | None,
-        tol: float = 1e-7,
-        max_iter: int = 50_000,
-        rho: float | None = None,
-        force_iterative: bool = False,
-    ) -> SolveReport:
-        if self._infeasible_constraint:
-            return self.unconstrained()
-        if tau is None or np.isinf(tau):
+    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000) -> SolveReport:
+        """Solve with ball radius tau (None or inf means unconstrained).
+
+        ``iterations`` counts Newton steps, ``gap`` is the largest relative
+        duality gap over the blocks (of the squared objective, hence a bound
+        on the combined one too) and the status is "max-iter" when some
+        block is not certified within ``tol``: its ``max_iter`` steps ran
+        out, or a tol below rounding level left nothing to gain.
+        """
+        if self._infeasible_constraint or tau is None or np.isinf(tau):
             return self.unconstrained()
         if tau < self.floor * (1.0 - 1e-9):
-            sol = np.broadcast_to(self.G_part, (self.L, *self.G_part.shape)).copy()
-            return SolveReport(solution=sol, objective=np.inf, status="infeasible")
+            return SolveReport(solution=self._stacked(self.G_part), objective=np.inf, status="infeasible")
         base = self.unconstrained()
-        norms = self.unconstrained_norms()
-        inactive = norms <= tau * (1.0 + 1e-12)
-        if not force_iterative and bool(inactive.all()):
+        active = self.unconstrained_norms() > tau * (1.0 + 1e-12)
+        if not active.any():
             return base
-
-        L, M, n = self.L, self.G_part.shape[0], self.G_part.shape[1]
+        if tau == 0.0:  # then the floor is 0: the ball holds G_part alone
+            G = self._stacked(self.G_part)
+            return SolveReport(solution=G, objective=self._combined(G), status="optimal", gap=0.0)
+        k = np.flatnonzero(active)
+        Z, gap, iterations, certified = self._dual_newton(k, tau, tol, max_iter)
         G = base.solution.copy()
-        if self._warm is not None and self._warm[0].shape == G.shape:
-            Y, Uv, rho_vec = self._warm
-            Y, Uv, rho_vec = Y.copy(), Uv.copy(), rho_vec.copy()
-        else:
-            Y = ball_projection_batch(G, tau)
-            Uv = np.zeros_like(G)
-            lam = self._eigvals
-            rho0 = np.sqrt(np.maximum(lam[:, 0], 1e-8 * lam[:, -1]) * lam[:, -1])
-            rho_vec = np.where(rho0 > 0, rho0, 1.0) if rho is None else np.full(L, rho)
-
-        lam, V = self._eigvals, self._eigvecs
-        Nb = self.null_basis
-        relax = 1.7
-        primal_hist: list[float] = []
-        dual_hist: list[float] = []
-        status = "max-iter"
-        it = 0
-        for it in range(1, max_iter + 1):
-            half_rho = 0.5 * rho_vec
-            rhs = -self._lin + half_rho[:, None, None] * np.matmul(Nb.T[None], Y - Uv)
-            z = np.matmul(
-                V, np.matmul(V.transpose(0, 2, 1), rhs) / (lam + half_rho[:, None])[:, :, None]
-            )
-            G = self.G_part[None] + np.matmul(Nb[None], z)
-            G_rel = relax * G + (1.0 - relax) * Y
-            Y_prev = Y
-            Y = ball_projection_batch(G_rel + Uv, tau)
-            Uv = Uv + G_rel - Y
-            diff = G - Y
-            r = np.sqrt(np.einsum("ijk,ijk->i", diff, diff))
-            dY = Y - Y_prev
-            s = rho_vec * np.sqrt(np.einsum("ijk,ijk->i", dY, dY))
-            primal_hist.append(float(r.max()))
-            dual_hist.append(float(s.max()))
-            scale = np.maximum(
-                1.0,
-                np.sqrt(
-                    np.maximum(
-                        np.einsum("ijk,ijk->i", G, G), np.einsum("ijk,ijk->i", Y, Y)
-                    )
-                ),
-            )
-            if bool(np.all(r <= tol * scale) and np.all(s <= tol * scale)):
-                status = "optimal"
-                break
-            if it % 10 == 0:
-                grow = r > 10.0 * s
-                shrink = s > 10.0 * r
-                if grow.any():
-                    rho_vec = np.where(grow, rho_vec * 2.0, rho_vec)
-                    Uv[grow] /= 2.0
-                if shrink.any():
-                    rho_vec = np.where(shrink, rho_vec / 2.0, rho_vec)
-                    Uv[shrink] *= 2.0
-        self._warm = (Y, Uv, rho_vec)
-        G_out = self.G_part[None] + np.matmul(Nb[None], np.matmul(Nb.T[None], Y))
-        # Blocks the ball never binds keep their exact closed-form solution.
-        G_out[inactive] = base.solution[inactive]
+        G[k] = self._to_blocks(Z, k)
         return SolveReport(
-            solution=G_out,
-            objective=self._combined(G_out),
-            status=status,
-            iterations=it,
-            primal_residuals=primal_hist,
-            dual_residuals=dual_hist,
+            solution=G,
+            objective=self._combined(G),
+            status="optimal" if certified else "max-iter",
+            iterations=iterations,
+            gap=float(gap.max()),
         )
+
+    def _response(self, k: np.ndarray, Lam: np.ndarray):
+        """Lagrangian minimizer of blocks k at multipliers Lam (a Sylvester solve).
+
+        Returns the eigenpairs (d, V) of Lam, the weights 1/(sigma_i + d_j)
+        and Z V, all in the Gram eigenbasis.
+        """
+        d, V = np.linalg.eigh(Lam)
+        den = self._sig[k][:, :, None] + d[:, None, :]
+        w = np.divide(1.0, den, out=np.zeros_like(den), where=~self._flat[k][:, :, None])
+        return d, V, w, -w * np.matmul(self._lin[k], V)
+
+    def _certificate(self, k, Lam, V, ZV, S, S_isqrt, S_sqrt):
+        """A primal point of blocks k in the ball, and its relative duality gap.
+
+        Z is the Lagrangian minimizer at Lam; clipping the singular values of
+        Z S^{-1/2} at one gives Z_f with Z_f^T Z_f <= S, changed only along
+        violated directions.  The gap f(Z_f) - g(Lam) is
+        f(Z_f) - f(Z) + <Lam, S - Z^T Z>, free of the cancellation in f - g.
+        """
+        Z = np.matmul(ZV, V.transpose(0, 2, 1))
+        W = np.matmul(Z, S_isqrt)
+        s2, P = np.linalg.eigh(np.matmul(W.transpose(0, 2, 1), W))
+        shrink = np.where(s2 > 1.0, 1.0 / np.sqrt(np.maximum(s2, 1.0)), 1.0)
+        Zf = Z.copy()
+        clip = np.flatnonzero((s2 > 1.0).any(axis=1))
+        if clip.size:
+            fix = np.matmul(P[clip] * shrink[clip, None, :], P[clip].transpose(0, 2, 1))
+            Zf[clip] = np.matmul(np.matmul(W[clip], fix), S_sqrt)
+        lin, sig = self._lin[k], self._sig[k][:, :, None]
+        dZ = Zf - Z
+        f = self._c0[k] + np.einsum("kij,kij->k", Zf, 2.0 * lin + sig * Zf)
+        gap = np.einsum("kij,kij->k", dZ, 2.0 * lin + sig * (Zf + Z)) + np.einsum(
+            "kij,kij->k", Lam, S - np.matmul(Z.transpose(0, 2, 1), Z)
+        )
+        rel = np.divide(np.maximum(gap, 0.0), f, out=np.zeros_like(f), where=f > 0)
+        return Zf, rel
+
+    def _secular_start(self, k, s, Q) -> np.ndarray:
+        """Multipliers diagonal in the eigenbasis Q of S, strictly inside the cone.
+
+        If Lam = Q diag(c) Q^T, column j of Z Q is -(H + c_j)^+ B q_j, so each
+        c_j is a scalar trust-region multiplier: the Moré–Sorensen Newton
+        iteration on 1/||z(c)|| puts ||z_j||^2 at a fixed share of s_j.
+        """
+        b2 = np.matmul(self._lin[k], Q) ** 2
+        sig, live = self._sig[k][:, :, None], ~self._flat[k][:, :, None]
+        target = self._SECULAR_TARGET * s
+        c = np.zeros((k.size, s.size))
+        for _ in range(self._SECULAR_STEPS):
+            inv = np.divide(1.0, sig + c[:, None, :], out=np.zeros_like(b2), where=live)
+            q2 = np.sum(b2 * inv**2, axis=1)
+            # A start needs no precision: stop once every direction is near its target.
+            outside = q2 > 1.01 * target
+            if not outside.any():
+                break
+            q3 = np.sum(b2 * inv**3, axis=1)
+            step = (1.0 / np.sqrt(target) - 1.0 / np.sqrt(np.maximum(q2, target))) * q2**1.5
+            c = np.where(outside, c + step / np.where(outside, q3, 1.0), c)
+        # Directions the ball does not bind still need a positive multiplier.
+        scale = c.max(axis=1)
+        scale = np.where(scale > 0, scale, self._sig[k].max(axis=1, initial=0.0))
+        c = np.maximum(c, 1e-3 * np.maximum(scale, np.finfo(float).tiny)[:, None])
+        return np.matmul(Q[None] * c[:, None, :], Q.T[None])
+
+    def _dual_newton(self, k, tau, tol, max_iter):
+        """Primal-dual Newton iteration on the duals of blocks k.
+
+        Returns the ball-feasible Z of each block (Gram eigenbasis), the
+        relative gaps, the number of Newton steps and whether every block was
+        certified.  The last multipliers are kept: a later solve at the same
+        radius resumes from them, and any later solve whose radius they
+        already certify within its tol returns at once.
+        """
+        n = self.G_part.shape[1]
+        eps = np.finfo(float).eps
+        s, Q = np.linalg.eigh(tau**2 * np.eye(n) - self.G_part.T @ self.G_part)
+        # Within the 1e-9 band below the floor S loses definiteness; keep it
+        # positive at rounding level.
+        s = np.maximum(s, eps * tau**2)
+        S = (Q * s) @ Q.T
+        S_sqrt, S_isqrt = (Q * np.sqrt(s)) @ Q.T, (Q / np.sqrt(s)) @ Q.T
+
+        Lam = self._secular_start(k, s, Q)
+        Z = np.zeros((k.size, *self._lin.shape[1:]))
+        gap = np.full(k.size, np.inf)
+        if self._warm is not None:
+            warm_tau, warm = self._warm
+            warm = warm[k]
+            usable = np.flatnonzero(np.linalg.eigvalsh(warm)[:, 0] > 0)
+            if usable.size:
+                _, V, _, ZV = self._response(k[usable], warm[usable])
+                Z[usable], gap[usable] = self._certificate(k[usable], warm[usable], V, ZV, S, S_isqrt, S_sqrt)
+                reuse = usable[(gap[usable] <= tol) | (warm_tau == tau)]
+                Lam[reuse] = warm[reuse]
+        open_ = np.flatnonzero(gap > tol)
+        X = np.zeros_like(Lam)
+        sigma = np.full(k.size, self._CENTERING[0])
+        iterations = 0
+        while open_.size:
+            d, V, w, ZV = self._response(k[open_], Lam[open_])
+            Z[open_], gap[open_] = self._certificate(k[open_], Lam[open_], V, ZV, S, S_isqrt, S_sqrt)
+            if iterations == 0:
+                # The starting slack S - Z^T Z, kept a share of S's smallest
+                # eigenvalue inside the cone.
+                ZZ = np.matmul(np.matmul(V, np.matmul(ZV.transpose(0, 2, 1), ZV)), V.transpose(0, 2, 1))
+                x, Wx = np.linalg.eigh(S - ZZ)
+                X[open_] = np.matmul(Wx * np.maximum(x, 0.1 * s[0])[:, None, :], Wx.transpose(0, 2, 1))
+            # A complementarity at rounding level leaves no gap to close.
+            stalled = np.einsum("kij,kij->k", Lam[open_], X[open_]) <= eps * np.einsum(
+                "kij,ij->k", Lam[open_], S
+            )
+            keep = (gap[open_] > tol) & ~stalled
+            if iterations == max_iter or not keep.any():
+                break
+            open_, d, V, w, ZV = open_[keep], d[keep], V[keep], w[keep], ZV[keep]
+            Lam[open_], X[open_], step = self._newton_step(d, V, w, ZV, X[open_], S, sigma[open_])
+            sigma[open_] = np.clip((1.0 - step) ** 2, *self._CENTERING)
+            iterations += 1
+        Lam_all = np.zeros((self.L, n, n))
+        Lam_all[k] = Lam
+        self._warm = (tau, Lam_all)
+        return Z, gap, iterations, bool(np.all(gap <= tol))
+
+    def _newton_step(self, d, V, w, ZV, X, S, sigma):
+        """One damped primal-dual Newton step on (Lam, X) for a batch of blocks.
+
+        Solves for dLam in the scaled coordinates Lam^{1/2} Delta Lam^{1/2}:
+        (2 sum_ij w_ij P_a P_b + <E_a, sym(E_b Xh)>) delta = grad of the
+        barrier dual at mu, with P_a = Z V sqrt(D) E_a sqrt(D) and
+        Xh = sqrt(D) V^T X V sqrt(D) the scaled slack.  The slack moves along
+        the linearization of S - Z^T Z.  The step keeps a fraction of the
+        distance to the edge of both cones.
+        """
+        b, n = d.shape
+        E = self._basis
+        m = E.shape[0]
+        Vt = V.transpose(0, 2, 1)
+        Sv = np.matmul(Vt, np.matmul(S, V))
+        Xv = np.matmul(Vt, np.matmul(X, V))
+        ZtZ = np.matmul(ZV.transpose(0, 2, 1), ZV)
+        mu = sigma * np.einsum("ki,kii->k", d, Xv) / n
+        root = np.sqrt(d)
+        outer = root[:, :, None] * root[:, None, :]
+        grad = outer * (ZtZ - Sv) + mu[:, None, None] * np.eye(n)
+        scaled = E.reshape(1, m, n, n) * outer[:, None]
+        P = np.matmul(ZV[:, None], scaled).reshape(b, m, -1)
+        Pw = (P.reshape(b, m, -1, n) * w[:, None]).reshape(b, m, -1)
+        H = 2.0 * np.matmul(Pw, P.transpose(0, 2, 1))
+        H += ((outer * Xv).reshape(b, n * n) @ self._basis_products.T).reshape(b, m, m)
+        rhs = grad.reshape(b, n * n) @ E.T
+        # Jacobi scaling keeps the solve accurate when Lam has tiny eigenvalues.
+        jac = 1.0 / np.sqrt(np.diagonal(H, axis1=1, axis2=2))
+        delta = jac * np.linalg.solve(H * jac[:, :, None] * jac[:, None, :], (rhs * jac)[:, :, None])[:, :, 0]
+        Delta = (delta @ E).reshape(b, n, n)
+        dLam = outer * Delta
+        dZ = -w * np.matmul(ZV, dLam)
+        J = np.matmul(dZ.transpose(0, 2, 1), ZV)
+        dX = Sv - Xv - ZtZ - J - J.transpose(0, 2, 1)
+        x, Wx = np.linalg.eigh(Xv)
+        X_isqrt = np.matmul(Wx / np.sqrt(x)[:, None, :], Wx.transpose(0, 2, 1))
+        lowest = np.minimum(
+            np.linalg.eigvalsh(Delta)[:, 0],
+            np.linalg.eigvalsh(np.matmul(X_isqrt, np.matmul(dX, X_isqrt)))[:, 0],
+        )
+        step = np.where(lowest < 0, np.minimum(1.0, -self._TO_BOUNDARY / np.minimum(lowest, -1e-300)), 1.0)
+        step_ = step[:, None, None]
+        Lam = np.matmul(V, np.matmul(d[:, :, None] * np.eye(n) + step_ * dLam, Vt))
+        X = np.matmul(V, np.matmul(Xv + step_ * dX, Vt))
+        return _symmetrize(Lam), _symmetrize(X), step
+
+
+def _first_block(rep: SolveReport) -> SolveReport:
+    return replace(rep, solution=rep.solution[0])
+
+
+class ConstrainedLeastSquares:
+    """One dense instance of min ||C G||_F s.t. A G = rhs (and a spectral ball).
+
+    The single-block case of ``BlockDiagonalProblem``, whose constraint SVD,
+    nullspace Gram eigendecomposition and dual Newton solve it uses as they
+    are; it returns the block itself.  ``constraint=None`` leaves G free.
+    """
+
+    def __init__(self, C: np.ndarray, constraint: EqualityConstraint | None):
+        self._blocks = BlockDiagonalProblem([C], constraint)
+        self.C = self._blocks.C[0]
+        self.constraint = constraint
+        self.G_part = self._blocks.G_part
+        self.null_basis = self._blocks.null_basis
+        self.floor = self._blocks.floor
+
+    @property
+    def feasibility_floor(self) -> float:
+        return self.floor
+
+    def unconstrained(self) -> SolveReport:
+        """KKT solution without the ball: exact stationarity on the nullspace."""
+        return _first_block(self._blocks.unconstrained())
+
+    def unconstrained_norm(self) -> float:
+        return self._blocks.unconstrained_norm()
+
+    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000) -> SolveReport:
+        """Solve with ball radius tau (None or inf means unconstrained)."""
+        return _first_block(self._blocks.solve(tau, tol=tol, max_iter=max_iter))
 
 
 def ball_projection_batch(M: np.ndarray, tau: float) -> np.ndarray:
@@ -421,7 +508,7 @@ def eq_ls(C: np.ndarray, constraint: EqualityConstraint | None) -> SolveReport:
 
 
 def spectral_admm(problem: InnerProblem, tol: float = 1e-7, max_iter: int = 50_000) -> SolveReport:
-    """Operator-splitting solve of one ball-constrained instance."""
+    """Ball-constrained solve of one instance (dual Newton, see ``BlockDiagonalProblem``)."""
     return ConstrainedLeastSquares(problem.C, problem.constraint).solve(
         problem.tau, tol=tol, max_iter=max_iter
     )
@@ -434,7 +521,8 @@ class CoupledCausalProblem:
     diagonal, every block constrained through the same thin matrix A
     (diagonal blocks to the identity, lower blocks to zero).  The objective
     couples blocks within a block column; the spectral ball couples all of
-    them, handled by splitting exactly as in the single-block case.
+    them, handled by ADMM: a quadratic step on the affine set alternating
+    with a projection onto the ball.
 
     The free part of every block lies in the nullspace of A, so the affine
     projection is ``G_part + mask * (P V)`` with P = N N^T applied to each
@@ -635,6 +723,7 @@ class GammaSearchResult:
     grid: list[tuple[float, float, float]]  # (gamma, f, h) at evaluated points
     status: str  # worst inner status at the returned gamma
     iterations: int = 0  # inner iterations of the final solve at the returned gamma
+    gap: float | None = 0.0  # its relative duality gap (None: the solver gives none)
 
 
 def golden_section(fun, lo: float, hi: float, tol: float = 1e-4, max_iter: int = 200):
@@ -767,4 +856,5 @@ def gamma_search(
         grid=sorted(evaluated),
         status=max((r.status for r in reports), key=_STATUS_RANK.index),
         iterations=max(r.iterations for r in reports),
+        gap=None if any(r.gap is None for r in reports) else max(r.gap for r in reports),
     )

@@ -124,6 +124,7 @@ class SynthesisResult:
             "ghat_norm": self.ghat_norm,
             "status": self.search.status if self.search else "optimal",
             "iterations": self.search.iterations if self.search else 0,
+            "gap": self.search.gap if self.search else 0.0,
             "timings": self.timings,
         }
 

@@ -60,6 +60,8 @@ def test_synth_robust_and_naive_modes(tmp_path):
     assert run(["synth", "--config", cfg, "--out", str(out), "--mode", "robust"]) == 0
     summary = json.loads((out / "synthesis.json").read_text())
     assert 0.0 <= summary["gamma"] < 1.0
+    # The blockdiag solve certifies its point: the gap is within the default tol.
+    assert summary["status"] == "optimal" and 0.0 <= summary["gap"] <= 1e-7
 
     out2 = tmp_path / "naive"
     assert run(["synth", "--config", cfg, "--out", str(out2), "--mode", "naive"]) == 0

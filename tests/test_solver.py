@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ddsls.blockops import CostWeights, spectral_norm
-from ddsls.lti import LtiSystem, generate_ensemble, average
+from ddsls.lti import LtiSystem, average, generate_ensemble, simulate
 from ddsls.solver import (
     BlockDiagonalProblem,
     ConstrainedLeastSquares,
@@ -19,7 +19,7 @@ from ddsls.solver import (
     spectral_admm,
 )
 from ddsls.synth import DataHankels, _build_solvers, stacked_cost_map
-from tests.conftest import T_BENCH
+from tests.conftest import SIGMA2, T_BENCH
 from tests.oracles import coupled_quad_step, kkt_equality_ls, projected_gradient_spectral
 
 
@@ -126,9 +126,13 @@ class TestSpectralAdmm:
         C, constraint = small_instance(6)
         solver = ConstrainedLeastSquares(C, constraint)
         ref = solver.unconstrained()
-        tau = 1.2 * solver.unconstrained_norm()
-        rep = solver.solve(tau, tol=1e-9, force_iterative=True)
-        assert rep.status == "optimal"
+        inactive = solver.solve(1.2 * solver.unconstrained_norm(), tol=1e-9)
+        assert (inactive.status, inactive.iterations, inactive.gap) == ("optimal", 0, 0.0)
+        np.testing.assert_array_equal(inactive.solution, ref.solution)
+        # Just inside the closed-form norm the ball binds: the dual Newton
+        # iterates and lands on (nearly) the closed-form point.
+        rep = solver.solve((1.0 - 1e-6) * solver.unconstrained_norm(), tol=1e-9)
+        assert rep.status == "optimal" and rep.iterations > 0 and rep.gap <= 1e-9
         assert rep.objective == pytest.approx(ref.objective, rel=1e-6, abs=1e-8)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -165,6 +169,12 @@ class TestSpectralAdmm:
             )
             prob.solve(solver=cp.SCS, eps=1e-9, max_iters=200_000)
             assert rep.objective == pytest.approx(prob.value, rel=1e-6, abs=1e-8)
+
+    def test_zero_radius_without_constraint_is_the_origin(self):
+        C, _ = small_instance(10)
+        rep = spectral_admm(InnerProblem(C=C, constraint=None, tau=0.0))
+        assert (rep.status, rep.gap) == ("optimal", 0.0)
+        assert not rep.solution.any()
 
     def test_below_floor_infeasible(self):
         C, constraint = small_instance(8)
@@ -249,7 +259,101 @@ class TestGammaSearch:
         assert converged.status == "optimal" and 2 < converged.iterations < 50_000
 
 
+def blockdiag_instance(sys, weights, T, N, seed):
+    """Block-diagonal problem and data from an averaged record of ``sys``."""
+    data = DataHankels.from_trajectory(average(generate_ensemble(sys, T, N, seed=seed)), weights.horizon)
+    return _build_solvers(data, weights, "blockdiag")[0], data
+
+
+def assert_blocks_certified(rep, prob, data, tau, tol):
+    """Every block affine-feasible, in the ball and within tol of its dual bound."""
+    assert rep.status == "optimal" and 0.0 <= rep.gap <= tol
+    assert np.isfinite(rep.solution).all()
+    for G in rep.solution:
+        assert np.abs(data.h1x @ G - np.eye(data.n)).max() < 1e-10
+        assert spectral_norm(G) <= tau * (1.0 + 1e-12)
+
+
 class TestBlockDiagonalProblem:
+    @pytest.fixture
+    def bench_problem(self, plant, bench_weights):
+        # One near-noiseless record, as in the certified pipeline: the ball
+        # sits close to its feasibility floor.
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal((T_BENCH, 3))
+        noise = np.sqrt(SIGMA2 / 1e6) * rng.standard_normal((T_BENCH - 1, 3))
+        data = DataHankels.from_trajectory(simulate(plant, np.zeros(3), u, noise=noise), bench_weights.horizon)
+        return _build_solvers(data, bench_weights, "blockdiag")[0], data
+
+    def test_singular_late_blocks_stay_bounded(self, bench_problem):
+        prob, data = bench_problem
+        d = prob.null_basis.shape[1]
+        ranks = [np.linalg.matrix_rank(C @ prob.null_basis) for C in prob.C]
+        assert ranks[-1] < d and ranks[0] == d
+        tau = np.sqrt(prob.feasibility_floor * prob.unconstrained_norm())
+        rep = prob.solve(tau, tol=1e-9)
+        assert_blocks_certified(rep, prob, data, tau, 1e-9)
+        # The singular blocks bind too: their closed-form points leave the ball.
+        singular = [k for k, r in enumerate(ranks) if r < d]
+        assert (prob.unconstrained_norms()[singular] > tau).any()
+
+    def test_near_floor_converges_within_default_cap(self, bench_problem):
+        prob, data = bench_problem
+        tau = prob.feasibility_floor * (1.0 + 1e-3)
+        rep = prob.solve(tau)
+        assert_blocks_certified(rep, prob, data, tau, 1e-7)
+        assert 0 < rep.iterations < 100
+
+    def test_capped_solve_is_feasible_and_reported(self, bench_problem):
+        prob, data = bench_problem
+        tau = prob.feasibility_floor * (1.0 + 1e-3)
+        rep = prob.solve(tau, tol=1e-12, max_iter=1)
+        assert (rep.status, rep.iterations) == ("max-iter", 1) and rep.gap > 1e-12
+        for G in rep.solution:
+            assert np.abs(data.h1x @ G - np.eye(data.n)).max() < 1e-10
+            assert spectral_norm(G) <= tau * (1.0 + 1e-12)
+
+    def test_repeated_radius_reuses_multipliers(self, bench_problem):
+        prob, _ = bench_problem
+        tau = 2.0 * prob.feasibility_floor
+        first = prob.solve(tau, tol=1e-5)
+        again = prob.solve(tau, tol=1e-5)
+        assert first.iterations > 0 and again.iterations == 0
+        np.testing.assert_array_equal(again.solution, first.solution)
+        tighter = prob.solve(tau, tol=1e-10)
+        assert tighter.status == "optimal" and tighter.gap <= 1e-10
+        assert tighter.objective <= first.objective * (1.0 + 1e-12)
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        L=st.integers(2, 4),
+        radius=st.sampled_from([0.5, 0.95, 1.05, 1.3]),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_certified_on_random_plants(self, seed, n, m, L, radius, frac):
+        w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+        T = L + n + m * L + 8
+        prob, data = blockdiag_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
+        floor, top = prob.feasibility_floor, prob.unconstrained_norm()
+        assume(top > 1.001 * floor)
+        tau = 1.001 * floor * (top / (1.001 * floor)) ** frac
+        rep = prob.solve(tau, tol=1e-8)
+        assert_blocks_certified(rep, prob, data, tau, 1e-8)
+        # The first-order oracle tracks only feasible sets with room between
+        # the floor and the radius; check the most strongly bound block (a
+        # block the ball does not bind is the closed form, checked against
+        # KKT by TestEqLs).
+        k = int(np.argmax(prob.unconstrained_norms()))
+        if tau >= 1.6 * floor and prob.unconstrained_norms()[k] > tau:
+            _, obj_ref = projected_gradient_spectral(prob.C[k], data.h1x, np.eye(n), tau, iters=20_000)
+            obj = np.linalg.norm(prob.C[k] @ rep.solution[k])
+            assert obj == pytest.approx(obj_ref, rel=1e-4)
+            # The oracle's point is feasible: it cannot beat a certified optimum.
+            assert obj <= obj_ref * (1.0 + 1e-8)
+
     def test_matches_per_block_closed_form(self):
         rng = np.random.default_rng(10)
         A = rng.standard_normal((2, 9))

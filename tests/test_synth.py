@@ -13,7 +13,7 @@ from ddsls.synth import (
     synth_noiseless,
     synth_robust,
 )
-from tests.conftest import L_BENCH, T_BENCH
+from tests.conftest import L_BENCH, SIGMA2, T_BENCH
 
 
 @pytest.fixture(scope="module")
@@ -212,11 +212,25 @@ class TestSynthRobust:
         eps = spectral_norm(data.hw)
         res = synth_robust(data, w, eps, structure="full", max_iter=3)
         summary = res.summary()
-        assert (summary["status"], summary["iterations"]) == ("max-iter", 3)
+        assert (summary["status"], summary["iterations"], summary["gap"]) == ("max-iter", 3, None)
         # The robust objective bounds the returned controller only if its
         # parameter matrix lies in the ball of radius gamma / (sqrt(L) eps).
         assert np.sqrt(3) * eps * res.ghat_norm <= res.gamma * (1.0 + 1e-12)
         assert synth_robust(data, w, 0.0, structure="full").summary()["status"] == "optimal"
+
+    def test_certify_settings_blockdiag_is_certified(self, plant, bench_weights):
+        # The certified pipeline's settings on one near-noiseless record
+        # (seed 6, N = 1e6).  The iteration-capped ADMM that blockdiag used
+        # before returned a G-hat 5.5e-10 (relative) outside its ball here.
+        rng = np.random.default_rng(6)
+        u = rng.standard_normal((T_BENCH, 3))
+        noise = np.sqrt(SIGMA2 / 1e6) * rng.standard_normal((T_BENCH - 1, 3))
+        data = DataHankels.from_trajectory(simulate(plant, np.zeros(3), u, noise=noise), L_BENCH)
+        eps = spectral_norm(data.hw)
+        res = synth_robust(data, bench_weights, eps, grid_points=5, gamma_tol=1e-2, tol=1e-4, max_iter=1200)
+        assert np.sqrt(L_BENCH) * eps * spectral_norm(res.ghat) <= res.gamma * (1.0 + 1e-12)
+        summary = res.summary()
+        assert summary["status"] == "optimal" and 0.0 <= summary["gap"] <= 1e-4
 
     def test_negative_eps_rejected(self, bench_weights, noisy_data):
         with pytest.raises(ValueError):
