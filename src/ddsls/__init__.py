@@ -44,19 +44,14 @@ from .solver import (
     ConstrainedLeastSquares,
     EqualityConstraint,
     InfeasibleEpsilon,
-    InnerProblem,
     SolveReport,
-    ball_projection,
-    eq_ls,
     gamma_search,
-    spectral_admm,
 )
 from .synth import (
     DataHankels,
     SynthesisResult,
     assemble_delta,
     assemble_responses,
-    synth_noiseless,
     synth_robust,
 )
 from .analysis import (

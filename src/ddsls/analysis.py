@@ -204,7 +204,6 @@ def bootstrap_epsilon(
     resamples: int = 1000,
     percentile: float = 95.0,
     statistic: str = "deviation",
-    resampling: str = "subsample",
     seed: int | None = None,
 ) -> float:
     """Bootstrap percentile estimate of the averaged-noise Hankel norm.
@@ -221,13 +220,11 @@ def bootstrap_epsilon(
     norm directly (used to validate coverage and to budget the robust
     synthesis in experiments where the noise is logged).
 
-    ``resampling="subsample"`` (default) draws half-size subsets without
-    replacement, rescaled to the variance of a full-size mean.  A spectral
-    norm is a supremum statistic, and plain with-replacement resampling is
-    known to inflate its quantiles through the anisotropy of the shared
-    empirical covariance; subsampling avoids that and keeps the percentile
-    close to nominal.  ``resampling="replacement"`` gives the plain
-    (slightly conservative) variant.
+    Resamples are half-size subsets drawn without replacement, rescaled to
+    the variance of a full-size mean.  A spectral norm is a supremum
+    statistic, and plain with-replacement resampling is known to inflate its
+    quantiles through the anisotropy of the shared empirical covariance;
+    subsampling avoids that and keeps the percentile close to nominal.
     """
     N = len(ens)
     if N < 2:
@@ -242,23 +239,14 @@ def bootstrap_epsilon(
     flat = deviations.reshape(N, -1)
 
     rng = np.random.default_rng(seed)
-    if resampling == "subsample":
-        m = max(1, N // 2)
-        keys = rng.random((resamples, N))
-        take = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        sel = np.zeros((resamples, N))
-        np.put_along_axis(sel, take, 1.0, axis=1)
-        # Finite-population rescale so a mean of m distinct members matches
-        # the sampling variance of a fresh mean of N members.
-        means = (sel @ flat) * (np.sqrt(m * (N - 1) / (N - m)) / (m * np.sqrt(N)))
-    elif resampling == "replacement":
-        idx = rng.integers(0, N, size=(resamples, N))
-        counts = np.zeros((resamples, N))
-        rows = np.repeat(np.arange(resamples), N)
-        np.add.at(counts, (rows, idx.reshape(-1)), 1.0)
-        means = (counts @ flat) / N
-    else:
-        raise ValueError(f"unknown resampling {resampling!r}")
+    m = max(1, N // 2)
+    keys = rng.random((resamples, N))
+    take = np.argpartition(keys, m - 1, axis=1)[:, :m]
+    sel = np.zeros((resamples, N))
+    np.put_along_axis(sel, take, 1.0, axis=1)
+    # Finite-population rescale so a mean of m distinct members matches
+    # the sampling variance of a fresh mean of N members.
+    means = (sel @ flat) * (np.sqrt(m * (N - 1) / (N - m)) / (m * np.sqrt(N)))
     means = means.reshape(resamples, *deviations.shape[1:])
     norms = hankel_norms_of_signals(means, L)
     return float(np.percentile(norms, percentile))

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "block_downshift",
@@ -166,12 +167,8 @@ class LtvOperator:
     @classmethod
     def from_block_diagonal(cls, blocks: list[np.ndarray]) -> "LtvOperator":
         """Block-diagonal operator from per-step gains (time-varying static map)."""
-        L = len(blocks)
         p, q = as_matrix(blocks[0], "block").shape
-        dense = np.zeros((p * L, q * L))
-        for t, blk in enumerate(blocks):
-            dense[t * p : (t + 1) * p, t * q : (t + 1) * q] = blk
-        return cls(horizon=L, block_rows=p, block_cols=q, dense=dense)
+        return cls(horizon=len(blocks), block_rows=p, block_cols=q, dense=scipy.linalg.block_diag(*blocks))
 
     @classmethod
     def identity(cls, horizon: int, n: int) -> "LtvOperator":

@@ -156,7 +156,7 @@ def cmd_synth(cfg: dict) -> dict:
     if mode == "noiseless":
         noiseless = simulate(sys_, np.zeros(sys_.state_dim), avg.u)
         data = synth.DataHankels.from_trajectory(noiseless, L)
-        result = synth.synth_noiseless(data, weights)
+        result = synth.synth_robust(data, weights, 0.0, structure=structure)
     elif mode == "robust":
         result = synth.synth_robust(data, weights, _resolve_eps(cfg, ens, data), structure=structure)
     elif mode == "naive":
@@ -166,11 +166,8 @@ def cmd_synth(cfg: dict) -> dict:
 
     out = _out_dir(cfg)
     summary = result.summary()
-    summary["residuals"] = {
-        "structure_max": float(
-            np.abs(data.h1x @ result.ghat[: data.cols, : data.n] - np.eye(data.n)).max()
-        )
-    }
+    summary["mode"] = mode
+    summary["residuals"] = {"structure_max": synth.structure_residual(data, result.ghat)}
     _write_json(os.path.join(out, "synthesis.json"), summary)
     _write_csv(
         os.path.join(out, "phi_x.csv"),
@@ -389,8 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--mode", type=str, default=None, choices=["noiseless", "robust", "naive"])
+        if name in ("mpc", "concentration"):
+            p.add_argument("--trials", type=int, default=None)
+        if name == "synth":
+            p.add_argument("--mode", type=str, default=None, choices=["noiseless", "robust", "naive"])
     return parser
 
 
@@ -399,11 +398,11 @@ def main(argv: list[str] | None = None) -> int:
     overrides: dict = {}
     if args.seed is not None:
         overrides.setdefault("sampling", {})["seed"] = args.seed
-    if args.trials is not None:
+    if getattr(args, "trials", None) is not None:
         overrides.setdefault("sampling", {})["trials"] = args.trials
     if args.out is not None:
         overrides["output_dir"] = args.out
-    if args.mode is not None:
+    if getattr(args, "mode", None) is not None:
         overrides.setdefault("synthesis", {})["mode"] = args.mode
     try:
         cfg = load_config(args.config, overrides)

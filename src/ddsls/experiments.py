@@ -284,7 +284,7 @@ def compare_controllers(
         try:
             res = synth_robust(data, weights, 0.0, mode="naive", structure="full")
             evaluate("naive", res.controller, True, gamma=None, eps=0.0)
-        except NotPersistentlyExciting:
+        except (InfeasibleEpsilon, NotPersistentlyExciting):
             evaluate("naive", None, False, eps=0.0)
 
         return trial_records

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .blockops import CostWeights, LtvOperator, spectral_norm
 from .hankel import NotPersistentlyExciting
@@ -121,13 +122,7 @@ class GStar:
 
     @property
     def dense(self) -> np.ndarray:
-        cols = self.blocks[0].shape[0]
-        n = self.blocks[0].shape[1]
-        L = len(self.blocks)
-        out = np.zeros((cols * L, n * L))
-        for k, blk in enumerate(self.blocks):
-            out[k * cols : (k + 1) * cols, k * n : (k + 1) * n] = blk
-        return out
+        return scipy.linalg.block_diag(*self.blocks)
 
     @property
     def norm(self) -> float:

@@ -1,18 +1,16 @@
 """Optimization engine for the data-driven synthesis programs.
 
-Three layers:
-
-* ``eq_ls`` — equality-constrained Frobenius least squares in closed form
-  (nullspace method on top of an SVD of the constraint matrix).
-* ``spectral_admm`` — the same problem with an additional spectral-norm
-  ball on the variable (one dense block, solved by the dual Newton method
-  below).
-* ``gamma_search`` — the outer scalar search for the quasi-convex program
-  min f(gamma) / (1 - gamma), where f(gamma) is the inner optimal value
-  with ball radius gamma / (sqrt(L) * eps): a coarse grid followed by
-  golden-section refinement of the bracketing interval.  Its status is the
-  worst status of the inner solves at the returned gamma, and its gap the
-  largest relative duality gap among them.
+The inner problem is equality-constrained Frobenius least squares,
+min ||C G||_F s.t. A G = rhs, with a spectral-norm ball ||G||_2 <= tau on
+the variable.  Both inner problem classes share one construction of the
+affine set (SVD of A: minimum-norm point, orthonormal nullspace basis,
+feasibility floor), and without the ball both are solved in closed form on
+the nullspace.  ``gamma_search`` is the outer scalar search for the
+quasi-convex program min f(gamma) / (1 - gamma) over one inner problem,
+where f(gamma) is the inner optimal value with ball radius
+gamma / (sqrt(L) * eps): a coarse grid followed by golden-section
+refinement of the bracketing interval.  Its status, iteration count and
+gap are those of the inner solve at the returned gamma.
 
 Independent blocks, ``BlockDiagonalProblem`` (the diagonal blocks of the
 structured program) and ``ConstrainedLeastSquares`` (its L = 1 case), are
@@ -39,13 +37,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .blockops import rank_tolerance
+
 __all__ = [
     "EqualityConstraint",
-    "InnerProblem",
     "SolveReport",
-    "ball_projection",
-    "eq_ls",
-    "spectral_admm",
     "ConstrainedLeastSquares",
     "BlockDiagonalProblem",
     "CoupledCausalProblem",
@@ -57,8 +53,6 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-# Inner solve statuses from best to worst.
-_STATUS_RANK = ("optimal", "max-iter", "infeasible")
 
 
 class InfeasibleEpsilon(RuntimeError):
@@ -73,19 +67,6 @@ class EqualityConstraint:
     rhs: np.ndarray
 
 
-@dataclass(frozen=True)
-class InnerProblem:
-    """min ||C G||_F subject to the affine constraint and ||G||_2 <= tau."""
-
-    C: np.ndarray
-    constraint: EqualityConstraint | None
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.tau is not None and not (self.tau > 0 or self.tau == 0):
-            raise ValueError("tau must be nonnegative or None for unbounded")
-
-
 @dataclass
 class SolveReport:
     solution: np.ndarray
@@ -97,12 +78,26 @@ class SolveReport:
     gap: float | None = None  # relative duality gap of the returned point, when certified
 
 
-def ball_projection(M: np.ndarray, tau: float) -> np.ndarray:
-    """Projection onto the spectral-norm ball: clip singular values at tau."""
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0 or s[0] <= tau:
-        return M.copy()
-    return (U * np.minimum(s, tau)) @ Vt
+def _affine_set(A: np.ndarray, rhs: np.ndarray):
+    """The affine set {G : A G = rhs} through one SVD of A.
+
+    Returns the minimum-norm point G_part, an orthonormal nullspace basis N
+    of A (every feasible G is G_part + N Z), the feasibility floor and
+    whether the set is empty.  G_part has the least spectral norm on the
+    set, so its norm is the exact floor of any ball that meets it.  The set
+    is empty when G_part misses rhs by more than rounding.
+    """
+    A = np.asarray(A, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > rank_tolerance(s, A.shape)))
+    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+    G_part = pinv @ rhs
+    infeasible = bool(
+        np.abs(A @ G_part - rhs).max(initial=0.0) > 1e-8 * max(1.0, np.abs(rhs).max(initial=0.0))
+    )
+    floor = float(np.linalg.svd(G_part, compute_uv=False)[0]) if G_part.size else 0.0
+    return G_part, Vt[rank:].T, floor, infeasible
 
 
 def _sym_basis(n: int) -> np.ndarray:
@@ -157,27 +152,14 @@ class BlockDiagonalProblem:
         self.C = np.stack([np.asarray(c, dtype=float) for c in C_list])
         self.L, _, ncols = self.C.shape
         self.constraint = constraint
-        self._infeasible_constraint = False
         if constraint is None:
-            self.G_part = np.zeros((ncols, 1))
-            self.null_basis = np.eye(ncols)
+            self.G_part, self.null_basis = np.zeros((ncols, 1)), np.eye(ncols)
+            self.floor, self._infeasible_constraint = 0.0, False
         else:
-            A = np.asarray(constraint.A, dtype=float)
-            rhs = np.asarray(constraint.rhs, dtype=float)
-            U, s, Vt = np.linalg.svd(A, full_matrices=True)
-            tol = max(A.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-            rank = int(np.sum(s > tol))
-            pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-            self.G_part = pinv @ rhs  # shared by every block
-            self._infeasible_constraint = bool(
-                np.abs(A @ self.G_part - rhs).max(initial=0.0)
-                > 1e-8 * max(1.0, np.abs(rhs).max(initial=0.0))
+            # G_part is shared by every block.
+            self.G_part, self.null_basis, self.floor, self._infeasible_constraint = _affine_set(
+                constraint.A, constraint.rhs
             )
-            self.null_basis = Vt[rank:].T
-        # The minimum-norm feasible point has the least spectral norm on the
-        # affine set, so its norm is the exact feasibility floor.
-        self.floor = float(np.linalg.svd(self.G_part, compute_uv=False)[0]) if self.G_part.size else 0.0
-
         CN = np.matmul(self.C, self.null_basis)  # (L, rows, d)
         CG = np.matmul(self.C, self.G_part)
         # The Gram eigenbasis from the SVD of C_k N: orthonormal at rounding
@@ -207,10 +189,6 @@ class BlockDiagonalProblem:
         self._basis_products = _symmetrize(products).reshape(-1, n * n)
         self._unconstrained: SolveReport | None = None
         self._warm: tuple[float, np.ndarray] | None = None  # (tau, multipliers) of the last solve
-
-    @property
-    def feasibility_floor(self) -> float:
-        return self.floor
 
     def _objectives(self, G: np.ndarray) -> np.ndarray:
         return np.linalg.norm(np.matmul(self.C, G), axis=(1, 2))
@@ -469,10 +447,6 @@ class ConstrainedLeastSquares:
         self.null_basis = self._blocks.null_basis
         self.floor = self._blocks.floor
 
-    @property
-    def feasibility_floor(self) -> float:
-        return self.floor
-
     def unconstrained(self) -> SolveReport:
         """KKT solution without the ball: exact stationarity on the nullspace."""
         return _first_block(self._blocks.unconstrained())
@@ -502,18 +476,6 @@ def ball_projection_batch(M: np.ndarray, tau: float) -> np.ndarray:
     return np.matmul(M, factor)
 
 
-def eq_ls(C: np.ndarray, constraint: EqualityConstraint | None) -> SolveReport:
-    """Closed-form equality-constrained least squares (no ball)."""
-    return ConstrainedLeastSquares(C, constraint).unconstrained()
-
-
-def spectral_admm(problem: InnerProblem, tol: float = 1e-7, max_iter: int = 50_000) -> SolveReport:
-    """Ball-constrained solve of one instance (dual Newton, see ``BlockDiagonalProblem``)."""
-    return ConstrainedLeastSquares(problem.C, problem.constraint).solve(
-        problem.tau, tol=tol, max_iter=max_iter
-    )
-
-
 class CoupledCausalProblem:
     """Ball-constrained least squares over a causal block-triangular variable.
 
@@ -535,19 +497,14 @@ class CoupledCausalProblem:
     def __init__(self, C: np.ndarray, A: np.ndarray, L: int, cols: int, n: int):
         self.C = np.asarray(C, dtype=float)
         self.L, self.cols, self.n = L, cols, n
-        A = np.asarray(A, dtype=float)
-        U, s, Vt = np.linalg.svd(A, full_matrices=True)
-        tol = max(A.shape) * np.finfo(float).eps * s[0]
-        rank = int(np.sum(s > tol))
-        self._infeasible_constraint = rank < A.shape[0]
-        self._pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-        self._null = Vt[rank:].T  # cols x d, orthonormal
-        self.floor = float(np.linalg.svd(self._pinv, compute_uv=False)[0])
+        # Diagonal blocks map to the identity: the block-diagonal stack of the
+        # minimum-norm block is the minimum-norm point, with the same norm.
+        part, self._null, self.floor, self._infeasible_constraint = _affine_set(A, np.eye(n))
         self._P = self._null @ self._null.T
         # Block (i, j) of the variable is free iff i >= j.
         self._mask = np.kron(np.tril(np.ones((L, L))), np.ones((cols, n)))
 
-        self.G_part = np.kron(np.eye(L), self._pinv)
+        self.G_part = np.kron(np.eye(L), part)
 
         rows = self.C.shape[0]
         CP = np.matmul(self.C.reshape(rows, L, cols), self._P).reshape(rows, L * cols)
@@ -565,10 +522,6 @@ class CoupledCausalProblem:
         )
         self._unconstrained: SolveReport | None = None
         self._warm = None
-
-    @property
-    def feasibility_floor(self) -> float:
-        return self.floor
 
     def _objective(self, G: np.ndarray) -> float:
         return float(np.linalg.norm(self.C @ G))
@@ -602,8 +555,8 @@ class CoupledCausalProblem:
         W += self.G_part
         return W
 
-    def _initial_rho(self, rho: float) -> float:
-        """Penalty matched to the curvature spread of block column 0 (else rho).
+    def _initial_rho(self) -> float:
+        """Penalty matched to the curvature spread of block column 0 (else 1).
 
         Its reduced Gram (C_0 B)^T (C_0 B), B = I_L (x) N, shares the nonzero
         spectrum of K_0 and is singular when it is wider than K_0.
@@ -611,7 +564,7 @@ class CoupledCausalProblem:
         lam = self._eigvals[0]
         reduced = self.L * self._null.shape[1]
         if lam[-1] <= 0:
-            return rho
+            return 1.0
         low = lam[lam.size - reduced] if reduced <= lam.size else 0.0
         return float(np.sqrt(max(low, 1e-8 * lam[-1]) * lam[-1]))
 
@@ -642,14 +595,7 @@ class CoupledCausalProblem:
     def unconstrained_norm(self) -> float:
         return float(np.linalg.svd(self.unconstrained().solution, compute_uv=False)[0])
 
-    def solve(
-        self,
-        tau: float | None,
-        tol: float = 1e-7,
-        max_iter: int = 50_000,
-        rho: float = 1.0,
-        force_iterative: bool = False,
-    ) -> SolveReport:
+    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000) -> SolveReport:
         if self._infeasible_constraint:
             return SolveReport(solution=self.G_part, objective=np.inf, status="infeasible")
         if tau is None or np.isinf(tau):
@@ -657,7 +603,7 @@ class CoupledCausalProblem:
         if tau < self.floor * (1.0 - 1e-9):
             return SolveReport(solution=self.G_part, objective=np.inf, status="infeasible")
         base = self.unconstrained()
-        if not force_iterative and self.unconstrained_norm() <= tau * (1.0 + 1e-12):
+        if self.unconstrained_norm() <= tau * (1.0 + 1e-12):
             return base
 
         G = base.solution.copy()
@@ -667,7 +613,7 @@ class CoupledCausalProblem:
         else:
             Y = ball_projection_batch(G[None], tau)[0]
             Uv = np.zeros_like(G)
-            rho = self._initial_rho(rho)
+            rho = self._initial_rho()
         relax = 1.7
         primal_hist: list[float] = []
         dual_hist: list[float] = []
@@ -719,9 +665,9 @@ class GammaSearchResult:
     gamma: float
     objective: float  # f(gamma) / (1 - gamma)
     f_value: float
-    solutions: list[np.ndarray]
+    solution: np.ndarray  # the inner solution at the returned gamma
     grid: list[tuple[float, float, float]]  # (gamma, f, h) at evaluated points
-    status: str  # worst inner status at the returned gamma
+    status: str  # inner status at the returned gamma
     iterations: int = 0  # inner iterations of the final solve at the returned gamma
     gap: float | None = 0.0  # its relative duality gap (None: the solver gives none)
 
@@ -747,7 +693,7 @@ def golden_section(fun, lo: float, hi: float, tol: float = 1e-4, max_iter: int =
 
 
 def gamma_search(
-    solvers: list,
+    problem,
     eps: float,
     L: int,
     grid_points: int = 16,
@@ -757,8 +703,8 @@ def gamma_search(
 ) -> GammaSearchResult:
     """Minimize f(gamma)/(1 - gamma) over gamma in [0, 1).
 
-    ``solvers`` carry the inner problems (independent diagonal blocks, or a
-    single coupled problem); the ball radius at gamma is
+    ``problem`` is the inner problem (``BlockDiagonalProblem`` or
+    ``CoupledCausalProblem``); the ball radius at gamma is
     gamma / (sqrt(L) * eps).  f is nonincreasing in gamma because larger
     radii only relax the ball.  With eps = 0 the ball is vacuous and the
     closed-form solution is returned at gamma = 0.
@@ -768,30 +714,24 @@ def gamma_search(
     scale = np.sqrt(L) * eps
 
     if eps == 0.0:
-        reports = [s.unconstrained() for s in solvers]
-        if any(r.status == "infeasible" for r in reports):
+        rep = problem.unconstrained()
+        if rep.status == "infeasible":
             raise InfeasibleEpsilon("affine constraints are infeasible")
-        f = float(np.sqrt(sum(r.objective**2 for r in reports)))
+        f = rep.objective
         return GammaSearchResult(
-            gamma=0.0,
-            objective=f,
-            f_value=f,
-            solutions=[r.solution for r in reports],
-            grid=[(0.0, f, f)],
-            status="optimal",
+            gamma=0.0, objective=f, f_value=f, solution=rep.solution, grid=[(0.0, f, f)], status="optimal"
         )
 
-    floor = max(s.feasibility_floor for s in solvers)
-    gamma_min = scale * floor
+    gamma_min = scale * problem.floor
     gamma_hi = 1.0 - 1e-9
     if gamma_min >= gamma_hi:
         raise InfeasibleEpsilon(
             f"epsilon too large for data: feasibility needs gamma >= {gamma_min:.6g}"
         )
     gamma_lo = gamma_min * (1.0 + 1e-3) + 1e-12
-    # The ball stops binding once it contains every unconstrained solution;
+    # The ball stops binding once it contains the unconstrained solution;
     # beyond that point h(gamma) only grows.
-    gamma_relax = scale * max(s.unconstrained_norm() for s in solvers)
+    gamma_relax = scale * problem.unconstrained_norm()
     hi = min(gamma_hi, max(gamma_relax, gamma_lo))
 
     evaluated: list[tuple[float, float, float]] = []
@@ -803,15 +743,11 @@ def gamma_search(
     grid_tol, grid_iters = max(tol, 1e-4), min(max_iter, 1200)
     refine_tol, refine_iters = max(tol, 1e-5), min(max_iter, 2500)
 
-    def evaluate(gamma: float, solve_tol: float, iters: int) -> tuple[float, list[SolveReport]]:
-        tau = gamma / scale
-        reports = [s.solve(tau, tol=solve_tol, max_iter=iters) for s in solvers]
-        if any(r.status == "infeasible" for r in reports):
-            val = np.inf
-        else:
-            val = float(np.sqrt(sum(r.objective**2 for r in reports)))
+    def evaluate(gamma: float, solve_tol: float, iters: int) -> tuple[float, SolveReport]:
+        rep = problem.solve(gamma / scale, tol=solve_tol, max_iter=iters)
+        val = np.inf if rep.status == "infeasible" else rep.objective
         evaluated.append((gamma, val, val / (1.0 - gamma) if np.isfinite(val) else np.inf))
-        return val, reports
+        return val, rep
 
     def f_of(gamma: float, solve_tol: float, iters: int) -> float:
         if gamma not in cache:
@@ -828,7 +764,7 @@ def gamma_search(
 
     # f never drops below the unconstrained optimum, so any gamma whose
     # h lower bound already exceeds the incumbent cannot win.
-    f_floor = float(np.sqrt(sum(s.unconstrained().objective ** 2 for s in solvers)))
+    f_floor = problem.unconstrained().objective
 
     grid = np.linspace(gamma_lo, hi, grid_points)
     h_grid = np.full(len(grid), np.inf)
@@ -846,15 +782,15 @@ def gamma_search(
     g_star, h_star = golden_section(h_of, lo_b, hi_b, tol=gamma_tol)
     if h_grid[best] < h_star:
         g_star = float(grid[best])
-    f_star, reports = evaluate(g_star, tol, min(max_iter, 10_000))
+    f_star, rep = evaluate(g_star, tol, min(max_iter, 10_000))
     h_star = f_star / (1.0 - g_star) if np.isfinite(f_star) else np.inf
     return GammaSearchResult(
         gamma=float(g_star),
         objective=float(h_star),
         f_value=float(f_star),
-        solutions=[r.solution for r in reports],
+        solution=rep.solution,
         grid=sorted(evaluated),
-        status=max((r.status for r in reports), key=_STATUS_RANK.index),
-        iterations=max(r.iterations for r in reports),
-        gap=None if any(r.gap is None for r in reports) else max(r.gap for r in reports),
+        status=rep.status,
+        iterations=rep.iterations,
+        gap=rep.gap,
     )

@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .blockops import CostWeights, LtvOperator, matrix_rank, spectral_norm
 from .hankel import NotPersistentlyExciting, build_hankel, first_block_row
@@ -34,11 +35,11 @@ from .solver import (
 __all__ = [
     "DataHankels",
     "SynthesisResult",
-    "synth_noiseless",
     "synth_robust",
     "assemble_responses",
     "assemble_delta",
     "stacked_cost_map",
+    "structure_residual",
 ]
 
 _STRUCT_TOL = 1e-6
@@ -106,7 +107,7 @@ class SynthesisResult:
     mode: str
     structure: str
     f_value: float
-    search: GammaSearchResult | None = None
+    search: GammaSearchResult
     timings: dict = field(default_factory=dict)
 
     @property
@@ -122,9 +123,9 @@ class SynthesisResult:
             "f_value": self.f_value,
             "eps": self.eps,
             "ghat_norm": self.ghat_norm,
-            "status": self.search.status if self.search else "optimal",
-            "iterations": self.search.iterations if self.search else 0,
-            "gap": self.search.gap if self.search else 0.0,
+            "status": self.search.status,
+            "iterations": self.search.iterations,
+            "gap": self.search.gap,
             "timings": self.timings,
         }
 
@@ -164,38 +165,57 @@ def _ghat_blocks(data: DataHankels, ghat: np.ndarray):
     ]
 
 
-def _validate_structure(data: DataHankels, ghat: np.ndarray) -> None:
+def _structure_residuals(data: DataHankels, ghat: np.ndarray):
+    """(i, j, residual) of every parameter block.
+
+    On and below the diagonal the residual is max |h1x G(i, j) - target|,
+    target I on the diagonal and 0 below it; above the diagonal it is
+    max |G(i, j)|.
+    """
     blocks = _ghat_blocks(data, ghat)
     n, L = data.n, data.L
-    scale = max(1.0, np.abs(ghat).max(initial=0.0))
     for i in range(L):
         for j in range(L):
             if j > i:
-                if np.abs(blocks[i][j]).max(initial=0.0) > _STRUCT_TOL * scale:
-                    raise ValueError(f"parameter block ({i},{j}) above the diagonal is nonzero")
-                continue
-            target = np.eye(n) if i == j else np.zeros((n, n))
-            err = np.abs(data.h1x @ blocks[i][j] - target).max()
-            if err > _STRUCT_TOL:
-                raise ValueError(
-                    f"parameter block ({i},{j}) violates its data constraint by {err:.3e}"
-                )
+                yield i, j, float(np.abs(blocks[i][j]).max(initial=0.0))
+            else:
+                target = np.eye(n) if i == j else np.zeros((n, n))
+                yield i, j, float(np.abs(data.h1x @ blocks[i][j] - target).max())
+
+
+def structure_residual(data: DataHankels, ghat: np.ndarray) -> float:
+    """Largest residual of the block structure over every block of ghat."""
+    return max(err for _, _, err in _structure_residuals(data, ghat))
+
+
+def _validate_structure(data: DataHankels, ghat: np.ndarray) -> None:
+    scale = max(1.0, np.abs(ghat).max(initial=0.0))
+    for i, j, err in _structure_residuals(data, ghat):
+        if j > i:
+            if err > _STRUCT_TOL * scale:
+                raise ValueError(f"parameter block ({i},{j}) above the diagonal is nonzero")
+        elif err > _STRUCT_TOL:
+            raise ValueError(f"parameter block ({i},{j}) violates its data constraint by {err:.3e}")
+
+
+def _downshift_sum(H: np.ndarray, blocks, block: int) -> np.ndarray:
+    """Block column j is sum_{i >= j} downshift(H G(i, j), i) (shift in blocks of size block)."""
+    L, n = len(blocks), blocks[0][0].shape[1]
+    out = np.zeros((H.shape[0], n * L))
+    for j in range(L):
+        for i in range(j, L):
+            out[:, j * n : (j + 1) * n] += _downshift_rows(H @ blocks[i][j], i, block)
+    return out
 
 
 def assemble_responses(data: DataHankels, ghat: np.ndarray) -> SystemResponsePair:
     """Approximate system responses induced by a structured parameter matrix."""
     _validate_structure(data, ghat)
     blocks = _ghat_blocks(data, ghat)
-    L, n, m, cols = data.L, data.n, data.m, data.cols
-    phi_x = np.zeros((n * L, n * L))
-    phi_u = np.zeros((m * L, n * L))
-    for j in range(L):
-        for i in range(j, L):
-            phi_x[:, j * n : (j + 1) * n] += _downshift_rows(data.hx @ blocks[i][j], i, n)
-            phi_u[:, j * n : (j + 1) * n] += _downshift_rows(data.hu @ blocks[i][j], i, m)
+    L, n, m = data.L, data.n, data.m
     return SystemResponsePair(
-        phi_x=LtvOperator(L, n, n, phi_x),
-        phi_u=LtvOperator(L, m, n, phi_u),
+        phi_x=LtvOperator(L, n, n, _downshift_sum(data.hx, blocks, n)),
+        phi_u=LtvOperator(L, m, n, _downshift_sum(data.hu, blocks, m)),
     )
 
 
@@ -208,38 +228,19 @@ def assemble_delta(hw: np.ndarray, data: DataHankels, ghat: np.ndarray) -> Pertu
     """
     blocks = _ghat_blocks(data, ghat)
     L, n = data.L, data.n
-    zhw = _downshift_rows(hw, 1, n)
-    delta = np.zeros((n * L, n * L))
-    for j in range(L):
-        for i in range(j, L):
-            delta[:, j * n : (j + 1) * n] += _downshift_rows(zhw @ blocks[i][j], i, n)
+    delta = _downshift_sum(_downshift_rows(hw, 1, n), blocks, n)
     return Perturbation(delta=LtvOperator(L, n, n, delta))
 
 
-def _blockdiag_dense(blocks: list[np.ndarray], cols: int, n: int, L: int) -> np.ndarray:
-    out = np.zeros((cols * L, n * L))
-    for k, blk in enumerate(blocks):
-        out[k * cols : (k + 1) * cols, k * n : (k + 1) * n] = blk
-    return out
-
-
-def _build_solvers(data: DataHankels, weights: CostWeights, structure: str):
+def _build_problem(data: DataHankels, weights: CostWeights, structure: str):
     cmap = stacked_cost_map(data, weights)
     cols, n, L = data.cols, data.n, data.L
     if structure == "blockdiag":
         constraint = EqualityConstraint(A=data.h1x, rhs=np.eye(n))
-        blocks = [cmap[:, k * cols : (k + 1) * cols] for k in range(L)]
-        return [BlockDiagonalProblem(blocks, constraint)]
+        return BlockDiagonalProblem([cmap[:, k * cols : (k + 1) * cols] for k in range(L)], constraint)
     if structure == "full":
-        return [CoupledCausalProblem(cmap, data.h1x, L, cols, n)]
+        return CoupledCausalProblem(cmap, data.h1x, L, cols, n)
     raise ValueError(f"unknown structure {structure!r}")
-
-
-def _solutions_to_ghat(data: DataHankels, solutions: list[np.ndarray], structure: str) -> np.ndarray:
-    if structure == "blockdiag":
-        stacked = solutions[0]
-        return _blockdiag_dense(list(stacked), data.cols, data.n, data.L)
-    return solutions[0]
 
 
 def _require_excitation(data: DataHankels) -> None:
@@ -247,36 +248,6 @@ def _require_excitation(data: DataHankels) -> None:
         raise NotPersistentlyExciting(
             "stacked data matrix is rank deficient; input is not persistently exciting"
         )
-
-
-def synth_noiseless(data: DataHankels, weights: CostWeights) -> SynthesisResult:
-    """Exact controller synthesis from noise-free excitation data.
-
-    Minimizes the weighted Frobenius norm of the assembled responses over
-    the structured parameter set; with noise-free data the result satisfies
-    the achievability constraint exactly and matches the model-based
-    optimum.
-    """
-    _require_excitation(data)
-    start = time.perf_counter()
-    solvers = _build_solvers(data, weights, "blockdiag")
-    reports = [s.unconstrained() for s in solvers]
-    f = float(np.sqrt(sum(r.objective**2 for r in reports)))
-    ghat = _solutions_to_ghat(data, [r.solution for r in reports], "blockdiag")
-    responses = assemble_responses(data, ghat)
-    return SynthesisResult(
-        ghat=ghat,
-        gamma=0.0,
-        responses=responses,
-        controller=recover_controller(responses),
-        objective=f,
-        eps=0.0,
-        mode="noiseless",
-        structure="blockdiag",
-        f_value=f,
-        search=None,
-        timings={"solve_s": time.perf_counter() - start},
-    )
 
 
 def synth_robust(
@@ -294,56 +265,39 @@ def synth_robust(
 
     ``mode="robust"`` solves the quasi-convex program whose objective
     f(gamma)/(1-gamma) upper-bounds the cost achieved on the true system
-    whenever the realized noise Hankel norm stays within ``eps``.
-    ``mode="naive"`` drops the norm constraint entirely (gamma is reported
+    whenever the realized noise Hankel norm stays within ``eps``.  With
+    ``eps = 0`` the ball is vacuous and the closed form at gamma = 0 is
+    returned: noise-free synthesis, which on noise-free data reproduces the
+    model-based optimum.  ``mode="naive"`` drops the norm constraint
+    entirely, i.e. solves at eps = 0 whatever ``eps`` is (gamma is reported
     as None); this reproduces the unregularized fit.
     """
     _require_excitation(data)
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    start = time.perf_counter()
-    if mode == "naive":
-        solvers = _build_solvers(data, weights, structure)
-        reports = [s.unconstrained() for s in solvers]
-        f = float(np.sqrt(sum(r.objective**2 for r in reports)))
-        ghat = _solutions_to_ghat(data, [r.solution for r in reports], structure)
-        responses = assemble_responses(data, ghat)
-        return SynthesisResult(
-            ghat=ghat,
-            gamma=None,
-            responses=responses,
-            controller=recover_controller(responses),
-            objective=f,
-            eps=eps,
-            mode="naive",
-            structure=structure,
-            f_value=f,
-            search=None,
-            timings={"solve_s": time.perf_counter() - start},
-        )
-    if mode != "robust":
+    if mode not in ("robust", "naive"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    solvers = _build_solvers(data, weights, structure)
+    start = time.perf_counter()
     search = gamma_search(
-        solvers,
-        eps,
+        _build_problem(data, weights, structure),
+        eps if mode == "robust" else 0.0,
         data.L,
         grid_points=grid_points,
         gamma_tol=gamma_tol,
         tol=tol,
         max_iter=max_iter,
     )
-    ghat = _solutions_to_ghat(data, search.solutions, structure)
+    # Blockdiag solutions are the stack of the diagonal blocks.
+    ghat = scipy.linalg.block_diag(*search.solution) if structure == "blockdiag" else search.solution
     responses = assemble_responses(data, ghat)
     return SynthesisResult(
         ghat=ghat,
-        gamma=search.gamma,
+        gamma=search.gamma if mode == "robust" else None,
         responses=responses,
         controller=recover_controller(responses),
         objective=search.objective,
         eps=eps,
-        mode="robust",
+        mode=mode,
         structure=structure,
         f_value=search.f_value,
         search=search,

@@ -38,7 +38,7 @@ from ddsls.sls import (
     sls_cost,
 )
 from ddsls.solver import ConstrainedLeastSquares
-from ddsls.synth import DataHankels, assemble_delta, assemble_responses, synth_noiseless, synth_robust
+from ddsls.synth import DataHankels, assemble_delta, assemble_responses, synth_robust
 from tests.oracles import kkt_equality_ls, projected_gradient_spectral
 from tests.test_sls import random_causal
 from tests.test_solver import active_radius, oracle_friendly_instance
@@ -106,7 +106,7 @@ def test_criterion_02_noiseless_equivalence():
     for seed in range(20):
         rng = np.random.default_rng(200 + seed)
         traj = simulate(plant, np.zeros(3), rng.standard_normal((T, 3)))
-        res = synth_noiseless(DataHankels.from_trajectory(traj, L), weights)
+        res = synth_robust(DataHankels.from_trajectory(traj, L), weights, 0.0)
         worst = max(worst, abs(res.objective - jstar) / jstar)
     elapsed = time.perf_counter() - start
     report(

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from ddsls import cli
@@ -52,6 +53,63 @@ def test_synth_noiseless_reproduces_model_optimum(tmp_path, plant, bench_weights
     assert summary["gamma"] == 0.0
     assert (out / "phi_x.csv").exists()
     assert (out / "controller.csv").exists()
+
+
+def test_noiseless_synth_honours_structure(tmp_path, plant, bench_weights):
+    cfg = write_config(
+        tmp_path,
+        {"horizons": {"L": 10, "T": 45}, "synthesis": {"mode": "noiseless", "structure": "full"}},
+    )
+    out = tmp_path / "synth"
+    assert run(["synth", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "synthesis.json").read_text())
+    from ddsls.lqg import optimal_responses
+
+    _, jstar = optimal_responses(plant, bench_weights)
+    assert (summary["mode"], summary["structure"], summary["gamma"]) == ("noiseless", "full", 0.0)
+    assert summary["objective"] == pytest.approx(jstar, rel=1e-6)
+
+
+@pytest.mark.parametrize("structure", ["blockdiag", "full"])
+def test_structure_max_covers_every_block(tmp_path, monkeypatch, structure):
+    real, seen = cli.synth.synth_robust, {}
+
+    def spy(data, *args, **kwargs):
+        res = real(data, *args, **kwargs)
+        seen.update(data=data, ghat=res.ghat)
+        return res
+
+    monkeypatch.setattr(cli.synth, "synth_robust", spy)
+    cfg = write_config(tmp_path, {"synthesis": {"eps": "true", "structure": structure}})
+    out = tmp_path / structure
+    assert run(["synth", "--config", cfg, "--out", str(out), "--mode", "robust"]) == 0
+    summary = json.loads((out / "synthesis.json").read_text())
+    data, G = seen["data"], seen["ghat"]
+    cols, n = data.cols, data.n
+    worst = 0.0
+    for i in range(data.L):
+        for j in range(data.L):
+            blk = G[i * cols : (i + 1) * cols, j * n : (j + 1) * n]
+            if j > i:
+                worst = max(worst, float(np.abs(blk).max()))
+            else:
+                target = np.eye(n) if i == j else np.zeros((n, n))
+                worst = max(worst, float(np.abs(data.h1x @ blk - target).max()))
+    assert summary["residuals"]["structure_max"] == worst
+
+
+def test_flags_only_on_the_commands_that_read_them(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bounds", "--mode", "robust"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    parser = cli.build_parser()
+    for argv in (["simulate", "--trials", "3"], ["synth", "--trials", "3"], ["mpc", "--mode", "naive"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+    assert parser.parse_args(["synth", "--mode", "naive"]).mode == "naive"
+    assert parser.parse_args(["mpc", "--trials", "3"]).trials == 3
 
 
 def test_synth_robust_and_naive_modes(tmp_path):

@@ -11,21 +11,18 @@ from ddsls.solver import (
     CoupledCausalProblem,
     EqualityConstraint,
     InfeasibleEpsilon,
-    InnerProblem,
-    ball_projection,
-    eq_ls,
+    ball_projection_batch,
     gamma_search,
     golden_section,
-    spectral_admm,
 )
-from ddsls.synth import DataHankels, _build_solvers, stacked_cost_map
+from ddsls.synth import DataHankels, _build_problem, stacked_cost_map
 from tests.conftest import SIGMA2, T_BENCH
 from tests.oracles import coupled_quad_step, kkt_equality_ls, projected_gradient_spectral
 
 
 def active_radius(solver):
     """A ball radius that binds without hugging the feasibility floor."""
-    floor, norm = solver.feasibility_floor, solver.unconstrained_norm()
+    floor, norm = solver.floor, solver.unconstrained_norm()
     return max(0.6 * norm, np.sqrt(floor * norm))
 
 
@@ -39,7 +36,7 @@ def oracle_friendly_instance(seed, slack=1.6):
     for j in range(64):
         C, constraint = small_instance(seed + 7919 * j)
         probe = ConstrainedLeastSquares(C, constraint)
-        if probe.unconstrained_norm() >= slack * probe.feasibility_floor:
+        if probe.unconstrained_norm() >= slack * probe.floor:
             return C, constraint
     raise RuntimeError("no well-separated instance found")
 
@@ -61,65 +58,68 @@ def small_instance(seed, n=2, m=1, L=3, T=15):
     return C, constraint
 
 
+def closed_form(C, constraint):
+    """Equality-constrained least squares without the ball."""
+    return ConstrainedLeastSquares(C, constraint).unconstrained()
+
+
 class TestEqLs:
     def test_zero_objective_returns_min_norm_point(self, plant):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((2, 8))
         constraint = EqualityConstraint(A=A, rhs=np.eye(2))
-        rep = eq_ls(np.zeros((3, 8)), constraint)
+        rep = closed_form(np.zeros((3, 8)), constraint)
         np.testing.assert_allclose(rep.solution, np.linalg.pinv(A), atol=1e-10)
 
     def test_no_constraint_gives_zero(self):
-        rep = eq_ls(np.random.default_rng(1).standard_normal((4, 6)), None)
+        rep = closed_form(np.random.default_rng(1).standard_normal((4, 6)), None)
         assert np.abs(rep.solution).max() == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_kkt_oracle(self, seed):
         C, constraint = small_instance(seed)
-        rep = eq_ls(C, constraint)
+        rep = closed_form(C, constraint)
         _, obj_kkt = kkt_equality_ls(C, constraint.A, constraint.rhs)
         assert rep.objective == pytest.approx(obj_kkt, abs=1e-8, rel=1e-8)
         assert np.abs(constraint.A @ rep.solution - constraint.rhs).max() < 1e-9
 
     def test_stationarity_residual(self):
         C, constraint = small_instance(99)
-        rep = eq_ls(C, constraint)
+        rep = closed_form(C, constraint)
         solver = ConstrainedLeastSquares(C, constraint)
         grad = C.T @ (C @ rep.solution)
         assert np.abs(solver.null_basis.T @ grad).max() < 1e-9
 
 
 class TestBallProjection:
+    # Each test projects a batch of several matrices at once.
     def test_idempotent(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            M = rng.standard_normal((7, 3))
-            P = ball_projection(M, 1.0)
-            np.testing.assert_allclose(ball_projection(P, 1.0), P, atol=1e-12)
+        M = np.random.default_rng(2).standard_normal((10, 7, 3))
+        P = ball_projection_batch(M, 1.0)
+        np.testing.assert_allclose(ball_projection_batch(P, 1.0), P, atol=1e-12)
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            X = rng.standard_normal((6, 4))
-            Y = rng.standard_normal((6, 4))
-            dist = np.linalg.norm(ball_projection(X, 0.7) - ball_projection(Y, 0.7))
-            assert dist <= np.linalg.norm(X - Y) + 1e-12
+        X = rng.standard_normal((10, 6, 4))
+        Y = rng.standard_normal((10, 6, 4))
+        dist = np.linalg.norm(ball_projection_batch(X, 0.7) - ball_projection_batch(Y, 0.7), axis=(1, 2))
+        assert np.all(dist <= np.linalg.norm(X - Y, axis=(1, 2)) + 1e-12)
 
     def test_interior_untouched(self):
-        M = 0.1 * np.eye(3)
-        np.testing.assert_array_equal(ball_projection(M, 1.0), M)
+        M = np.stack([0.1 * np.eye(3), 0.5 * np.eye(3), np.diag([0.9, 0.2, 0.0])])
+        np.testing.assert_array_equal(ball_projection_batch(M, 1.0), M)
 
     def test_norm_clipped(self):
         rng = np.random.default_rng(4)
-        M = 5.0 * rng.standard_normal((8, 2))
-        assert spectral_norm(ball_projection(M, 0.3)) <= 0.3 + 1e-12
+        M = 5.0 * rng.standard_normal((6, 8, 2))
+        assert np.all(spectral_norm(ball_projection_batch(M, 0.3)) <= 0.3 + 1e-12)
 
 
 class TestSpectralAdmm:
     def test_unbounded_radius_matches_eq_ls(self):
         C, constraint = small_instance(5)
-        rep = spectral_admm(InnerProblem(C=C, constraint=constraint, tau=None))
-        ref = eq_ls(C, constraint)
+        rep = ConstrainedLeastSquares(C, constraint).solve(None)
+        ref = closed_form(C, constraint)
         assert rep.objective == pytest.approx(ref.objective, rel=1e-12)
 
     def test_inactive_ball_iterative_agrees_with_closed_form(self):
@@ -172,51 +172,49 @@ class TestSpectralAdmm:
 
     def test_zero_radius_without_constraint_is_the_origin(self):
         C, _ = small_instance(10)
-        rep = spectral_admm(InnerProblem(C=C, constraint=None, tau=0.0))
+        rep = ConstrainedLeastSquares(C, None).solve(0.0)
         assert (rep.status, rep.gap) == ("optimal", 0.0)
         assert not rep.solution.any()
 
     def test_below_floor_infeasible(self):
         C, constraint = small_instance(8)
         solver = ConstrainedLeastSquares(C, constraint)
-        rep = solver.solve(0.5 * solver.feasibility_floor)
+        rep = solver.solve(0.5 * solver.floor)
         assert rep.status == "infeasible"
 
     def test_floor_equals_min_norm_solution_norm(self):
         C, constraint = small_instance(9)
         solver = ConstrainedLeastSquares(C, constraint)
-        assert solver.feasibility_floor == pytest.approx(
+        assert solver.floor == pytest.approx(
             spectral_norm(np.linalg.pinv(constraint.A)), rel=1e-12
         )
 
 
 class TestGammaSearch:
-    def build_solvers(self, seed, n=2, m=1, L=3, T=15, noise=0.2):
+    def build_problem(self, seed, n=2, m=1, L=3, T=15, noise=0.2):
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n)) * 0.4 + 0.5 * np.eye(n)
         sys = LtiSystem(A=A, B=rng.standard_normal((n, m)), noise_std=noise)
         ens = generate_ensemble(sys, T, 4, seed=seed)
         data = DataHankels.from_trajectory(average(ens), L)
         w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
-        return _build_solvers(data, w, "blockdiag"), data
+        return _build_problem(data, w, "blockdiag"), data
 
     def test_eps_zero_returns_closed_form(self):
-        solvers, _ = self.build_solvers(0)
-        res = gamma_search(solvers, 0.0, 3)
+        prob, _ = self.build_problem(0)
+        res = gamma_search(prob, 0.0, 3)
         assert res.gamma == 0.0
-        ref = float(np.sqrt(sum(r**2 for r in [solvers[0].unconstrained().objective])))
-        assert res.objective == pytest.approx(ref)
+        assert res.objective == pytest.approx(prob.unconstrained().objective)
 
     def test_huge_eps_infeasible(self):
-        solvers, _ = self.build_solvers(1)
+        prob, _ = self.build_problem(1)
         with pytest.raises(InfeasibleEpsilon):
-            gamma_search(solvers, 1e9, 3)
+            gamma_search(prob, 1e9, 3)
 
     def test_f_monotone_on_grid(self):
-        solvers, data = self.build_solvers(2)
-        floor = max(s.feasibility_floor for s in solvers)
-        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * floor))
-        res = gamma_search(solvers, eps, 3)
+        prob, data = self.build_problem(2)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        res = gamma_search(prob, eps, 3)
         gammas = [g for g, f, h in res.grid if np.isfinite(f)]
         fs = [f for g, f, h in res.grid if np.isfinite(f)]
         order = np.argsort(gammas)
@@ -224,45 +222,42 @@ class TestGammaSearch:
         assert np.all(np.diff(sorted_f) <= 1e-4 * np.maximum(1.0, sorted_f[:-1]))
 
     def test_refined_minimum_matches_dense_scan(self):
-        solvers, data = self.build_solvers(3)
-        floor = max(s.feasibility_floor for s in solvers)
+        prob, data = self.build_problem(3)
         # A budget that leaves the program feasible with margin.
-        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * floor))
-        res = gamma_search(solvers, eps, 3)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        res = gamma_search(prob, eps, 3)
         scale = np.sqrt(3) * eps
-        lo = scale * floor * 1.001 + 1e-12
+        lo = scale * prob.floor * 1.001 + 1e-12
         best = np.inf
         for g in np.linspace(lo, 0.999, 200):
-            rep = solvers[0].solve(g / scale, tol=1e-7)
+            rep = prob.solve(g / scale, tol=1e-7)
             if rep.status == "infeasible":
                 continue
             best = min(best, rep.objective / (1.0 - g))
         assert res.objective <= best * (1.0 + 1e-3)
 
     def test_solution_respects_radius(self):
-        solvers, data = self.build_solvers(4)
-        floor = max(s.feasibility_floor for s in solvers)
-        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * floor))
-        res = gamma_search(solvers, eps, 3)
+        prob, data = self.build_problem(4)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        res = gamma_search(prob, eps, 3)
         tau = res.gamma / (np.sqrt(3) * eps)
-        for sol in res.solutions:
-            assert np.linalg.svd(sol, compute_uv=False).max() <= tau * (1.0 + 1e-6)
+        # Every diagonal block of the solution lies in the ball.
+        assert np.linalg.svd(res.solution, compute_uv=False).max() <= tau * (1.0 + 1e-6)
 
     def test_status_is_worst_final_inner_status(self):
-        solvers, data = self.build_solvers(4)
-        floor = max(s.feasibility_floor for s in solvers)
-        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * floor))
-        capped = gamma_search(solvers, eps, 3, max_iter=2)
+        prob, data = self.build_problem(4)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        capped = gamma_search(prob, eps, 3, max_iter=2)
         assert (capped.status, capped.iterations) == ("max-iter", 2)
-        solvers, _ = self.build_solvers(4)
-        converged = gamma_search(solvers, eps, 3)
+        prob, _ = self.build_problem(4)
+        converged = gamma_search(prob, eps, 3)
         assert converged.status == "optimal" and 2 < converged.iterations < 50_000
 
 
 def blockdiag_instance(sys, weights, T, N, seed):
     """Block-diagonal problem and data from an averaged record of ``sys``."""
     data = DataHankels.from_trajectory(average(generate_ensemble(sys, T, N, seed=seed)), weights.horizon)
-    return _build_solvers(data, weights, "blockdiag")[0], data
+    return _build_problem(data, weights, "blockdiag"), data
 
 
 def assert_blocks_certified(rep, prob, data, tau, tol):
@@ -283,14 +278,14 @@ class TestBlockDiagonalProblem:
         u = rng.standard_normal((T_BENCH, 3))
         noise = np.sqrt(SIGMA2 / 1e6) * rng.standard_normal((T_BENCH - 1, 3))
         data = DataHankels.from_trajectory(simulate(plant, np.zeros(3), u, noise=noise), bench_weights.horizon)
-        return _build_solvers(data, bench_weights, "blockdiag")[0], data
+        return _build_problem(data, bench_weights, "blockdiag"), data
 
     def test_singular_late_blocks_stay_bounded(self, bench_problem):
         prob, data = bench_problem
         d = prob.null_basis.shape[1]
         ranks = [np.linalg.matrix_rank(C @ prob.null_basis) for C in prob.C]
         assert ranks[-1] < d and ranks[0] == d
-        tau = np.sqrt(prob.feasibility_floor * prob.unconstrained_norm())
+        tau = np.sqrt(prob.floor * prob.unconstrained_norm())
         rep = prob.solve(tau, tol=1e-9)
         assert_blocks_certified(rep, prob, data, tau, 1e-9)
         # The singular blocks bind too: their closed-form points leave the ball.
@@ -299,14 +294,14 @@ class TestBlockDiagonalProblem:
 
     def test_near_floor_converges_within_default_cap(self, bench_problem):
         prob, data = bench_problem
-        tau = prob.feasibility_floor * (1.0 + 1e-3)
+        tau = prob.floor * (1.0 + 1e-3)
         rep = prob.solve(tau)
         assert_blocks_certified(rep, prob, data, tau, 1e-7)
         assert 0 < rep.iterations < 100
 
     def test_capped_solve_is_feasible_and_reported(self, bench_problem):
         prob, data = bench_problem
-        tau = prob.feasibility_floor * (1.0 + 1e-3)
+        tau = prob.floor * (1.0 + 1e-3)
         rep = prob.solve(tau, tol=1e-12, max_iter=1)
         assert (rep.status, rep.iterations) == ("max-iter", 1) and rep.gap > 1e-12
         for G in rep.solution:
@@ -315,7 +310,7 @@ class TestBlockDiagonalProblem:
 
     def test_repeated_radius_reuses_multipliers(self, bench_problem):
         prob, _ = bench_problem
-        tau = 2.0 * prob.feasibility_floor
+        tau = 2.0 * prob.floor
         first = prob.solve(tau, tol=1e-5)
         again = prob.solve(tau, tol=1e-5)
         assert first.iterations > 0 and again.iterations == 0
@@ -337,7 +332,7 @@ class TestBlockDiagonalProblem:
         w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
         T = L + n + m * L + 8
         prob, data = blockdiag_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
-        floor, top = prob.feasibility_floor, prob.unconstrained_norm()
+        floor, top = prob.floor, prob.unconstrained_norm()
         assume(top > 1.001 * floor)
         tau = 1.001 * floor * (top / (1.001 * floor)) ** frac
         rep = prob.solve(tau, tol=1e-8)
@@ -363,7 +358,7 @@ class TestBlockDiagonalProblem:
         rep = batch.unconstrained()
         total = 0.0
         for k, C in enumerate(Cs):
-            ref = eq_ls(C, constraint)
+            ref = closed_form(C, constraint)
             np.testing.assert_allclose(rep.solution[k], ref.solution, atol=1e-9)
             total += ref.objective**2
         assert rep.objective == pytest.approx(np.sqrt(total), rel=1e-10)
@@ -374,12 +369,29 @@ class TestBlockDiagonalProblem:
         constraint = EqualityConstraint(A=A, rhs=np.eye(2))
         Cs = [rng.standard_normal((5, 9)) for _ in range(3)]
         batch = BlockDiagonalProblem(Cs, constraint)
-        tau = max(1.05 * batch.feasibility_floor, 0.5 * batch.unconstrained_norm())
+        tau = max(1.05 * batch.floor, 0.5 * batch.unconstrained_norm())
         rep = batch.solve(tau, tol=1e-9)
         for k, C in enumerate(Cs):
             single = ConstrainedLeastSquares(C, constraint).solve(tau, tol=1e-9)
             obj_k = float(np.linalg.norm(C @ rep.solution[k]))
             assert obj_k == pytest.approx(single.objective, rel=1e-5, abs=1e-7)
+
+
+def test_rank_deficient_constraint_is_infeasible_in_both_classes():
+    # Both classes share one affine-set construction and infeasibility rule.
+    rng = np.random.default_rng(12)
+    n, cols, L = 2, 9, 3
+    row = rng.standard_normal((1, cols))
+    A = np.vstack([row, 2.0 * row])  # rank 1: A G = I has no solution
+    C = rng.standard_normal((5 * L, cols * L))
+    blocks = [C[:, k * cols : (k + 1) * cols] for k in range(L)]
+    block = BlockDiagonalProblem(blocks, EqualityConstraint(A, np.eye(n)))
+    coupled = CoupledCausalProblem(C, A, L, cols, n)
+    for prob in (block, coupled):
+        assert prob.unconstrained().status == "infeasible"
+        assert prob.solve(10.0 * prob.floor).status == "infeasible"
+        with pytest.raises(InfeasibleEpsilon):
+            gamma_search(prob, 0.0, L)
 
 
 def test_golden_section_on_parabola():
@@ -450,7 +462,7 @@ class TestCoupledCausalProblem:
     @pytest.mark.parametrize("factor", [1e-3, 1.0, 1e3])
     def test_step_matches_reduced_basis_reference(self, which, factor, request):
         prob, cmap, data = request.getfixturevalue(which)
-        rho = factor * prob._initial_rho(1.0)
+        rho = factor * prob._initial_rho()
         V = np.random.default_rng(5).standard_normal(prob.G_part.shape)
         ref = coupled_quad_step(cmap, data.h1x, data.L, data.cols, data.n, V, rho)
         got = prob._prox(V, rho)
@@ -471,7 +483,7 @@ class TestCoupledCausalProblem:
         assert CB.shape[1] <= CB.shape[0]
         lam = np.linalg.eigvalsh(CB.T @ CB)
         expected = np.sqrt(max(lam[0], 1e-8 * lam[-1]) * lam[-1])
-        assert prob._initial_rho(1.0) == pytest.approx(expected, rel=1e-9)
+        assert prob._initial_rho() == pytest.approx(expected, rel=1e-9)
 
     def test_capped_solve_returns_feasible_point(self, bench_instance):
         prob, _, data = bench_instance
@@ -494,9 +506,9 @@ class TestCoupledCausalProblem:
         w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
         T = L + n + m * L + 8
         prob, _, data = coupled_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
-        floor, top = prob.feasibility_floor, prob.unconstrained_norm()
+        floor, top = prob.floor, prob.unconstrained_norm()
         tau = floor + frac * (top - floor)
-        rep = prob.solve(tau, tol=1e-12, max_iter=20, force_iterative=True)
+        rep = prob.solve(tau, tol=1e-12, max_iter=20)
         assert rep.status in ("optimal", "max-iter")
         assert_causal_and_feasible(rep.solution, data, 1e-10)
         assert spectral_norm(rep.solution) <= tau * (1.0 + 1e-12)

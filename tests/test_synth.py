@@ -10,7 +10,6 @@ from ddsls.synth import (
     DataHankels,
     assemble_delta,
     assemble_responses,
-    synth_noiseless,
     synth_robust,
 )
 from tests.conftest import L_BENCH, SIGMA2, T_BENCH
@@ -46,9 +45,10 @@ def random_feasible_ghat(data, rng, spread=0.1):
 
 
 class TestSynthNoiseless:
+    # Noise-free synthesis is the eps = 0 case of the robust program.
     def test_matches_model_based_optimum(self, plant, bench_weights, clean_data):
         _, jstar = optimal_responses(plant, bench_weights)
-        res = synth_noiseless(clean_data, bench_weights)
+        res = synth_robust(clean_data, bench_weights, 0.0)
         assert res.objective == pytest.approx(jstar, rel=1e-6)
         assert achievability_residual(res.responses, plant) < 1e-8
 
@@ -57,14 +57,14 @@ class TestSynthNoiseless:
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             traj = simulate(plant, np.zeros(3), rng.standard_normal((T_BENCH, 3)))
-            res = synth_noiseless(DataHankels.from_trajectory(traj, L_BENCH), bench_weights)
+            res = synth_robust(DataHankels.from_trajectory(traj, L_BENCH), bench_weights, 0.0)
             assert res.objective == pytest.approx(jstar, rel=1e-6)
 
     def test_zero_weights_minimum_norm(self, plant, clean_data):
         w = CostWeights(
             np.zeros((3, 3)), 1e-30 * np.eye(3), np.zeros((3, 3)), horizon=L_BENCH
         )
-        res = synth_noiseless(clean_data, w)
+        res = synth_robust(clean_data, w, 0.0)
         assert res.objective < 1e-10
 
     def test_controller_closed_loop_matches_optimal_responses(
@@ -73,7 +73,7 @@ class TestSynthNoiseless:
         from ddsls.sls import closed_loop
 
         resp_star, _ = optimal_responses(plant, bench_weights)
-        res = synth_noiseless(clean_data, bench_weights)
+        res = synth_robust(clean_data, bench_weights, 0.0)
         rng = np.random.default_rng(23)
         for _ in range(5):
             wvec = rng.standard_normal(3 * L_BENCH)
@@ -84,7 +84,7 @@ class TestSynthNoiseless:
     def test_rank_deficient_data_rejected(self, plant, bench_weights):
         traj = simulate(plant, np.ones(3), np.zeros((T_BENCH, 3)))
         with pytest.raises(NotPersistentlyExciting):
-            synth_noiseless(DataHankels.from_trajectory(traj, L_BENCH), bench_weights)
+            synth_robust(DataHankels.from_trajectory(traj, L_BENCH), bench_weights, 0.0)
 
 
 class TestAssembleResponses:
@@ -149,10 +149,12 @@ class TestAssembleDelta:
 
 class TestSynthRobust:
     def test_eps_zero_equals_noiseless(self, bench_weights, clean_data):
-        a = synth_noiseless(clean_data, bench_weights)
+        # Naive synthesis ignores its budget: it is the eps = 0 program.
+        a = synth_robust(clean_data, bench_weights, 1.0, mode="naive")
         b = synth_robust(clean_data, bench_weights, 0.0)
         assert b.gamma == 0.0
         assert b.objective == pytest.approx(a.objective, rel=1e-12)
+        np.testing.assert_array_equal(b.ghat, a.ghat)
 
     def test_noisy_budget_gives_interior_gamma(self, plant, bench_weights, noisy_data):
         eps = spectral_norm(noisy_data.hw)
