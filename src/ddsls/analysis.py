@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hankel import build_hankel
 from .lti import Ensemble
 
 __all__ = [
@@ -182,20 +183,9 @@ def sample_complexity(
     return N
 
 
-def _hankel_stack(signals: np.ndarray, L: int) -> np.ndarray:
-    """Order-L Hankels of a (B, T, p) batch, stacked as (B, pL, T-L+1)."""
-    B, T, p = signals.shape
-    cols = T - L + 1
-    out = np.empty((B, p * L, cols))
-    for i in range(L):
-        out[:, i * p : (i + 1) * p, :] = signals[:, i : i + cols, :].transpose(0, 2, 1)
-    return out
-
-
 def hankel_norms_of_signals(signals: np.ndarray, L: int) -> np.ndarray:
     """Spectral norms of the order-L Hankels of a (B, T, p) signal batch."""
-    H = _hankel_stack(np.asarray(signals, dtype=float), L)
-    return np.linalg.svd(H, compute_uv=False)[:, 0]
+    return np.linalg.svd(build_hankel(signals, L), compute_uv=False)[:, 0]
 
 
 def bootstrap_epsilon(
@@ -230,9 +220,9 @@ def bootstrap_epsilon(
     if N < 2:
         raise ValueError("bootstrap requires at least two trajectories")
     if statistic == "deviation":
-        members = np.stack([tr.x for tr in ens.trajectories])
+        members = ens.x
     elif statistic == "noise":
-        members = np.stack([tr.w_process for tr in ens.trajectories])
+        members = ens.w_process
     else:
         raise ValueError(f"unknown statistic {statistic!r}")
     deviations = members - members.mean(axis=0, keepdims=True)

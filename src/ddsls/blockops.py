@@ -161,10 +161,6 @@ class LtvOperator:
         object.__setattr__(self, "dense", d)
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, horizon: int, block_rows: int, block_cols: int) -> "LtvOperator":
-        return cls(horizon=horizon, block_rows=block_rows, block_cols=block_cols, dense=dense)
-
-    @classmethod
     def from_block_diagonal(cls, blocks: list[np.ndarray]) -> "LtvOperator":
         """Block-diagonal operator from per-step gains (time-varying static map)."""
         p, q = as_matrix(blocks[0], "block").shape

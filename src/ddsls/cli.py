@@ -22,7 +22,7 @@ from . import analysis, lqg, synth
 from .blockops import CostWeights, obs_stack, psd_sqrt, spectral_norm, toeplitz_stack
 from .experiments import compare_controllers, parallel_map
 from .hankel import build_hankel
-from .lti import LtiSystem, _atomic_write, average, generate_ensemble, save_ensemble, simulate
+from .lti import LtiSystem, _write_csv, _write_json, average, generate_ensemble, save_ensemble, simulate
 
 DEFAULT_CONFIG = {
     "system": {
@@ -40,31 +40,6 @@ DEFAULT_CONFIG = {
     "synthesis": {"mode": "robust", "eps": "bootstrap", "structure": "blockdiag"},
     "output_dir": "ddsls_out",
 }
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def _write_json(path: str, obj) -> None:
-    class _Enc(json.JSONEncoder):
-        def default(self, o):
-            if isinstance(o, (np.floating, np.integer)):
-                return o.item()
-            if isinstance(o, np.ndarray):
-                return o.tolist()
-            return super().default(o)
-
-    _atomic_write(path, json.dumps(obj, indent=2, cls=_Enc, allow_nan=True) + "\n")
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _merge(base: dict, override: dict) -> dict:

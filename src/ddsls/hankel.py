@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import matrix_rank, rank_tolerance
+from .blockops import matrix_rank
 
 __all__ = [
     "build_hankel",
@@ -38,22 +38,22 @@ def _as_signal(sig, name: str = "signal") -> np.ndarray:
 
 
 def build_hankel(signal: np.ndarray, L: int) -> np.ndarray:
-    """Order-L block Hankel matrix of a (T, p) signal.
+    """Order-L block Hankel matrix of a (T, p) signal, or of each in a (..., T, p) batch.
 
-    Column t is the stacked window signal[t : t + L].  Raises ValueError
-    when L exceeds the signal horizon.
+    Column t is the stacked window signal[t : t + L]; a batch gives a
+    (..., pL, T - L + 1) stack.  Raises ValueError when L exceeds the
+    signal horizon.
     """
-    s = _as_signal(signal)
-    T, p = s.shape
+    s = np.asarray(signal, dtype=float)
+    if s.ndim == 1:
+        s = s[:, None]
+    *batch, T, p = s.shape
     if L < 1:
         raise ValueError("L must be >= 1")
     if L > T:
         raise ValueError(f"Hankel order {L} exceeds signal horizon {T}")
-    cols = T - L + 1
-    H = np.empty((p * L, cols))
-    for i in range(L):
-        H[i * p : (i + 1) * p, :] = s[i : i + cols].T
-    return H
+    windows = np.lib.stride_tricks.sliding_window_view(s, L, axis=-2)  # (..., cols, p, L)
+    return np.swapaxes(windows, -1, -3).copy().reshape(*batch, p * L, T - L + 1)
 
 
 def first_block_row(signal: np.ndarray, L: int) -> np.ndarray:
@@ -112,9 +112,14 @@ def stacked_rank(x: np.ndarray, u: np.ndarray, L: int) -> tuple[int, bool]:
     us = _as_signal(u, "u")
     if xs.shape[0] != us.shape[0]:
         raise ValueError("x and u must share the same horizon")
-    stack = np.vstack([first_block_row(xs, L), build_hankel(us, L)])
+    return _data_rank(first_block_row(xs, L), build_hankel(us, L))
+
+
+def _data_rank(h1x: np.ndarray, hu: np.ndarray) -> tuple[int, bool]:
+    """Rank of [h1x; hu] and whether it is full row rank n + mL."""
+    stack = np.vstack([h1x, hu])
     r = matrix_rank(stack)
-    return r, r == xs.shape[1] + us.shape[1] * L
+    return r, r == stack.shape[0]
 
 
 def reconstruct(
@@ -138,16 +143,15 @@ def reconstruct(
     u_target = np.asarray(u_target, dtype=float).reshape(L, m)
     x0 = np.asarray(x0, dtype=float).reshape(n)
 
-    stack = np.vstack([first_block_row(xs, L), build_hankel(us, L)])
-    sv = np.linalg.svd(stack, compute_uv=False)
-    full = int(np.sum(sv > rank_tolerance(sv, stack.shape))) == n + m * L
+    h1x, hu = first_block_row(xs, L), build_hankel(us, L)
+    rank, full = _data_rank(h1x, hu)
     if not full:
         raise NotPersistentlyExciting(
-            f"stacked data matrix has rank {matrix_rank(stack)} < {n + m * L}; "
-            "data is not persistently exciting"
+            f"stacked data matrix has rank {rank} < {n + m * L}; data is not persistently exciting"
         )
+    stack = np.vstack([h1x, hu])
     rhs = np.concatenate([x0, u_target.reshape(-1)])
     g = np.linalg.pinv(stack) @ rhs
     x_traj = (build_hankel(xs, L) @ g).reshape(L, n)
-    u_traj = (build_hankel(us, L) @ g).reshape(L, m)
+    u_traj = (hu @ g).reshape(L, m)
     return g, x_traj, u_traj

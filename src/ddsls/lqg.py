@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .blockops import CostWeights, LtvOperator, spectral_norm
+from .blockops import CostWeights, LtvOperator, matrix_rank, spectral_norm
 from .hankel import NotPersistentlyExciting
 from .lti import LtiSystem
 from .sls import SystemResponsePair, responses_from_controller, sls_cost
@@ -42,9 +42,6 @@ class RiccatiSolution:
     def controller(self) -> LtvOperator:
         """The gains as a block-diagonal causal operator u(t) = K_t x(t)."""
         return LtvOperator.from_block_diagonal(self.gains)
-
-    def first_gain(self) -> np.ndarray:
-        return self.gains[0]
 
 
 def riccati_finite(sys: LtiSystem, weights: CostWeights) -> RiccatiSolution:
@@ -147,11 +144,10 @@ def recover_gstar(hx: np.ndarray, hu: np.ndarray, responses: SystemResponsePair)
     for k in range(L):
         keep = L - k
         stack = np.vstack([hx[: n * keep], hu[: m * keep]])
-        sv = np.linalg.svd(stack, compute_uv=False)
-        tol = max(stack.shape) * np.finfo(float).eps * sv[0]
-        if int(np.sum(sv > tol)) < n + m * keep:
+        rank = matrix_rank(stack)
+        if rank < n + m * keep:
             raise NotPersistentlyExciting(
-                f"data supports rank {int(np.sum(sv > tol))} < {n + m * keep} "
+                f"data supports rank {rank} < {n + m * keep} "
                 f"for block {k}; data is not persistently exciting to the required order"
             )
         target_x = responses.phi_x.dense[k * n :, k * n : (k + 1) * n]

@@ -1,4 +1,5 @@
-"""LTI system model, noisy rollouts, shared-input ensembles, and averaging.
+"""LTI system model, noisy rollouts, shared-input ensembles, averaging, and
+the CSV/JSON writers every artifact goes through.
 
 The initial condition is embedded in the disturbance record: a trajectory of
 horizon T stores a (T, n) noise array whose row 0 holds x(0) and whose row
@@ -13,7 +14,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +108,7 @@ class Trajectory:
         Row t holds the noise entering between steps t and t+1; the final
         row is zero because no transition leaves the last recorded state.
         """
-        return np.vstack([self.w[1:], np.zeros((1, self.state_dim))])
+        return _process_noise(self.w)
 
     def dynamics_residual(self, sys: LtiSystem) -> float:
         """Max-norm violation of x(t+1) = A x(t) + B u(t) + w(t)."""
@@ -115,29 +116,54 @@ class Trajectory:
         return float(np.abs(self.x[1:] - pred).max(initial=0.0))
 
 
+def _process_noise(w: np.ndarray) -> np.ndarray:
+    """Shift (..., T, n) embedded noise records to injection time (last row zero)."""
+    out = np.zeros_like(w)
+    out[..., :-1, :] = w[..., 1:, :]
+    return out
+
+
 @dataclass(frozen=True)
 class Ensemble:
-    """N trajectories sharing one input signal, plus the seed that made them."""
+    """N trajectories under one shared input, stored stacked, plus their seed.
 
-    trajectories: list[Trajectory]
+    ``x`` and ``w`` are (N, T, n): member i's states and its noise record in
+    the initial-condition-embedded layout of :class:`Trajectory`.  ``u`` is
+    the (T, m) input every member received.
+    """
+
+    x: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
     seed: int | None = None
-    shared_input: bool = field(default=True)
 
     def __post_init__(self):
-        if not self.trajectories:
-            raise ValueError("ensemble must be nonempty")
-        u0 = self.trajectories[0].u
-        if self.shared_input:
-            for tr in self.trajectories[1:]:
-                if not np.array_equal(tr.u, u0):
-                    raise ValueError("trajectories do not share the input signal")
+        x = np.asarray(self.x, dtype=float)
+        w = np.asarray(self.w, dtype=float)
+        u = as_matrix(self.u, "u")
+        if x.ndim != 3 or x.shape[0] < 1:
+            raise ValueError(f"x must be a nonempty (N, T, n) stack, got shape {x.shape}")
+        if w.shape != x.shape:
+            raise ValueError("w must have the shape of x")
+        if u.shape[0] != x.shape[1]:
+            raise ValueError("x, u, w must share the same horizon")
+        if not np.array_equal(w[:, 0], x[:, 0]):
+            raise ValueError("w[:, 0] must equal x[:, 0] (initial-condition embedding)")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "u", u)
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return self.x.shape[0]
 
     @property
     def horizon(self) -> int:
-        return self.trajectories[0].horizon
+        return self.x.shape[1]
+
+    @property
+    def w_process(self) -> np.ndarray:
+        """(N, T, n) process-noise signals, aligned as :attr:`Trajectory.w_process`."""
+        return _process_noise(self.w)
 
 
 def simulate(
@@ -145,13 +171,11 @@ def simulate(
     x0: np.ndarray,
     u: np.ndarray,
     noise: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
 ) -> Trajectory:
     """Roll the system forward under an input signal.
 
-    ``noise`` is the (T-1, n) array of process noises w(0..T-2); when absent
-    it is sampled i.i.d. N(0, noise_std^2 I) from ``rng`` (zeros if neither
-    is given).
+    ``noise`` is the (T-1, n) array of process noises w(0..T-2); zeros when
+    absent.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -162,10 +186,7 @@ def simulate(
         raise ValueError(f"u has {u.shape[1]} columns, expected {m}")
     x0 = np.asarray(x0, dtype=float).reshape(n)
     if noise is None:
-        if rng is not None and sys.noise_std > 0:
-            noise = sys.noise_std * rng.standard_normal((T - 1, n))
-        else:
-            noise = np.zeros((T - 1, n))
+        noise = np.zeros((T - 1, n))
     else:
         noise = np.asarray(noise, dtype=float).reshape(T - 1, n)
 
@@ -183,14 +204,12 @@ def generate_ensemble(
     N: int,
     seed: int,
     x0: np.ndarray | None = None,
-    replay_input: bool = True,
 ) -> Ensemble:
-    """Sample N trajectories with i.i.d. N(0, I) inputs and fresh noise.
+    """Sample N trajectories under one i.i.d. N(0, I) input with fresh noise.
 
-    The first trajectory's input is replayed for every subsequent member so
-    that averaging does not wash the excitation out; pass
-    ``replay_input=False`` to draw independent inputs instead (diagnostics
-    only).  Deterministic under the seed.
+    Every member receives the same input, so that averaging does not wash
+    the excitation out.  Deterministic under the seed: the input is drawn
+    first, then the noise of all members.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -198,42 +217,28 @@ def generate_ensemble(
     rng = np.random.default_rng(seed)
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
 
-    if replay_input:
-        u_all = np.broadcast_to(rng.standard_normal((T, m)), (N, T, m))
-    else:
-        u_all = rng.standard_normal((N, T, m))
-    noise_all = sys.noise_std * rng.standard_normal((N, T - 1, n))
+    u = rng.standard_normal((T, m))
+    noise = sys.noise_std * rng.standard_normal((N, T - 1, n))
 
     # Batch rollout: one time loop advances all members together.
-    x_all = np.empty((N, T, n))
-    x_all[:, 0, :] = x0
+    u_all = np.broadcast_to(u, (N, T, m))
+    x = np.empty((N, T, n))
+    x[:, 0, :] = x0
     for t in range(T - 1):
-        x_all[:, t + 1, :] = (
-            x_all[:, t, :] @ sys.A.T + u_all[:, t, :] @ sys.B.T + noise_all[:, t, :]
-        )
-    trajectories = [
-        Trajectory(
-            x=x_all[i],
-            u=np.array(u_all[i]),
-            w=np.vstack([x0[None, :], noise_all[i]]),
-        )
-        for i in range(N)
-    ]
-    return Ensemble(trajectories=trajectories, seed=seed, shared_input=replay_input)
+        x[:, t + 1, :] = x[:, t, :] @ sys.A.T + u_all[:, t, :] @ sys.B.T + noise[:, t, :]
+    w = np.concatenate([np.broadcast_to(x0, (N, 1, n)), noise], axis=1)
+    return Ensemble(x=x, w=w, u=u, seed=seed)
 
 
 def average(ens: Ensemble) -> Trajectory:
-    """Coordinate-wise mean trajectory; valid by superposition."""
-    if not ens.shared_input:
-        raise ValueError("averaging requires a shared input signal")
-    x = np.mean([tr.x for tr in ens.trajectories], axis=0)
-    u = np.mean([tr.u for tr in ens.trajectories], axis=0)
-    w = np.mean([tr.w for tr in ens.trajectories], axis=0)
-    return Trajectory(x=x, u=u, w=w)
+    """Coordinate-wise mean trajectory under the shared input; valid by superposition."""
+    return Trajectory(x=ens.x.mean(axis=0), u=ens.u, w=ens.w.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one CSV per trajectory plus a JSON manifest per ensemble.
+# Serialization: every CSV and JSON artifact of the package goes through
+# _write_csv and _write_json.  An ensemble is one CSV per member plus a JSON
+# manifest.
 
 def _atomic_write(path: str, text: str) -> None:
     """Replace ``path`` by a file holding ``text``, never leaving a partial file.
@@ -256,6 +261,27 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Comma-separated rows under a header; floats with 17 significant digits."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+class _JsonEncoder(json.JSONEncoder):
+    def default(self, o):
+        if isinstance(o, (np.floating, np.integer)):
+            return o.item()
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        return super().default(o)
+
+
+def _write_json(path: str, obj) -> None:
+    _atomic_write(path, json.dumps(obj, indent=2, cls=_JsonEncoder, allow_nan=True) + "\n")
+
+
 def save_trajectory_csv(traj: Trajectory, path: str) -> None:
     """Rows are (t, x..., u..., w...); w in the initial-condition-embedded layout."""
     n, m = traj.state_dim, traj.input_dim
@@ -265,11 +291,8 @@ def save_trajectory_csv(traj: Trajectory, path: str) -> None:
         + [f"u{i}" for i in range(m)]
         + [f"w{i}" for i in range(n)]
     )
-    lines = [",".join(header)]
-    for t in range(traj.horizon):
-        row = [str(t)] + [f"{v:.17g}" for v in (*traj.x[t], *traj.u[t], *traj.w[t])]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    data = np.hstack([traj.x, traj.u, traj.w]).tolist()
+    _write_csv(path, header, ([t, *row] for t, row in enumerate(data)))
 
 
 def load_trajectory_csv(path: str) -> Trajectory:
@@ -285,25 +308,34 @@ def load_trajectory_csv(path: str) -> Trajectory:
 
 def save_ensemble(ens: Ensemble, out_dir: str, sigma2: float | None = None) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    tr0 = ens.trajectories[0]
-    manifest = {
-        "n": tr0.state_dim,
-        "m": tr0.input_dim,
-        "T": tr0.horizon,
-        "N": len(ens),
-        "sigma2": sigma2,
-        "seed": ens.seed,
-    }
-    for i, tr in enumerate(ens.trajectories):
-        save_trajectory_csv(tr, os.path.join(out_dir, f"trajectory_{i:04d}.csv"))
-    _atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2))
+    N, T, n = ens.x.shape
+    manifest = {"n": n, "m": ens.u.shape[1], "T": T, "N": N, "sigma2": sigma2, "seed": ens.seed}
+    for i in range(N):
+        member = Trajectory(x=ens.x[i], u=ens.u, w=ens.w[i])
+        save_trajectory_csv(member, os.path.join(out_dir, f"trajectory_{i:04d}.csv"))
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def load_ensemble(out_dir: str) -> tuple[Ensemble, dict]:
+    """Read an ensemble written by :func:`save_ensemble`.
+
+    Raises ValueError when the member files do not all carry the same input.
+    """
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
-    trajectories = [
+    members = [
         load_trajectory_csv(os.path.join(out_dir, f"trajectory_{i:04d}.csv"))
         for i in range(manifest["N"])
     ]
-    return Ensemble(trajectories=trajectories, seed=manifest.get("seed")), manifest
+    if not members:
+        raise ValueError("ensemble must be nonempty")
+    u = members[0].u
+    if any(not np.array_equal(tr.u, u) for tr in members[1:]):
+        raise ValueError("trajectories do not share the input signal")
+    ens = Ensemble(
+        x=np.stack([tr.x for tr in members]),
+        w=np.stack([tr.w for tr in members]),
+        u=u,
+        seed=manifest.get("seed"),
+    )
+    return ens, manifest

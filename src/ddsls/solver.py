@@ -33,7 +33,7 @@ minimum-norm feasible point so that it lies in the ball exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,8 +73,6 @@ class SolveReport:
     objective: float
     status: str  # "optimal" | "max-iter" | "infeasible"
     iterations: int = 0
-    primal_residuals: list[float] = field(default_factory=list)
-    dual_residuals: list[float] = field(default_factory=list)
     gap: float | None = None  # relative duality gap of the returned point, when certified
 
 
@@ -615,8 +613,6 @@ class CoupledCausalProblem:
             Uv = np.zeros_like(G)
             rho = self._initial_rho()
         relax = 1.7
-        primal_hist: list[float] = []
-        dual_hist: list[float] = []
         status = "max-iter"
         it = 0
         for it in range(1, max_iter + 1):
@@ -627,8 +623,6 @@ class CoupledCausalProblem:
             Uv = Uv + G_rel - Y
             r = float(np.linalg.norm(G - Y))
             s = rho * float(np.linalg.norm(Y - Y_prev))
-            primal_hist.append(r)
-            dual_hist.append(s)
             scale = max(1.0, float(np.linalg.norm(G)), float(np.linalg.norm(Y)))
             if r <= tol * scale and s <= tol * scale:
                 status = "optimal"
@@ -655,8 +649,6 @@ class CoupledCausalProblem:
             objective=self._objective(G_out),
             status=status,
             iterations=it,
-            primal_residuals=primal_hist,
-            dual_residuals=dual_hist,
         )
 
 

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .blockops import CostWeights, LtvOperator, matrix_rank, spectral_norm
-from .hankel import NotPersistentlyExciting, build_hankel, first_block_row
+from .blockops import CostWeights, LtvOperator, spectral_norm
+from .hankel import NotPersistentlyExciting, _data_rank, build_hankel, first_block_row
 from .lti import Trajectory
-from .sls import Perturbation, SystemResponsePair, recover_controller
+from .sls import _STRUCT_TOL, Perturbation, SystemResponsePair, recover_controller
 from .solver import (
     BlockDiagonalProblem,
     CoupledCausalProblem,
@@ -42,16 +42,14 @@ __all__ = [
     "structure_residual",
 ]
 
-_STRUCT_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class DataHankels:
     """Order-L Hankel views of one trajectory record.
 
-    ``hw`` (when the noise was recorded) is the Hankel of the process-noise
-    signal aligned to injection time; it exists for verification and for
-    oracle noise bounds, never as a synthesis input.
+    ``hw`` is the Hankel of the process-noise signal aligned to injection
+    time; it exists for verification and for oracle noise bounds, never as
+    a synthesis input.
     """
 
     hx: np.ndarray
@@ -60,7 +58,7 @@ class DataHankels:
     L: int
     n: int
     m: int
-    hw: np.ndarray | None = None
+    hw: np.ndarray
 
     def __post_init__(self):
         if self.hx.shape[0] != self.n * self.L or self.hu.shape[0] != self.m * self.L:
@@ -71,18 +69,15 @@ class DataHankels:
             raise ValueError("h1x must be the top block row of hx")
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory, L: int, include_noise: bool = True) -> "DataHankels":
-        hx = build_hankel(traj.x, L)
-        hu = build_hankel(traj.u, L)
-        hw = build_hankel(traj.w_process, L) if include_noise else None
+    def from_trajectory(cls, traj: Trajectory, L: int) -> "DataHankels":
         return cls(
-            hx=hx,
-            hu=hu,
+            hx=build_hankel(traj.x, L),
+            hu=build_hankel(traj.u, L),
             h1x=first_block_row(traj.x, L),
             L=L,
             n=traj.state_dim,
             m=traj.input_dim,
-            hw=hw,
+            hw=build_hankel(traj.w_process, L),
         )
 
     @property
@@ -90,8 +85,7 @@ class DataHankels:
         return self.hx.shape[1]
 
     def stacked_full_rank(self) -> bool:
-        stack = np.vstack([self.h1x, self.hu])
-        return matrix_rank(stack) == self.n + self.m * self.L
+        return _data_rank(self.h1x, self.hu)[1]
 
 
 @dataclass(frozen=True)

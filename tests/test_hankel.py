@@ -38,6 +38,27 @@ def test_build_hankel_columns_are_windows():
         np.testing.assert_array_equal(H[:, t], sig[t : t + L].reshape(-1))
 
 
+def test_build_hankel_batch_equals_stacked_hankels():
+    sigs = np.random.default_rng(3).standard_normal((5, 12, 3))
+    L, cols = 4, 9
+    H = build_hankel(sigs, L)
+    loop = np.empty((5, 3 * L, cols))
+    for i in range(L):
+        loop[:, 3 * i : 3 * (i + 1), :] = sigs[:, i : i + cols, :].transpose(0, 2, 1)
+    np.testing.assert_array_equal(H, loop)
+    np.testing.assert_array_equal(H, np.stack([build_hankel(s, L) for s in sigs]))
+    assert H.flags.c_contiguous
+    assert build_hankel(sigs[None], L).shape == (1, 5, 3 * L, cols)
+
+
+def test_build_hankel_is_a_fresh_copy():
+    sig = np.arange(6.0)[:, None]
+    for L in (1, 6):
+        H = build_hankel(sig, L)
+        H[...] = -1.0
+        np.testing.assert_array_equal(sig[:, 0], np.arange(6.0))
+
+
 def test_build_hankel_rejects_long_order():
     with pytest.raises(ValueError):
         build_hankel(np.zeros((3, 1)), 4)

@@ -59,47 +59,45 @@ class TestEnsemble:
 
     def test_shared_input(self, plant):
         ens = generate_ensemble(plant, 15, 5, seed=1)
-        u0 = ens.trajectories[0].u
-        for tr in ens.trajectories[1:]:
-            np.testing.assert_array_equal(tr.u, u0)
+        assert ens.x.shape == ens.w.shape == (5, 15, 3)
+        assert ens.u.shape == (15, 3)
 
     def test_zero_noise_members_identical(self):
         sys = LtiSystem(A=0.5 * np.eye(2), B=np.eye(2), noise_std=0.0)
         ens = generate_ensemble(sys, 12, 4, seed=2)
-        for tr in ens.trajectories[1:]:
-            np.testing.assert_array_equal(tr.x, ens.trajectories[0].x)
+        for x in ens.x[1:]:
+            np.testing.assert_array_equal(x, ens.x[0])
 
     def test_seeded_determinism(self, plant):
         a = generate_ensemble(plant, 20, 6, seed=33)
         b = generate_ensemble(plant, 20, 6, seed=33)
-        for ta, tb in zip(a.trajectories, b.trajectories):
-            np.testing.assert_array_equal(ta.x, tb.x)
-            np.testing.assert_array_equal(ta.w, tb.w)
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.w, b.w)
+        np.testing.assert_array_equal(a.u, b.u)
 
     def test_noise_moments(self, plant):
         # Per-time sample variance of the recorded noise across members.
         ens = generate_ensemble(plant, 30, 400, seed=3)
-        W = np.stack([tr.w_process[:-1] for tr in ens.trajectories])
+        W = ens.w_process[:, :-1]
         var = W.var(axis=0).mean()
         assert var == pytest.approx(SIGMA2, rel=0.15)
 
     def test_every_member_satisfies_dynamics(self, plant):
         ens = generate_ensemble(plant, 25, 8, seed=4)
-        for tr in ens.trajectories:
-            assert tr.dynamics_residual(plant) < 1e-10
-
-    def test_independent_inputs_flagged(self, plant):
-        ens = generate_ensemble(plant, 12, 3, seed=5, replay_input=False)
-        assert not ens.shared_input
-        with pytest.raises(ValueError):
-            average(ens)
+        for x, w in zip(ens.x, ens.w):
+            assert Trajectory(x=x, u=ens.u, w=w).dynamics_residual(plant) < 1e-10
 
 
 class TestAverage:
     def test_identity_on_singleton(self, plant):
         ens = generate_ensemble(plant, 10, 1, seed=6)
         avg = average(ens)
-        np.testing.assert_array_equal(avg.x, ens.trajectories[0].x)
+        np.testing.assert_array_equal(avg.x, ens.x[0])
+
+    @pytest.mark.parametrize("N", [1, 8, 128])
+    def test_average_input_is_the_shared_input(self, plant, N):
+        ens = generate_ensemble(plant, T_BENCH, N, seed=12)
+        assert np.array_equal(average(ens).u, ens.u)
 
     def test_average_satisfies_dynamics(self, plant):
         ens = generate_ensemble(plant, 40, 32, seed=7)
@@ -124,7 +122,7 @@ class TestAverage:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble(trajectories=[])
+            Ensemble(x=np.zeros((0, 5, 2)), w=np.zeros((0, 5, 2)), u=np.zeros((5, 1)))
 
 
 class TestSerialization:
@@ -149,8 +147,32 @@ class TestSerialization:
         save_ensemble(ens, str(out), sigma2=SIGMA2)
         back, manifest = load_ensemble(str(out))
         assert manifest == {"n": 3, "m": 3, "T": 10, "N": 3, "sigma2": SIGMA2, "seed": 11}
-        for ta, tb in zip(ens.trajectories, back.trajectories):
-            np.testing.assert_array_equal(ta.x, tb.x)
+        np.testing.assert_array_equal(back.x, ens.x)
+        np.testing.assert_array_equal(back.w, ens.w)
+        np.testing.assert_array_equal(back.u, ens.u)
+
+    def test_load_rejects_members_with_different_inputs(self, plant, tmp_path):
+        ens = generate_ensemble(plant, 10, 3, seed=11)
+        out = tmp_path / "ens"
+        save_ensemble(ens, str(out), sigma2=SIGMA2)
+        other = simulate(plant, np.zeros(3), ens.u + 1.0)
+        save_trajectory_csv(other, str(out / "trajectory_0002.csv"))
+        with pytest.raises(ValueError, match="share the input"):
+            load_ensemble(str(out))
+
+    def test_trajectory_csv_bytes(self, tmp_path):
+        traj = Trajectory(
+            x=np.array([[0.1, 2.0], [1.0 / 3.0, -4e-20]]),
+            u=np.array([[5.0], [-0.5]]),
+            w=np.array([[0.1, 2.0], [1e300, 7.0]]),
+        )
+        path = tmp_path / "traj.csv"
+        save_trajectory_csv(traj, str(path))
+        assert path.read_bytes() == (
+            b"t,x0,x1,u0,w0,w1\n"
+            b"0,0.10000000000000001,2,5,0.10000000000000001,2\n"
+            b"1,0.33333333333333331,-3.9999999999999998e-20,-0.5,1.0000000000000001e+300,7\n"
+        )
 
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddsls.blockops import CostWeights, spectral_norm
@@ -328,6 +328,7 @@ class TestBlockDiagonalProblem:
         radius=st.sampled_from([0.5, 0.95, 1.05, 1.3]),
         frac=st.floats(0.0, 1.0),
     )
+    @example(seed=235, n=2, m=1, L=3, radius=1.3, frac=0.5)
     def test_certified_on_random_plants(self, seed, n, m, L, radius, frac):
         w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
         T = L + n + m * L + 8
@@ -340,10 +341,12 @@ class TestBlockDiagonalProblem:
         # The first-order oracle tracks only feasible sets with room between
         # the floor and the radius; check the most strongly bound block (a
         # block the ball does not bind is the closed form, checked against
-        # KKT by TestEqLs).
+        # KKT by TestEqLs).  The iteration cap is high enough that the
+        # oracle's own stall rule ends it: at 20k iterations it stopped 2e-4
+        # above the certified optimum on the pinned example.
         k = int(np.argmax(prob.unconstrained_norms()))
         if tau >= 1.6 * floor and prob.unconstrained_norms()[k] > tau:
-            _, obj_ref = projected_gradient_spectral(prob.C[k], data.h1x, np.eye(n), tau, iters=20_000)
+            _, obj_ref = projected_gradient_spectral(prob.C[k], data.h1x, np.eye(n), tau, iters=100_000)
             obj = np.linalg.norm(prob.C[k] @ rep.solution[k])
             assert obj == pytest.approx(obj_ref, rel=1e-4)
             # The oracle's point is feasible: it cannot beat a certified optimum.
