@@ -112,6 +112,88 @@ def projected_gradient_spectral(
     return best, best_obj
 
 
+def barrier_spectral(
+    C: np.ndarray,
+    A: np.ndarray,
+    B: np.ndarray,
+    tau: float,
+    rel_gap: float = 1e-12,
+) -> tuple[np.ndarray, float]:
+    """Interior-point reference solve of min ||C G||_F s.t. A G = B, ||G||_2 <= tau.
+
+    Log-barrier path following with damped Newton steps in the null-space
+    coordinates G = G_p + N Z: minimise t ||C G||_F^2 - log det(tau^2 I - G'G)
+    for growing t.  Every iterate lies strictly inside the ball and on the
+    affine set, so the returned objective bounds the optimum from above,
+    and it exceeds the optimal squared objective by at most ncols / t.
+    Needs room between the feasibility floor and the radius, since it
+    starts from the minimum-norm feasible point.
+    """
+    U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0]))
+    Gp = (Vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ B)
+    N = Vt[rank:].T
+    d, ncols = N.shape[1], B.shape[1]
+    if float(np.linalg.svd(Gp, compute_uv=False)[0]) >= tau:
+        raise ValueError("radius at or below the feasibility floor")
+    CN = C @ N
+    Q = CN.T @ CN
+
+    def slack_factor(G):
+        """Cholesky factor of tau^2 I - G'G, or None outside the open ball."""
+        try:
+            return np.linalg.cholesky(tau**2 * np.eye(ncols) - G.T @ G)
+        except np.linalg.LinAlgError:
+            return None
+
+    def merit(Z, t):
+        G = Gp + N @ Z
+        Lc = slack_factor(G)
+        if Lc is None:
+            return np.inf
+        return t * float(np.linalg.norm(C @ G)) ** 2 - 2.0 * float(np.log(np.diag(Lc)).sum())
+
+    Z = np.zeros((d, ncols))
+    f0 = float(np.linalg.norm(C @ Gp)) ** 2
+    t = ncols / max(f0, 1e-12)
+    for _ in range(40):
+        for _ in range(200):
+            G = Gp + N @ Z
+            Li = np.linalg.inv(slack_factor(G))
+            Si = Li.T @ Li
+            GSi = G @ Si
+            P = N.T @ GSi
+            grad = t * 2.0 * (N.T @ (C.T @ (C @ G))) + 2.0 * P
+            # Hessian on row-major vec(Z): the quadratic gives t Q (x) I and
+            # the barrier's second derivative along dG = N E is
+            # 2 dG S^-1 + 2 G S^-1 (dG'G + G'dG) S^-1, projected by N'.
+            R = P @ (G.T @ N)
+            hess = 2.0 * (
+                t * np.kron(Q, np.eye(ncols))
+                + np.kron(np.eye(d) + R, Si)
+                + np.einsum("cb,ae->ceab", P, P).reshape(d * ncols, d * ncols)
+            )
+            step = -np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0].reshape(d, ncols)
+            decrement = -float(np.sum(grad * step))
+            if decrement <= 1e-14:
+                break
+            # Backtrack until the merit drops enough and the point stays inside.
+            current, alpha = merit(Z, t), 1.0
+            while merit(Z + alpha * step, t) > current - 0.25 * alpha * decrement:
+                alpha *= 0.5
+                if alpha < 1e-12:
+                    break
+            if alpha < 1e-12:
+                break
+            Z = Z + alpha * step
+        f = float(np.linalg.norm(C @ (Gp + N @ Z))) ** 2
+        if ncols / t <= rel_gap * max(f, 1e-300):
+            break
+        t *= 10.0
+    G = Gp + N @ Z
+    return G, float(np.linalg.norm(C @ G))
+
+
 def coupled_quad_step(
     C: np.ndarray, A: np.ndarray, L: int, cols: int, n: int, V: np.ndarray | None, rho: float
 ) -> np.ndarray:
