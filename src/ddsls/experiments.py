@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import BoundInputs, bootstrap_epsilon, eps_precondition, suboptimality_bound
+from .analysis import BoundInputs, bootstrap_epsilon, suboptimality_bound
 from .blockops import CostWeights, LtvOperator, obs_stack, psd_sqrt, spectral_norm, toeplitz_stack
 from .hankel import NotPersistentlyExciting, build_hankel
 from .lqg import optimal_responses, recover_gstar, riccati_finite
@@ -207,13 +207,11 @@ def compare_controllers(
         # Certification inputs come from the noiseless twin of this record.
         noiseless = simulate(sys, np.zeros(sys.state_dim), avg.u)
         try:
-            gstar = recover_gstar(
+            gstar_norm = recover_gstar(
                 build_hankel(noiseless.x, L), build_hankel(noiseless.u, L), responses_star
-            )
-            eps_max = eps_precondition(gstar.norm, L, toep)
-            gstar_norm = gstar.norm
+            ).norm
         except NotPersistentlyExciting:
-            eps_max, gstar_norm = -1.0, math.nan
+            gstar_norm = None  # no bound without the optimal parameter
 
         trial_records = []
 
@@ -257,9 +255,9 @@ def compare_controllers(
             extra = None
             if name == "robust_true":
                 jhat = sls_cost(responses_from_controller(sys, res.controller), weights)
-                certified = 0 <= eps_val <= eps_max and T >= 2 * L + 1
-                bound = (
-                    suboptimality_bound(
+                certified, bound = False, math.nan
+                if gstar_norm is not None:
+                    b = suboptimality_bound(
                         BoundInputs(
                             gstar_norm=gstar_norm,
                             eps=eps_val,
@@ -270,10 +268,8 @@ def compare_controllers(
                             qhalf_frob=qhalf,
                             jstar=jstar,
                         )
-                    ).value
-                    if certified
-                    else math.nan
-                )
+                    )
+                    certified, bound = b.certified, (b.value if b.certified else math.nan)
                 extra = {
                     "certified": certified,
                     "rel_subopt": (jhat - jstar) / jstar,

@@ -5,19 +5,24 @@ min ||C G||_F s.t. A G = rhs, with a spectral-norm ball ||G||_2 <= tau on
 the variable.  Both inner problem classes share one construction of the
 affine set (SVD of A: minimum-norm point, orthonormal nullspace basis,
 feasibility floor), and without the ball both are solved in closed form on
-the nullspace.  ``gamma_search`` is the outer scalar search for the
-quasi-convex program min f(gamma) / (1 - gamma) over one inner problem,
-where f(gamma) is the inner optimal value with ball radius
-gamma / (sqrt(L) * eps): a coarse grid followed by golden-section
-refinement of the bracketing interval.  Its status, iteration count and
-gap are those of the inner solve at the returned gamma.
+the nullspace.  Every solve reports, besides status, iterations and gap,
+the slope d(objective^2)/d tau at its point: the derivative of the inner
+optimal value in the radius is the ball's Lagrange multiplier (Boyd &
+Vandenberghe, Convex Optimization, sec. 5.6).
 
-Independent blocks, ``BlockDiagonalProblem`` (the diagonal blocks of the
-structured program) and ``ConstrainedLeastSquares`` (its L = 1 case), are
-solved exactly through the Lagrange dual of the ball: one small n x n
-multiplier per block, maximized by a primal-dual Newton method vectorized
-over the blocks.  Each solve returns a point exactly in the ball together
-with its relative duality gap.
+``gamma_search`` is the outer scalar search for the quasi-convex program
+min h(gamma) = f(gamma) / (1 - gamma) over one inner problem, where
+f(gamma) is the inner optimal value with ball radius gamma / (sqrt(L) eps).
+It runs the same code for both problem classes: a coarse grid brackets the
+minimum, and bisection on the sign of h', read from each solve's slope,
+shrinks the bracket.  Its status, iteration count and gap are those of the
+inner solve at the returned gamma.
+
+Independent blocks (``BlockDiagonalProblem``, the diagonal blocks of the
+structured program) are solved exactly through the Lagrange dual of the
+ball: one small n x n multiplier per block, maximized by a primal-dual
+Newton method vectorized over the blocks.  Each solve returns a point
+exactly in the ball together with its relative duality gap.
 
 The coupled causal block-triangular variable (``CoupledCausalProblem``)
 is solved by operator splitting (ADMM), whose returned point carries no
@@ -33,7 +38,7 @@ minimum-norm feasible point so that it lies in the ball exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +47,13 @@ from .blockops import rank_tolerance
 __all__ = [
     "EqualityConstraint",
     "SolveReport",
-    "ConstrainedLeastSquares",
     "BlockDiagonalProblem",
     "CoupledCausalProblem",
     "ball_projection_batch",
     "GammaSearchResult",
     "gamma_search",
     "InfeasibleEpsilon",
-    "golden_section",
 ]
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class InfeasibleEpsilon(RuntimeError):
@@ -74,6 +75,13 @@ class SolveReport:
     status: str  # "optimal" | "max-iter" | "infeasible"
     iterations: int = 0
     gap: float | None = None  # relative duality gap of the returned point, when certified
+    # d(objective^2)/d tau at the returned point: 0 when the ball is slack,
+    # None when the solve is infeasible.
+    slope: float | None = 0.0
+
+
+def _infeasible_report(solution: np.ndarray) -> SolveReport:
+    return SolveReport(solution=solution, objective=np.inf, status="infeasible", slope=None)
 
 
 def _affine_set(A: np.ndarray, rhs: np.ndarray):
@@ -205,9 +213,7 @@ class BlockDiagonalProblem:
         """KKT solution without the ball: exact stationarity on the nullspace."""
         if self._unconstrained is None:
             if self._infeasible_constraint:
-                self._unconstrained = SolveReport(
-                    solution=self._stacked(self.G_part), objective=np.inf, status="infeasible"
-                )
+                self._unconstrained = _infeasible_report(self._stacked(self.G_part))
             else:
                 inv = np.divide(1.0, self._sig, out=np.zeros_like(self._sig), where=~self._flat)
                 G = self._to_blocks(-inv[:, :, None] * self._lin, slice(None))
@@ -229,21 +235,22 @@ class BlockDiagonalProblem:
         duality gap over the blocks (of the squared objective, hence a bound
         on the combined one too) and the status is "max-iter" when some
         block is not certified within ``tol``: its ``max_iter`` steps ran
-        out, or a tol below rounding level left nothing to gain.
+        out, or a tol below rounding level left nothing to gain.  ``slope``
+        is -2 tau sum_k tr Lam_k, the derivative in tau of the dual bound at
+        the multipliers the gap was measured at.
         """
         if self._infeasible_constraint or tau is None or np.isinf(tau):
             return self.unconstrained()
         if tau < self.floor * (1.0 - 1e-9):
-            return SolveReport(solution=self._stacked(self.G_part), objective=np.inf, status="infeasible")
+            return _infeasible_report(self._stacked(self.G_part))
         base = self.unconstrained()
         active = self.unconstrained_norms() > tau * (1.0 + 1e-12)
+        # tau = 0 gets past the floor check only when G_part = 0, and then
+        # the closed form is 0 too: no block is active.
         if not active.any():
             return base
-        if tau == 0.0:  # then the floor is 0: the ball holds G_part alone
-            G = self._stacked(self.G_part)
-            return SolveReport(solution=G, objective=self._combined(G), status="optimal", gap=0.0)
         k = np.flatnonzero(active)
-        Z, gap, iterations, certified = self._dual_newton(k, tau, tol, max_iter)
+        Z, gap, iterations, certified, trace = self._dual_newton(k, tau, tol, max_iter)
         G = base.solution.copy()
         G[k] = self._to_blocks(Z, k)
         return SolveReport(
@@ -252,6 +259,7 @@ class BlockDiagonalProblem:
             status="optimal" if certified else "max-iter",
             iterations=iterations,
             gap=float(gap.max()),
+            slope=-2.0 * tau * trace,
         )
 
     def _response(self, k: np.ndarray, Lam: np.ndarray):
@@ -322,8 +330,9 @@ class BlockDiagonalProblem:
         """Primal-dual Newton iteration on the duals of blocks k.
 
         Returns the ball-feasible Z of each block (Gram eigenbasis), the
-        relative gaps, the number of Newton steps and whether every block was
-        certified.  The last multipliers are kept: a later solve at the same
+        relative gaps, the number of Newton steps, whether every block was
+        certified and the summed trace of the multipliers the gaps were
+        measured at.  The last multipliers are kept: a later solve at the same
         radius resumes from them, and any later solve whose radius they
         already certify within its tol returns at once.
         """
@@ -375,7 +384,7 @@ class BlockDiagonalProblem:
         Lam_all = np.zeros((self.L, n, n))
         Lam_all[k] = Lam
         self._warm = (tau, Lam_all)
-        return Z, gap, iterations, bool(np.all(gap <= tol))
+        return Z, gap, iterations, bool(np.all(gap <= tol)), float(np.einsum("kii->", Lam))
 
     def _newton_step(self, d, V, w, ZV, X, S, sigma):
         """One damped primal-dual Newton step on (Lam, X) for a batch of blocks.
@@ -423,38 +432,6 @@ class BlockDiagonalProblem:
         Lam = np.matmul(V, np.matmul(d[:, :, None] * np.eye(n) + step_ * dLam, Vt))
         X = np.matmul(V, np.matmul(Xv + step_ * dX, Vt))
         return _symmetrize(Lam), _symmetrize(X), step
-
-
-def _first_block(rep: SolveReport) -> SolveReport:
-    return replace(rep, solution=rep.solution[0])
-
-
-class ConstrainedLeastSquares:
-    """One dense instance of min ||C G||_F s.t. A G = rhs (and a spectral ball).
-
-    The single-block case of ``BlockDiagonalProblem``, whose constraint SVD,
-    nullspace Gram eigendecomposition and dual Newton solve it uses as they
-    are; it returns the block itself.  ``constraint=None`` leaves G free.
-    """
-
-    def __init__(self, C: np.ndarray, constraint: EqualityConstraint | None):
-        self._blocks = BlockDiagonalProblem([C], constraint)
-        self.C = self._blocks.C[0]
-        self.constraint = constraint
-        self.G_part = self._blocks.G_part
-        self.null_basis = self._blocks.null_basis
-        self.floor = self._blocks.floor
-
-    def unconstrained(self) -> SolveReport:
-        """KKT solution without the ball: exact stationarity on the nullspace."""
-        return _first_block(self._blocks.unconstrained())
-
-    def unconstrained_norm(self) -> float:
-        return self._blocks.unconstrained_norm()
-
-    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000) -> SolveReport:
-        """Solve with ball radius tau (None or inf means unconstrained)."""
-        return _first_block(self._blocks.solve(tau, tol=tol, max_iter=max_iter))
 
 
 def ball_projection_batch(M: np.ndarray, tau: float) -> np.ndarray:
@@ -577,16 +554,14 @@ class CoupledCausalProblem:
     def unconstrained(self) -> SolveReport:
         if self._unconstrained is None:
             if self._infeasible_constraint:
-                self._unconstrained = SolveReport(
-                    solution=self.G_part, objective=np.inf, status="infeasible"
-                )
+                self._unconstrained = _infeasible_report(self.G_part)
             else:
                 lam = self._eigvals
                 cutoff = lam.shape[1] * np.finfo(float).eps * np.maximum(lam[:, -1:], 0.0)
                 inv = np.where(lam > cutoff, 1.0 / np.maximum(lam, 1e-300), 0.0)
                 G = self._solve_columns(np.zeros_like(self.G_part), inv)
                 self._unconstrained = SolveReport(
-                    solution=G, objective=self._objective(G), status="optimal"
+                    solution=G, objective=self._objective(G), status="optimal", gap=0.0
                 )
         return self._unconstrained
 
@@ -594,12 +569,19 @@ class CoupledCausalProblem:
         return float(np.linalg.svd(self.unconstrained().solution, compute_uv=False)[0])
 
     def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000) -> SolveReport:
+        """Solve with ball radius tau (None or inf means unconstrained).
+
+        The ADMM stops on its primal and dual residuals, so an iterative
+        solve reports no gap.  Its ``slope`` is -||rho U||_*, the nuclear
+        norm of the ADMM multiplier: an estimate that is accurate only near
+        convergence.
+        """
         if self._infeasible_constraint:
-            return SolveReport(solution=self.G_part, objective=np.inf, status="infeasible")
+            return _infeasible_report(self.G_part)
         if tau is None or np.isinf(tau):
             return self.unconstrained()
         if tau < self.floor * (1.0 - 1e-9):
-            return SolveReport(solution=self.G_part, objective=np.inf, status="infeasible")
+            return _infeasible_report(self.G_part)
         base = self.unconstrained()
         if self.unconstrained_norm() <= tau * (1.0 + 1e-12):
             return base
@@ -649,6 +631,7 @@ class CoupledCausalProblem:
             objective=self._objective(G_out),
             status=status,
             iterations=it,
+            slope=-rho * float(np.linalg.svd(Uv, compute_uv=False).sum()),
         )
 
 
@@ -664,26 +647,6 @@ class GammaSearchResult:
     gap: float | None = 0.0  # its relative duality gap (None: the solver gives none)
 
 
-def golden_section(fun, lo: float, hi: float, tol: float = 1e-4, max_iter: int = 200):
-    """Golden-section minimization of a scalar function on [lo, hi]."""
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = fun(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = fun(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def gamma_search(
     problem,
     eps: float,
@@ -691,15 +654,29 @@ def gamma_search(
     grid_points: int = 16,
     gamma_tol: float = 1e-3,
     tol: float = 1e-7,
-    max_iter: int = 50_000,
+    max_iter: int = 10_000,
 ) -> GammaSearchResult:
-    """Minimize f(gamma)/(1 - gamma) over gamma in [0, 1).
+    """Minimize h(gamma) = f(gamma)/(1 - gamma) over gamma in [0, 1).
 
     ``problem`` is the inner problem (``BlockDiagonalProblem`` or
     ``CoupledCausalProblem``); the ball radius at gamma is
-    gamma / (sqrt(L) * eps).  f is nonincreasing in gamma because larger
-    radii only relax the ball.  With eps = 0 the ball is vacuous and the
-    closed-form solution is returned at gamma = 0.
+    tau = gamma / (sqrt(L) * eps).  f is convex and nonincreasing in gamma
+    because larger radii only relax the ball, so h is quasi-convex.  With
+    eps = 0 the ball is vacuous and the closed-form solution is returned at
+    gamma = 0.
+
+    The search scans ``grid_points`` radii between the feasibility floor and
+    the radius where the ball stops binding, skipping those whose h cannot
+    beat the incumbent, and brackets the minimum between the grid neighbours
+    of the best scanned point.  It then bisects the bracket down to
+    ``gamma_tol`` on the sign of h', which is the sign of
+    slope * (1 - gamma) + 2 sqrt(L) eps f^2 with slope = d(f^2)/d tau from
+    the inner solve, nondecreasing in gamma.  These exploration solves run
+    at (max(tol, 1e-4), min(max_iter, 1200)): radii near the floor converge
+    very slowly and never win.  The evaluated gamma with the least h, where
+    values within the exploration tolerance of it tie and the final
+    bracket's ends win ties, is solved again at ``(tol, max_iter)`` and
+    returned.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -727,59 +704,57 @@ def gamma_search(
     hi = min(gamma_hi, max(gamma_relax, gamma_lo))
 
     evaluated: list[tuple[float, float, float]] = []
-    cache: dict[float, float] = {}
-    # Tolerances and iteration budgets are staged: coarse on the grid,
-    # tighter while refining, strict only for the winning gamma.  Radii near
-    # the feasibility floor converge very slowly and never win, so the
-    # exploration stages are capped hard.
-    grid_tol, grid_iters = max(tol, 1e-4), min(max_iter, 1200)
-    refine_tol, refine_iters = max(tol, 1e-5), min(max_iter, 2500)
 
     def evaluate(gamma: float, solve_tol: float, iters: int) -> tuple[float, SolveReport]:
         rep = problem.solve(gamma / scale, tol=solve_tol, max_iter=iters)
-        val = np.inf if rep.status == "infeasible" else rep.objective
-        evaluated.append((gamma, val, val / (1.0 - gamma) if np.isfinite(val) else np.inf))
-        return val, rep
+        h = rep.objective / (1.0 - gamma)  # an infeasible solve's objective is inf
+        evaluated.append((gamma, rep.objective, h))
+        return h, rep
 
-    def f_of(gamma: float, solve_tol: float, iters: int) -> float:
-        if gamma not in cache:
-            cache[gamma] = evaluate(gamma, solve_tol, iters)[0]
-        return cache[gamma]
+    def rises(gamma: float, rep: SolveReport) -> bool:
+        """Whether h'(gamma) >= 0; an infeasible radius lies left of the minimum."""
+        return rep.slope is not None and rep.slope * (1.0 - gamma) + 2.0 * scale * rep.objective**2 >= 0.0
 
-    def h_grid_of(gamma: float) -> float:
-        val = f_of(gamma, grid_tol, grid_iters)
-        return val / (1.0 - gamma) if np.isfinite(val) else np.inf
-
-    def h_of(gamma: float) -> float:
-        val = f_of(gamma, refine_tol, refine_iters)
-        return val / (1.0 - gamma) if np.isfinite(val) else np.inf
-
+    explore = (max(tol, 1e-4), min(max_iter, 1200))
     # f never drops below the unconstrained optimum, so any gamma whose
     # h lower bound already exceeds the incumbent cannot win.
     f_floor = problem.unconstrained().objective
-
     grid = np.linspace(gamma_lo, hi, grid_points)
     h_grid = np.full(len(grid), np.inf)
-    best_h = np.inf
+    scanned: dict[int, SolveReport] = {}
     for idx, g in enumerate(grid):
-        if np.isfinite(f_floor) and f_floor / (1.0 - g) >= best_h:
+        if np.isfinite(f_floor) and f_floor / (1.0 - g) >= h_grid.min():
             continue
-        h_grid[idx] = h_grid_of(g)
-        best_h = min(best_h, h_grid[idx])
+        h_grid[idx], scanned[idx] = evaluate(g, *explore)
     if not np.any(np.isfinite(h_grid)):
         raise InfeasibleEpsilon("epsilon too large for data: no feasible gamma found")
     best = int(np.argmin(h_grid))
-    lo_b = grid[max(best - 1, 0)]
-    hi_b = grid[min(best + 1, len(grid) - 1)]
-    g_star, h_star = golden_section(h_of, lo_b, hi_b, tol=gamma_tol)
-    if h_grid[best] < h_star:
-        g_star = float(grid[best])
-    f_star, rep = evaluate(g_star, tol, min(max_iter, 10_000))
-    h_star = f_star / (1.0 - g_star) if np.isfinite(f_star) else np.inf
+    # The minimum lies between the best point's grid neighbours, on the side
+    # its slope points to.
+    if rises(grid[best], scanned[best]):
+        lo_b, hi_b = grid[max(best - 1, 0)], grid[best]
+    else:
+        lo_b, hi_b = grid[best], grid[min(best + 1, len(grid) - 1)]
+    while hi_b - lo_b > gamma_tol:
+        mid = 0.5 * (lo_b + hi_b)
+        if mid in (lo_b, hi_b):  # the bracket is down to adjacent floats
+            break
+        if rises(mid, evaluate(mid, *explore)[1]):
+            hi_b = mid
+        else:
+            lo_b = mid
+    # Exploration values of h are only as exact as their tolerance: values
+    # within it of the least count as ties, won by the ends of the bracket
+    # the slopes narrowed down.
+    h_min = min(e[2] for e in evaluated)
+    near = [e for e in evaluated if e[2] <= h_min * (1.0 + explore[0])]
+    inside = [e for e in near if lo_b <= e[0] <= hi_b]
+    g_star = min(inside or near, key=lambda e: e[2])[0]
+    h_star, rep = evaluate(g_star, tol, max_iter)
     return GammaSearchResult(
         gamma=float(g_star),
         objective=float(h_star),
-        f_value=float(f_star),
+        f_value=float(rep.objective),
         solution=rep.solution,
         grid=sorted(evaluated),
         status=rep.status,

@@ -253,7 +253,7 @@ def synth_robust(
     grid_points: int = 16,
     gamma_tol: float = 1e-4,
     tol: float = 1e-7,
-    max_iter: int = 50_000,
+    max_iter: int = 10_000,
 ) -> SynthesisResult:
     """Robust synthesis from noisy data under a noise-Hankel norm budget.
 
@@ -265,6 +265,14 @@ def synth_robust(
     model-based optimum.  ``mode="naive"`` drops the norm constraint
     entirely, i.e. solves at eps = 0 whatever ``eps`` is (gamma is reported
     as None); this reproduces the unregularized fit.
+
+    gamma comes from ``solver.gamma_search``, the same search for both
+    structures: a scan of ``grid_points`` radii brackets the minimum, and
+    bisection on the sign of the objective's slope, which every inner solve
+    reports, shrinks the bracket to ``gamma_tol``.  Exploration solves run
+    at (max(tol, 1e-4), min(max_iter, 1200)); the returned gamma is solved
+    again at ``(tol, max_iter)``, and its status, iterations and gap are in
+    ``search``.
     """
     _require_excitation(data)
     if eps < 0:

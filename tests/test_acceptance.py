@@ -37,7 +37,7 @@ from ddsls.sls import (
     responses_from_controller,
     sls_cost,
 )
-from ddsls.solver import ConstrainedLeastSquares
+from ddsls.solver import BlockDiagonalProblem
 from ddsls.synth import DataHankels, assemble_delta, assemble_responses, synth_robust
 from tests.oracles import kkt_equality_ls, projected_gradient_spectral
 from tests.test_sls import random_causal
@@ -175,7 +175,7 @@ def test_criterion_05_solver_against_oracles():
     worst_pg = 0.0
     for seed in range(20):
         C, constraint = oracle_friendly_instance(seed + 500)
-        solver = ConstrainedLeastSquares(C, constraint)
+        solver = BlockDiagonalProblem([C], constraint)
         ref = solver.solve(1.5 * solver.unconstrained_norm())  # ball inactive
         _, obj_kkt = kkt_equality_ls(C, constraint.A, constraint.rhs)
         worst_kkt = max(worst_kkt, abs(ref.objective - obj_kkt) / max(obj_kkt, 1e-12))

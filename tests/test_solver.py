@@ -7,13 +7,11 @@ from ddsls.blockops import CostWeights, spectral_norm
 from ddsls.lti import LtiSystem, average, generate_ensemble, simulate
 from ddsls.solver import (
     BlockDiagonalProblem,
-    ConstrainedLeastSquares,
     CoupledCausalProblem,
     EqualityConstraint,
     InfeasibleEpsilon,
     ball_projection_batch,
     gamma_search,
-    golden_section,
 )
 from ddsls.synth import DataHankels, _build_problem, stacked_cost_map
 from tests.conftest import SIGMA2, T_BENCH
@@ -35,7 +33,7 @@ def oracle_friendly_instance(seed, slack=1.6):
     """
     for j in range(64):
         C, constraint = small_instance(seed + 7919 * j)
-        probe = ConstrainedLeastSquares(C, constraint)
+        probe = BlockDiagonalProblem([C], constraint)
         if probe.unconstrained_norm() >= slack * probe.floor:
             return C, constraint
     raise RuntimeError("no well-separated instance found")
@@ -59,8 +57,8 @@ def small_instance(seed, n=2, m=1, L=3, T=15):
 
 
 def closed_form(C, constraint):
-    """Equality-constrained least squares without the ball."""
-    return ConstrainedLeastSquares(C, constraint).unconstrained()
+    """Equality-constrained least squares without the ball (one block)."""
+    return BlockDiagonalProblem([C], constraint).unconstrained()
 
 
 class TestEqLs:
@@ -69,7 +67,7 @@ class TestEqLs:
         A = rng.standard_normal((2, 8))
         constraint = EqualityConstraint(A=A, rhs=np.eye(2))
         rep = closed_form(np.zeros((3, 8)), constraint)
-        np.testing.assert_allclose(rep.solution, np.linalg.pinv(A), atol=1e-10)
+        np.testing.assert_allclose(rep.solution[0], np.linalg.pinv(A), atol=1e-10)
 
     def test_no_constraint_gives_zero(self):
         rep = closed_form(np.random.default_rng(1).standard_normal((4, 6)), None)
@@ -81,13 +79,13 @@ class TestEqLs:
         rep = closed_form(C, constraint)
         _, obj_kkt = kkt_equality_ls(C, constraint.A, constraint.rhs)
         assert rep.objective == pytest.approx(obj_kkt, abs=1e-8, rel=1e-8)
-        assert np.abs(constraint.A @ rep.solution - constraint.rhs).max() < 1e-9
+        assert np.abs(constraint.A @ rep.solution[0] - constraint.rhs).max() < 1e-9
 
     def test_stationarity_residual(self):
         C, constraint = small_instance(99)
         rep = closed_form(C, constraint)
-        solver = ConstrainedLeastSquares(C, constraint)
-        grad = C.T @ (C @ rep.solution)
+        solver = BlockDiagonalProblem([C], constraint)
+        grad = C.T @ (C @ rep.solution[0])
         assert np.abs(solver.null_basis.T @ grad).max() < 1e-9
 
 
@@ -118,13 +116,13 @@ class TestBallProjection:
 class TestSpectralAdmm:
     def test_unbounded_radius_matches_eq_ls(self):
         C, constraint = small_instance(5)
-        rep = ConstrainedLeastSquares(C, constraint).solve(None)
+        rep = BlockDiagonalProblem([C], constraint).solve(None)
         ref = closed_form(C, constraint)
         assert rep.objective == pytest.approx(ref.objective, rel=1e-12)
 
     def test_inactive_ball_iterative_agrees_with_closed_form(self):
         C, constraint = small_instance(6)
-        solver = ConstrainedLeastSquares(C, constraint)
+        solver = BlockDiagonalProblem([C], constraint)
         ref = solver.unconstrained()
         inactive = solver.solve(1.2 * solver.unconstrained_norm(), tol=1e-9)
         assert (inactive.status, inactive.iterations, inactive.gap) == ("optimal", 0, 0.0)
@@ -138,7 +136,7 @@ class TestSpectralAdmm:
     @pytest.mark.parametrize("seed", range(5))
     def test_active_ball_matches_projected_gradient(self, seed):
         C, constraint = oracle_friendly_instance(seed + 20)
-        solver = ConstrainedLeastSquares(C, constraint)
+        solver = BlockDiagonalProblem([C], constraint)
         tau = active_radius(solver)
         rep = solver.solve(tau, tol=1e-9)
         assert rep.status == "optimal"
@@ -149,17 +147,17 @@ class TestSpectralAdmm:
 
     def test_solution_satisfies_both_constraint_families(self):
         C, constraint = small_instance(7)
-        solver = ConstrainedLeastSquares(C, constraint)
+        solver = BlockDiagonalProblem([C], constraint)
         tau = active_radius(solver)
         rep = solver.solve(tau, tol=1e-8)
-        assert np.abs(constraint.A @ rep.solution - constraint.rhs).max() < 1e-10
-        assert spectral_norm(rep.solution) <= tau * (1.0 + 1e-6)
+        assert np.abs(constraint.A @ rep.solution[0] - constraint.rhs).max() < 1e-10
+        assert spectral_norm(rep.solution[0]) <= tau * (1.0 + 1e-6)
 
     def test_matches_interior_point_on_thin_feasible_sets(self):
         cp = pytest.importorskip("cvxpy")
         for seed in (506, 510, 41):
             C, constraint = small_instance(seed)
-            solver = ConstrainedLeastSquares(C, constraint)
+            solver = BlockDiagonalProblem([C], constraint)
             tau = active_radius(solver)
             rep = solver.solve(tau, tol=1e-9)
             G = cp.Variable((C.shape[1], constraint.rhs.shape[1]))
@@ -172,33 +170,33 @@ class TestSpectralAdmm:
 
     def test_zero_radius_without_constraint_is_the_origin(self):
         C, _ = small_instance(10)
-        rep = ConstrainedLeastSquares(C, None).solve(0.0)
+        rep = BlockDiagonalProblem([C], None).solve(0.0)
         assert (rep.status, rep.gap) == ("optimal", 0.0)
         assert not rep.solution.any()
 
     def test_below_floor_infeasible(self):
         C, constraint = small_instance(8)
-        solver = ConstrainedLeastSquares(C, constraint)
+        solver = BlockDiagonalProblem([C], constraint)
         rep = solver.solve(0.5 * solver.floor)
         assert rep.status == "infeasible"
 
     def test_floor_equals_min_norm_solution_norm(self):
         C, constraint = small_instance(9)
-        solver = ConstrainedLeastSquares(C, constraint)
+        solver = BlockDiagonalProblem([C], constraint)
         assert solver.floor == pytest.approx(
             spectral_norm(np.linalg.pinv(constraint.A)), rel=1e-12
         )
 
 
 class TestGammaSearch:
-    def build_problem(self, seed, n=2, m=1, L=3, T=15, noise=0.2):
+    def build_problem(self, seed, n=2, m=1, L=3, T=15, noise=0.2, structure="blockdiag"):
         rng = np.random.default_rng(seed)
         A = rng.standard_normal((n, n)) * 0.4 + 0.5 * np.eye(n)
         sys = LtiSystem(A=A, B=rng.standard_normal((n, m)), noise_std=noise)
         ens = generate_ensemble(sys, T, 4, seed=seed)
         data = DataHankels.from_trajectory(average(ens), L)
         w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
-        return _build_problem(data, w, "blockdiag"), data
+        return _build_problem(data, w, structure), data
 
     def test_eps_zero_returns_closed_form(self):
         prob, _ = self.build_problem(0)
@@ -221,20 +219,37 @@ class TestGammaSearch:
         sorted_f = np.asarray(fs)[order]
         assert np.all(np.diff(sorted_f) <= 1e-4 * np.maximum(1.0, sorted_f[:-1]))
 
-    def test_refined_minimum_matches_dense_scan(self):
-        prob, data = self.build_problem(3)
+    # The coupled ADMM needs up to 50 000 iterations at radii next to the
+    # floor; a coarser, capped scan keeps its case to a few seconds.  A
+    # capped solve still returns a point in the ball, so its h stays an
+    # upper bound on the minimum.
+    @pytest.mark.parametrize(
+        "structure, points, scan_iters",
+        [("blockdiag", 200, 50_000), ("full", 50, 2000)],
+        ids=["blockdiag", "full"],
+    )
+    def test_refined_minimum_matches_dense_scan(self, structure, points, scan_iters):
+        prob, data = self.build_problem(3, structure=structure)
         # A budget that leaves the program feasible with margin.
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
         res = gamma_search(prob, eps, 3)
         scale = np.sqrt(3) * eps
         lo = scale * prob.floor * 1.001 + 1e-12
         best = np.inf
-        for g in np.linspace(lo, 0.999, 200):
-            rep = prob.solve(g / scale, tol=1e-7)
+        for g in np.linspace(lo, 0.999, points):
+            rep = prob.solve(g / scale, tol=1e-7, max_iter=scan_iters)
             if rep.status == "infeasible":
                 continue
             best = min(best, rep.objective / (1.0 - g))
         assert res.objective <= best * (1.0 + 1e-3)
+
+    def test_zero_gamma_tol_stops_at_float_resolution(self):
+        prob, data = self.build_problem(3)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        coarse = gamma_search(prob, eps, 3)
+        res = gamma_search(self.build_problem(3)[0], eps, 3, gamma_tol=0.0)
+        assert len(res.grid) < len(coarse.grid) + 60
+        assert res.objective <= coarse.objective * (1.0 + 1e-6)
 
     def test_solution_respects_radius(self):
         prob, data = self.build_problem(4)
@@ -267,6 +282,13 @@ def assert_blocks_certified(rep, prob, data, tau, tol):
     for G in rep.solution:
         assert np.abs(data.h1x @ G - np.eye(data.n)).max() < 1e-10
         assert spectral_norm(G) <= tau * (1.0 + 1e-12)
+
+
+def squared_objective_slope(prob, tau, tol, step=1e-4):
+    """Central finite difference of objective**2 in the radius, at solves to ``tol``."""
+    up = prob.solve(tau * (1.0 + step), tol=tol, max_iter=50_000).objective ** 2
+    down = prob.solve(tau * (1.0 - step), tol=tol, max_iter=50_000).objective ** 2
+    return (up - down) / (2.0 * tau * step)
 
 
 class TestBlockDiagonalProblem:
@@ -319,6 +341,23 @@ class TestBlockDiagonalProblem:
         assert tighter.status == "optimal" and tighter.gap <= 1e-10
         assert tighter.objective <= first.objective * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("source", ["bench", 0, 1, 2, 3])
+    def test_slope_matches_finite_difference(self, source, bench_problem):
+        if source == "bench":
+            prob, _ = bench_problem
+        else:
+            n, m, L = 2 + source % 2, 1 + source % 2, 3
+            w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+            plant = random_plant(source, n, m, 1.1)
+            prob, _ = blockdiag_instance(plant, w, L + n + m * L + 8, 4, seed=source)
+        floor, top = prob.floor, prob.unconstrained_norm()
+        for frac in (0.2, 0.5, 0.9):
+            tau = floor * (top / floor) ** frac
+            rep = prob.solve(tau, tol=1e-10)
+            assert rep.status == "optimal"
+            assert rep.slope == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-5)
+        assert prob.solve(1.1 * top, tol=1e-10).slope == 0.0
+
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -362,7 +401,7 @@ class TestBlockDiagonalProblem:
         total = 0.0
         for k, C in enumerate(Cs):
             ref = closed_form(C, constraint)
-            np.testing.assert_allclose(rep.solution[k], ref.solution, atol=1e-9)
+            np.testing.assert_allclose(rep.solution[k], ref.solution[0], atol=1e-9)
             total += ref.objective**2
         assert rep.objective == pytest.approx(np.sqrt(total), rel=1e-10)
 
@@ -375,7 +414,7 @@ class TestBlockDiagonalProblem:
         tau = max(1.05 * batch.floor, 0.5 * batch.unconstrained_norm())
         rep = batch.solve(tau, tol=1e-9)
         for k, C in enumerate(Cs):
-            single = ConstrainedLeastSquares(C, constraint).solve(tau, tol=1e-9)
+            single = BlockDiagonalProblem([C], constraint).solve(tau, tol=1e-9)
             obj_k = float(np.linalg.norm(C @ rep.solution[k]))
             assert obj_k == pytest.approx(single.objective, rel=1e-5, abs=1e-7)
 
@@ -395,12 +434,6 @@ def test_rank_deficient_constraint_is_infeasible_in_both_classes():
         assert prob.solve(10.0 * prob.floor).status == "infeasible"
         with pytest.raises(InfeasibleEpsilon):
             gamma_search(prob, 0.0, L)
-
-
-def test_golden_section_on_parabola():
-    x, f = golden_section(lambda x: (x - 1.3) ** 2 + 0.5, 0.0, 3.0, tol=1e-6)
-    assert x == pytest.approx(1.3, abs=1e-5)
-    assert f == pytest.approx(0.5, abs=1e-9)
 
 
 def coupled_instance(sys, weights, T, N, seed):
@@ -441,6 +474,30 @@ class TestCoupledCausalProblem:
         n, m, L = 2, 1, 3
         w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
         return coupled_instance(random_plant(17, n, m, 1.1), w, 15, 4, seed=17)
+
+    @pytest.fixture(scope="class")
+    def horizon3(self):
+        # The plant and record of test_synth's robust full-structure check.
+        sys = LtiSystem(A=np.array([[0.9, 0.2], [0.0, 0.8]]), B=np.eye(2), noise_std=0.1)
+        w = CostWeights.uniform(np.eye(2), np.eye(2), horizon=3)
+        return coupled_instance(sys, w, 15, 8, seed=32)
+
+    def test_inactive_ball_is_the_closed_form(self, horizon3):
+        prob, _, _ = horizon3
+        ref = prob.unconstrained()
+        for tau in (prob.unconstrained_norm(), 1.2 * prob.unconstrained_norm(), None):
+            rep = prob.solve(tau, tol=1e-9)
+            assert (rep.status, rep.iterations, rep.gap, rep.slope) == ("optimal", 0, 0.0, 0.0)
+            np.testing.assert_array_equal(rep.solution, ref.solution)
+
+    @pytest.mark.parametrize("frac", [0.05, 0.2, 0.8])
+    def test_slope_matches_finite_difference(self, frac, horizon3):
+        prob, _, _ = horizon3
+        tau = prob.floor + frac * (prob.unconstrained_norm() - prob.floor)
+        rep = prob.solve(tau, tol=1e-10)
+        assert rep.status == "optimal"
+        # Converged ADMM multipliers matched to 4.2e-9 on these radii.
+        assert rep.slope == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-6)
 
     @pytest.mark.parametrize("which", ["bench_instance", "small"])
     def test_unconstrained_matches_kkt_per_block_column(self, which, request):
