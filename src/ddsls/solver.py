@@ -15,8 +15,10 @@ min h(gamma) = f(gamma) / (1 - gamma) over one inner problem, where
 f(gamma) is the inner optimal value with ball radius gamma / (sqrt(L) eps).
 It runs the same code for both problem classes: a coarse grid brackets the
 minimum, and bisection on the sign of h', read from each solve's slope,
-shrinks the bracket.  Its status, iteration count and gap are those of the
-inner solve at the returned gamma.
+shrinks the bracket.  Solves depend on their arguments only; each starts
+from the report of the nearest gamma solved so far, passed as ``start``,
+and the final solve at the returned gamma resumes that gamma's own; the
+search reports that solve's status, gap and added iterations.
 
 Independent blocks (``BlockDiagonalProblem``, the diagonal blocks of the
 structured program) are solved exactly through the Lagrange dual of the
@@ -38,7 +40,7 @@ minimum-norm feasible point so that it lies in the ball exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -78,10 +80,12 @@ class SolveReport:
     # d(objective^2)/d tau at the returned point: 0 when the ball is slack,
     # None when the solve is infeasible.
     slope: float | None = 0.0
+    tau: float | None = None  # the ball radius solved at (None: no ball)
+    state: object = None  # iterate a ``start`` resumes: blockdiag's Lam (L, n, n), full's (Y, Uv, rho)
 
 
-def _infeasible_report(solution: np.ndarray) -> SolveReport:
-    return SolveReport(solution=solution, objective=np.inf, status="infeasible", slope=None)
+def _infeasible_report(solution: np.ndarray, tau: float | None = None) -> SolveReport:
+    return SolveReport(solution=solution, objective=np.inf, status="infeasible", slope=None, tau=tau)
 
 
 def _affine_set(A: np.ndarray, rhs: np.ndarray):
@@ -194,7 +198,6 @@ class BlockDiagonalProblem:
         products = np.einsum("aij,bjk->abik", E, E).reshape(-1, n, n)
         self._basis_products = _symmetrize(products).reshape(-1, n * n)
         self._unconstrained: SolveReport | None = None
-        self._warm: tuple[float, np.ndarray] | None = None  # (tau, multipliers) of the last solve
 
     def _objectives(self, G: np.ndarray) -> np.ndarray:
         return np.linalg.norm(np.matmul(self.C, G), axis=(1, 2))
@@ -228,8 +231,12 @@ class BlockDiagonalProblem:
     def unconstrained_norm(self) -> float:
         return float(self.unconstrained_norms().max())
 
-    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000) -> SolveReport:
+    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
         """Solve with ball radius tau (None or inf means unconstrained).
+
+        The result depends on the arguments only: the Newton iteration
+        resumes from the multipliers ``start.state`` of an earlier report at
+        the same radius (``start.tau == tau``), else from ``_secular_start``.
 
         ``iterations`` counts Newton steps, ``gap`` is the largest relative
         duality gap over the blocks (of the squared objective, hence a bound
@@ -239,27 +246,31 @@ class BlockDiagonalProblem:
         is -2 tau sum_k tr Lam_k, the derivative in tau of the dual bound at
         the multipliers the gap was measured at.
         """
-        if self._infeasible_constraint or tau is None or np.isinf(tau):
+        if tau is None or np.isinf(tau):
             return self.unconstrained()
-        if tau < self.floor * (1.0 - 1e-9):
-            return _infeasible_report(self._stacked(self.G_part))
+        if self._infeasible_constraint or tau < self.floor * (1.0 - 1e-9):
+            return _infeasible_report(self._stacked(self.G_part), tau)
         base = self.unconstrained()
         active = self.unconstrained_norms() > tau * (1.0 + 1e-12)
         # tau = 0 gets past the floor check only when G_part = 0, and then
         # the closed form is 0 too: no block is active.
         if not active.any():
-            return base
+            return replace(base, tau=tau)
         k = np.flatnonzero(active)
-        Z, gap, iterations, certified, trace = self._dual_newton(k, tau, tol, max_iter)
+        Z, gap, iterations, Lam = self._dual_newton(k, tau, tol, max_iter, start)
         G = base.solution.copy()
         G[k] = self._to_blocks(Z, k)
+        state = np.zeros((self.L, *Lam.shape[1:]))
+        state[k] = Lam
         return SolveReport(
             solution=G,
             objective=self._combined(G),
-            status="optimal" if certified else "max-iter",
+            status="optimal" if np.all(gap <= tol) else "max-iter",
             iterations=iterations,
             gap=float(gap.max()),
-            slope=-2.0 * tau * trace,
+            slope=-2.0 * tau * float(np.einsum("kii->", Lam)),
+            tau=tau,
+            state=state,
         )
 
     def _response(self, k: np.ndarray, Lam: np.ndarray):
@@ -326,15 +337,14 @@ class BlockDiagonalProblem:
         c = np.maximum(c, 1e-3 * np.maximum(scale, np.finfo(float).tiny)[:, None])
         return np.matmul(Q[None] * c[:, None, :], Q.T[None])
 
-    def _dual_newton(self, k, tau, tol, max_iter):
+    def _dual_newton(self, k, tau, tol, max_iter, start):
         """Primal-dual Newton iteration on the duals of blocks k.
 
-        Returns the ball-feasible Z of each block (Gram eigenbasis), the
-        relative gaps, the number of Newton steps, whether every block was
-        certified and the summed trace of the multipliers the gaps were
-        measured at.  The last multipliers are kept: a later solve at the same
-        radius resumes from them, and any later solve whose radius they
-        already certify within its tol returns at once.
+        Starts from the multipliers of the report ``start`` when it was
+        solved at radius tau, else from the secular start.  Returns the
+        ball-feasible Z of each block (Gram eigenbasis), the relative gaps,
+        the number of Newton steps and the multipliers the gaps were
+        measured at.
         """
         n = self.G_part.shape[1]
         eps = np.finfo(float).eps
@@ -345,19 +355,11 @@ class BlockDiagonalProblem:
         S = (Q * s) @ Q.T
         S_sqrt, S_isqrt = (Q * np.sqrt(s)) @ Q.T, (Q / np.sqrt(s)) @ Q.T
 
-        Lam = self._secular_start(k, s, Q)
+        # Indexing by k copies the resumed multipliers.
+        Lam = start.state[k] if start is not None and start.tau == tau else self._secular_start(k, s, Q)
         Z = np.zeros((k.size, *self._lin.shape[1:]))
         gap = np.full(k.size, np.inf)
-        if self._warm is not None:
-            warm_tau, warm = self._warm
-            warm = warm[k]
-            usable = np.flatnonzero(np.linalg.eigvalsh(warm)[:, 0] > 0)
-            if usable.size:
-                _, V, _, ZV = self._response(k[usable], warm[usable])
-                Z[usable], gap[usable] = self._certificate(k[usable], warm[usable], V, ZV, S, S_isqrt, S_sqrt)
-                reuse = usable[(gap[usable] <= tol) | (warm_tau == tau)]
-                Lam[reuse] = warm[reuse]
-        open_ = np.flatnonzero(gap > tol)
+        open_ = np.arange(k.size)
         X = np.zeros_like(Lam)
         sigma = np.full(k.size, self._CENTERING[0])
         iterations = 0
@@ -381,10 +383,7 @@ class BlockDiagonalProblem:
             Lam[open_], X[open_], step = self._newton_step(d, V, w, ZV, X[open_], S, sigma[open_])
             sigma[open_] = np.clip((1.0 - step) ** 2, *self._CENTERING)
             iterations += 1
-        Lam_all = np.zeros((self.L, n, n))
-        Lam_all[k] = Lam
-        self._warm = (tau, Lam_all)
-        return Z, gap, iterations, bool(np.all(gap <= tol)), float(np.einsum("kii->", Lam))
+        return Z, gap, iterations, Lam
 
     def _newton_step(self, d, V, w, ZV, X, S, sigma):
         """One damped primal-dual Newton step on (Lam, X) for a batch of blocks.
@@ -496,7 +495,6 @@ class CoupledCausalProblem:
             [np.sum((CP[:, j * cols :].T @ self._eigvecs[j]) ** 2, axis=0) for j in range(L)]
         )
         self._unconstrained: SolveReport | None = None
-        self._warm = None
 
     def _objective(self, G: np.ndarray) -> float:
         return float(np.linalg.norm(self.C @ G))
@@ -568,32 +566,31 @@ class CoupledCausalProblem:
     def unconstrained_norm(self) -> float:
         return float(np.linalg.svd(self.unconstrained().solution, compute_uv=False)[0])
 
-    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000) -> SolveReport:
+    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
         """Solve with ball radius tau (None or inf means unconstrained).
+
+        The result depends on the arguments only: the ADMM resumes from the
+        (Y, Uv, rho) ``start.state`` of an earlier report at any radius, else
+        starts from the ball projection of the closed form.
 
         The ADMM stops on its primal and dual residuals, so an iterative
         solve reports no gap.  Its ``slope`` is -||rho U||_*, the nuclear
         norm of the ADMM multiplier: an estimate that is accurate only near
         convergence.
         """
-        if self._infeasible_constraint:
-            return _infeasible_report(self.G_part)
         if tau is None or np.isinf(tau):
             return self.unconstrained()
-        if tau < self.floor * (1.0 - 1e-9):
-            return _infeasible_report(self.G_part)
+        if self._infeasible_constraint or tau < self.floor * (1.0 - 1e-9):
+            return _infeasible_report(self.G_part, tau)
         base = self.unconstrained()
         if self.unconstrained_norm() <= tau * (1.0 + 1e-12):
-            return base
+            return replace(base, tau=tau)
 
-        G = base.solution.copy()
-        if self._warm is not None and self._warm[0].shape == G.shape:
-            Y, Uv, rho = self._warm
-            Y, Uv = Y.copy(), Uv.copy()
+        if start is not None and start.state is not None:
+            Y, Uv, rho = start.state
         else:
-            Y = ball_projection_batch(G[None], tau)[0]
-            Uv = np.zeros_like(G)
-            rho = self._initial_rho()
+            Y = ball_projection_batch(base.solution[None], tau)[0]
+            Uv, rho = np.zeros_like(Y), self._initial_rho()
         relax = 1.7
         status = "max-iter"
         it = 0
@@ -616,7 +613,6 @@ class CoupledCausalProblem:
                 elif s > 10.0 * r:
                     rho /= 2.0
                     Uv *= 2.0
-        self._warm = (Y, Uv, rho)
         G_out = self._project_affine(Y)
         # The affine projection can leave the ball by the ADMM residual; blend
         # toward G_part (the minimum-norm feasible point, of norm floor) so the
@@ -632,6 +628,8 @@ class CoupledCausalProblem:
             status=status,
             iterations=it,
             slope=-rho * float(np.linalg.svd(Uv, compute_uv=False).sum()),
+            tau=tau,
+            state=(Y, Uv, rho),
         )
 
 
@@ -643,7 +641,7 @@ class GammaSearchResult:
     solution: np.ndarray  # the inner solution at the returned gamma
     grid: list[tuple[float, float, float]]  # (gamma, f, h) at evaluated points
     status: str  # inner status at the returned gamma
-    iterations: int = 0  # inner iterations of the final solve at the returned gamma
+    iterations: int = 0  # inner steps the final solve adds to the returned gamma's exploration report
     gap: float | None = 0.0  # its relative duality gap (None: the solver gives none)
 
 
@@ -676,7 +674,8 @@ def gamma_search(
     very slowly and never win.  The evaluated gamma with the least h, where
     values within the exploration tolerance of it tie and the final
     bracket's ends win ties, is solved again at ``(tol, max_iter)`` and
-    returned.
+    returned.  Each solve starts from the report of the nearest gamma solved
+    so far (the latest on ties): the final one resumes its gamma's own.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -694,22 +693,23 @@ def gamma_search(
     gamma_min = scale * problem.floor
     gamma_hi = 1.0 - 1e-9
     if gamma_min >= gamma_hi:
-        raise InfeasibleEpsilon(
-            f"epsilon too large for data: feasibility needs gamma >= {gamma_min:.6g}"
-        )
+        raise InfeasibleEpsilon(f"epsilon too large for data: feasibility needs gamma >= {gamma_min:.6g}")
     gamma_lo = gamma_min * (1.0 + 1e-3) + 1e-12
     # The ball stops binding once it contains the unconstrained solution;
     # beyond that point h(gamma) only grows.
     gamma_relax = scale * problem.unconstrained_norm()
     hi = min(gamma_hi, max(gamma_relax, gamma_lo))
 
-    evaluated: list[tuple[float, float, float]] = []
+    solved: list[tuple[float, SolveReport]] = []
 
-    def evaluate(gamma: float, solve_tol: float, iters: int) -> tuple[float, SolveReport]:
-        rep = problem.solve(gamma / scale, tol=solve_tol, max_iter=iters)
-        h = rep.objective / (1.0 - gamma)  # an infeasible solve's objective is inf
-        evaluated.append((gamma, rep.objective, h))
-        return h, rep
+    def h(entry: tuple[float, SolveReport]) -> float:  # an infeasible solve's objective is inf
+        return entry[1].objective / (1.0 - entry[0])
+
+    def evaluate(gamma: float, solve_tol: float, iters: int) -> SolveReport:
+        start = min(reversed(solved), key=lambda e: abs(e[0] - gamma))[1] if solved else None
+        rep = problem.solve(gamma / scale, tol=solve_tol, max_iter=iters, start=start)
+        solved.append((gamma, rep))
+        return rep
 
     def rises(gamma: float, rep: SolveReport) -> bool:
         """Whether h'(gamma) >= 0; an infeasible radius lies left of the minimum."""
@@ -720,43 +720,39 @@ def gamma_search(
     # h lower bound already exceeds the incumbent cannot win.
     f_floor = problem.unconstrained().objective
     grid = np.linspace(gamma_lo, hi, grid_points)
-    h_grid = np.full(len(grid), np.inf)
-    scanned: dict[int, SolveReport] = {}
-    for idx, g in enumerate(grid):
-        if np.isfinite(f_floor) and f_floor / (1.0 - g) >= h_grid.min():
+    for g in grid:
+        if solved and f_floor / (1.0 - g) >= min(map(h, solved)):
             continue
-        h_grid[idx], scanned[idx] = evaluate(g, *explore)
-    if not np.any(np.isfinite(h_grid)):
+        evaluate(g, *explore)
+    best = min(solved, key=h)
+    if not np.isfinite(h(best)):
         raise InfeasibleEpsilon("epsilon too large for data: no feasible gamma found")
-    best = int(np.argmin(h_grid))
     # The minimum lies between the best point's grid neighbours, on the side
     # its slope points to.
-    if rises(grid[best], scanned[best]):
-        lo_b, hi_b = grid[max(best - 1, 0)], grid[best]
-    else:
-        lo_b, hi_b = grid[best], grid[min(best + 1, len(grid) - 1)]
+    i = int(np.searchsorted(grid, best[0]))
+    lo_b, hi_b = grid[np.clip([i - 1, i] if rises(*best) else [i, i + 1], 0, len(grid) - 1)]
     while hi_b - lo_b > gamma_tol:
         mid = 0.5 * (lo_b + hi_b)
         if mid in (lo_b, hi_b):  # the bracket is down to adjacent floats
             break
-        if rises(mid, evaluate(mid, *explore)[1]):
+        if rises(mid, evaluate(mid, *explore)):
             hi_b = mid
         else:
             lo_b = mid
     # Exploration values of h are only as exact as their tolerance: values
     # within it of the least count as ties, won by the ends of the bracket
     # the slopes narrowed down.
-    h_min = min(e[2] for e in evaluated)
-    near = [e for e in evaluated if e[2] <= h_min * (1.0 + explore[0])]
+    h_min = min(map(h, solved))
+    near = [e for e in solved if h(e) <= h_min * (1.0 + explore[0])]
     inside = [e for e in near if lo_b <= e[0] <= hi_b]
-    g_star = min(inside or near, key=lambda e: e[2])[0]
-    h_star, rep = evaluate(g_star, tol, max_iter)
+    g_star = min(inside or near, key=h)[0]
+    rep = evaluate(g_star, tol, max_iter)
     return GammaSearchResult(
         gamma=float(g_star),
-        objective=float(h_star),
+        objective=float(h(solved[-1])),
         f_value=float(rep.objective),
         solution=rep.solution,
-        grid=sorted(evaluated),
+        grid=sorted((g, r.objective, h((g, r))) for g, r in solved),
         status=rep.status,
         iterations=rep.iterations,
         gap=rep.gap,

@@ -270,9 +270,9 @@ def synth_robust(
     structures: a scan of ``grid_points`` radii brackets the minimum, and
     bisection on the sign of the objective's slope, which every inner solve
     reports, shrinks the bracket to ``gamma_tol``.  Exploration solves run
-    at (max(tol, 1e-4), min(max_iter, 1200)); the returned gamma is solved
-    again at ``(tol, max_iter)``, and its status, iterations and gap are in
-    ``search``.
+    at (max(tol, 1e-4), min(max_iter, 1200)), each from the nearest gamma
+    solved so far; the returned gamma's report is resumed at ``(tol, max_iter)``
+    and that solve's status, gap and added iterations are in ``search``.
     """
     _require_excitation(data)
     if eps < 0:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -259,6 +261,24 @@ class TestGammaSearch:
         # Every diagonal block of the solution lies in the ball.
         assert np.linalg.svd(res.solution, compute_uv=False).max() <= tau * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("structure", ["blockdiag", "full"])
+    def test_each_solve_starts_from_the_nearest_solved_radius(self, structure):
+        prob, data = self.build_problem(3, structure=structure)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        recording = RecordingProblem(prob)
+        res = gamma_search(recording, eps, 3)
+        *explore, (tau_final, start_final, _) = recording.calls
+        assert len(explore) > 3 and explore[0][1] is None
+        for i, (tau, start, _) in enumerate(explore[1:], 1):
+            earlier = explore[:i]
+            # A bisection midpoint ties its bracket ends up to rounding.
+            assert abs(start.tau - tau) <= min(abs(t - tau) for t, _, _ in earlier) * (1.0 + 1e-9)
+            assert any(start is rep for _, _, rep in earlier)
+        # The final solve resumes the returned gamma's own exploration report.
+        assert tau_final == res.gamma / (np.sqrt(3) * eps)
+        own = [rep for tau, _, rep in explore if tau == tau_final]
+        assert len(own) == 1 and own[0] is start_final
+
     def test_status_is_worst_final_inner_status(self):
         prob, data = self.build_problem(4)
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
@@ -267,6 +287,26 @@ class TestGammaSearch:
         prob, _ = self.build_problem(4)
         converged = gamma_search(prob, eps, 3)
         assert converged.status == "optimal" and 2 < converged.iterations < 50_000
+
+
+class RecordingProblem:
+    """An inner problem that records the radius, start and report of every solve."""
+
+    def __init__(self, problem):
+        self.problem, self.calls = problem, []
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def solve(self, tau, tol, max_iter, start=None):
+        rep = self.problem.solve(tau, tol=tol, max_iter=max_iter, start=start)
+        self.calls.append((tau, start, rep))
+        return rep
+
+
+def assert_same_report(a, b):
+    """Bit-identical reports, solution and state included."""
+    np.testing.assert_equal(vars(a), vars(b))
 
 
 def blockdiag_instance(sys, weights, T, N, seed):
@@ -330,14 +370,21 @@ class TestBlockDiagonalProblem:
             assert np.abs(data.h1x @ G - np.eye(data.n)).max() < 1e-10
             assert spectral_norm(G) <= tau * (1.0 + 1e-12)
 
+    def test_identical_calls_give_identical_reports(self, bench_problem):
+        prob, _ = bench_problem
+        tau = 2.0 * prob.floor
+        first = prob.solve(tau, tol=1e-5)
+        assert first.iterations > 0
+        assert_same_report(prob.solve(tau, tol=1e-5), first)
+
     def test_repeated_radius_reuses_multipliers(self, bench_problem):
         prob, _ = bench_problem
         tau = 2.0 * prob.floor
         first = prob.solve(tau, tol=1e-5)
-        again = prob.solve(tau, tol=1e-5)
+        again = prob.solve(tau, tol=1e-5, start=first)
         assert first.iterations > 0 and again.iterations == 0
         np.testing.assert_array_equal(again.solution, first.solution)
-        tighter = prob.solve(tau, tol=1e-10)
+        tighter = prob.solve(tau, tol=1e-10, start=first)
         assert tighter.status == "optimal" and tighter.gap <= 1e-10
         assert tighter.objective <= first.objective * (1.0 + 1e-12)
 
@@ -489,6 +536,24 @@ class TestCoupledCausalProblem:
             rep = prob.solve(tau, tol=1e-9)
             assert (rep.status, rep.iterations, rep.gap, rep.slope) == ("optimal", 0, 0.0, 0.0)
             np.testing.assert_array_equal(rep.solution, ref.solution)
+
+    def test_identical_calls_give_identical_reports(self, horizon3):
+        prob, _, _ = horizon3
+        tau = prob.floor + 0.2 * (prob.unconstrained_norm() - prob.floor)
+        first = prob.solve(tau, max_iter=200)
+        assert first.iterations > 0
+        assert_same_report(prob.solve(tau, max_iter=200), first)
+
+    def test_resumed_solve_continues_exactly(self, horizon3):
+        prob, _, _ = horizon3
+        tau = prob.floor + 0.2 * (prob.unconstrained_norm() - prob.floor)
+        # A tol out of reach: both solves stop at their caps.
+        half = prob.solve(tau, tol=1e-15, max_iter=20)
+        assert (half.status, half.iterations) == ("max-iter", 20)
+        resumed = prob.solve(tau, tol=1e-15, max_iter=20, start=half)
+        straight = prob.solve(tau, tol=1e-15, max_iter=40)
+        assert (resumed.iterations, straight.iterations) == (20, 40)
+        assert_same_report(replace(resumed, iterations=40), straight)
 
     @pytest.mark.parametrize("frac", [0.05, 0.2, 0.8])
     def test_slope_matches_finite_difference(self, frac, horizon3):
