@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
+    "block_diag",
     "block_downshift",
     "z_stack",
     "obs_stack",
@@ -35,6 +35,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def block_diag(blocks) -> np.ndarray:
+    """Block-diagonal matrix of 2-D blocks, which need not be square; zero elsewhere."""
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        p, q = b.shape
+        out[r : r + p, c : c + q] = b
+        r, c = r + p, c + q
+    return out
 
 
 def block_downshift(L: int, n: int) -> np.ndarray:
@@ -164,7 +176,7 @@ class LtvOperator:
     def from_block_diagonal(cls, blocks: list[np.ndarray]) -> "LtvOperator":
         """Block-diagonal operator from per-step gains (time-varying static map)."""
         p, q = as_matrix(blocks[0], "block").shape
-        return cls(horizon=len(blocks), block_rows=p, block_cols=q, dense=scipy.linalg.block_diag(*blocks))
+        return cls(horizon=len(blocks), block_rows=p, block_cols=q, dense=block_diag(blocks))
 
     @classmethod
     def identity(cls, horizon: int, n: int) -> "LtvOperator":

@@ -81,28 +81,28 @@ def mpc_run(cfg: MpcConfig) -> RunStats:
 
     At every step the current state is treated as the start of a fresh
     sub-horizon, so only the (0, 0) gain block of the synthesized LTV
-    controller acts; fresh process noise is injected each step.
+    controller acts; fresh process noise is injected each step.  The noise
+    of all steps is drawn up front (the same stream as one draw per step),
+    and cost and norms are summed over the stored states after the loop.
     """
     sys = cfg.plant
     gain = cfg.controller.block(0, 0)
-    Q, R = cfg.q_state, cfg.r_input
-    rng = np.random.default_rng(cfg.seed)
-    x = np.zeros(sys.state_dim)
-    cost = 0.0
-    sum_x2 = 0.0
-    sum_u2 = 0.0
-    for _ in range(cfg.horizon):
-        u = gain @ x
-        cost += float(x @ Q @ x + u @ R @ u)
-        sum_x2 += float(x @ x)
-        sum_u2 += float(u @ u)
-        if float(x @ x) > cfg.divergence_threshold**2 or not np.all(np.isfinite(x)):
+    H, n = cfg.horizon, sys.state_dim
+    noise = sys.noise_std * np.random.default_rng(cfg.seed).standard_normal((H, n))
+    limit = cfg.divergence_threshold**2
+    xs = np.empty((H, n))
+    x = np.zeros(n)
+    for t in range(H):
+        # The negated test also flags NaN and inf states.
+        if not x @ x <= limit:
             return RunStats(cost=math.inf, state_norm=math.inf, input_norm=math.inf, diverged=True)
-        x = sys.A @ x + sys.B @ u + sys.noise_std * rng.standard_normal(sys.state_dim)
+        xs[t] = x
+        x = sys.A @ x + sys.B @ (gain @ x) + noise[t]
+    us = xs @ gain.T
     return RunStats(
-        cost=cost,
-        state_norm=math.sqrt(sum_x2),
-        input_norm=math.sqrt(sum_u2),
+        cost=float(np.sum((xs @ cfg.q_state) * xs) + np.sum((us @ cfg.r_input) * us)),
+        state_norm=float(np.linalg.norm(xs)),
+        input_norm=float(np.linalg.norm(us)),
         diverged=False,
     )
 

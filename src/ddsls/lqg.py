@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .blockops import CostWeights, LtvOperator, matrix_rank, spectral_norm
+from .blockops import CostWeights, LtvOperator, block_diag, matrix_rank, spectral_norm
 from .hankel import NotPersistentlyExciting
 from .lti import LtiSystem
 from .sls import SystemResponsePair, responses_from_controller, sls_cost
@@ -119,7 +118,7 @@ class GStar:
 
     @property
     def dense(self) -> np.ndarray:
-        return scipy.linalg.block_diag(*self.blocks)
+        return block_diag(self.blocks)
 
     @property
     def norm(self) -> float:

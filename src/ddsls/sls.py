@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .blockops import CostWeights, LtvOperator, block_downshift, obs_stack, toeplitz_stack
 from .hankel import build_hankel
@@ -99,9 +98,10 @@ def achievability_map(sys: LtiSystem, L: int) -> np.ndarray:
 def responses_from_controller(sys: LtiSystem, K, L: int | None = None) -> SystemResponsePair:
     """Exact closed-loop responses of a causal controller.
 
-    The matrix I - Z (A_lift + B_lift K) is unit lower triangular, so its
-    inverse is computed by forward substitution and is itself causal with
-    identity diagonal blocks.
+    The matrix I - Z (A_lift + B_lift K) is unit lower triangular, so LU of
+    its transpose picks no pivot and the inverse comes from plain back
+    substitution: its blocks above the diagonal are exactly zero and its
+    diagonal blocks exactly the identity.
     """
     n, m = sys.state_dim, sys.input_dim
     if isinstance(K, LtvOperator):
@@ -114,7 +114,7 @@ def responses_from_controller(sys: LtiSystem, K, L: int | None = None) -> System
         raise ValueError(f"controller must be {m * L} x {n * L}, got {Kd.shape}")
     Z = block_downshift(L, n)
     closed = np.eye(n * L) - Z @ (np.kron(np.eye(L), sys.A) + np.kron(np.eye(L), sys.B) @ Kd)
-    phi_x = scipy.linalg.solve_triangular(closed, np.eye(n * L), lower=True)
+    phi_x = np.linalg.solve(closed.T, np.eye(n * L)).T
     phi_u = Kd @ phi_x
     return SystemResponsePair(
         phi_x=LtvOperator(L, n, n, phi_x),
@@ -133,10 +133,9 @@ def achievability_residual(responses: SystemResponsePair, sys: LtiSystem) -> flo
 def recover_controller(responses: SystemResponsePair) -> LtvOperator:
     """Controller K = phi_u phi_x^{-1} realizing the given responses."""
     L, n, m = responses.horizon, responses.state_dim, responses.input_dim
-    # Solve K phi_x = phi_u through the transposed (unit upper) system.
-    Kd = scipy.linalg.solve_triangular(
-        responses.phi_x.dense.T, responses.phi_u.dense.T, lower=False
-    ).T
+    # Solve K phi_x = phi_u through the transposed upper triangular system;
+    # only that triangle of phi_x^T is read, and LU on it picks no pivot.
+    Kd = np.linalg.solve(np.triu(responses.phi_x.dense.T), responses.phi_u.dense.T).T
     return LtvOperator(L, m, n, Kd)
 
 

@@ -18,9 +18,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .blockops import CostWeights, LtvOperator, spectral_norm
+from .blockops import CostWeights, LtvOperator, block_diag, spectral_norm
 from .hankel import NotPersistentlyExciting, _data_rank, build_hankel, first_block_row
 from .lti import Trajectory
 from .sls import _STRUCT_TOL, Perturbation, SystemResponsePair, recover_controller
@@ -290,7 +289,7 @@ def synth_robust(
         max_iter=max_iter,
     )
     # Blockdiag solutions are the stack of the diagonal blocks.
-    ghat = scipy.linalg.block_diag(*search.solution) if structure == "blockdiag" else search.solution
+    ghat = block_diag(search.solution) if structure == "blockdiag" else search.solution
     responses = assemble_responses(data, ghat)
     return SynthesisResult(
         ghat=ghat,

@@ -1,7 +1,11 @@
-"""Every public name the package declares resolves."""
+"""Every public name the package declares resolves, and the runtime needs numpy only."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -38,3 +42,46 @@ def test_every_name_the_package_imports_resolves():
     ]
     assert names
     assert [n for n in names if not hasattr(ddsls, n)] == []
+
+
+NUMPY_ONLY_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    import ddsls
+    import ddsls.cli
+    from ddsls import (
+        CostWeights, DataHankels, LtiSystem, MpcConfig, average, generate_ensemble,
+        mpc_run, recover_controller, responses_from_controller, spectral_norm, synth_robust,
+    )
+
+    plant = LtiSystem(A=np.diag([1.01, 0.9, 0.8]), B=np.eye(3), noise_std=0.1)
+    weights = CostWeights.uniform(np.eye(3), np.eye(3), horizon=4)
+    data = DataHankels.from_trajectory(average(generate_ensemble(plant, 24, 16, seed=1)), 4)
+    eps = spectral_norm(data.hw)
+    for structure in ("blockdiag", "full"):
+        res = synth_robust(data, weights, eps, structure=structure, grid_points=3,
+                           gamma_tol=1e-2, tol=1e-4, max_iter=100)
+    K = recover_controller(responses_from_controller(plant, res.controller))
+    mpc_run(MpcConfig(horizon=50, plant=plant, controller=K, q_state=np.eye(3),
+                      r_input=np.eye(3), seed=2))
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """
+)
+
+
+def test_runtime_never_imports_scipy():
+    # A fresh interpreter runs every layer of the pipeline on the package
+    # alone; scipy stays installed for the tests, so it must not be pulled in.
+    src = Path(ddsls.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import pytest
 from ddsls.blockops import (
     CostWeights,
     LtvOperator,
+    block_diag,
     block_downshift,
     matrix_rank,
     obs_stack,
@@ -169,6 +170,21 @@ class TestLtvOperator:
         assert op.is_causal(0.0)
         np.testing.assert_array_equal(op.block(1, 1), blocks[1])
         np.testing.assert_array_equal(op.block(0, 1), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2, 3), (4, 1), (1, 5)], [(3, 2)], [(1, 1)], [(1, 1), (1, 1), (1, 1)]],
+        ids=["non-square", "single", "1x1", "1x1-stack"],
+    )
+    def test_block_diag_matches_scipy(self, shapes):
+        import scipy.linalg
+
+        rng = np.random.default_rng(5)
+        blocks = [rng.standard_normal(shape) for shape in shapes]
+        expected = scipy.linalg.block_diag(*blocks)
+        out = block_diag(blocks)
+        assert (out.shape, out.dtype) == (expected.shape, expected.dtype)
+        assert out.tobytes() == expected.tobytes()
 
     def test_strict_causality_flags(self):
         Z = block_downshift(3, 2)

@@ -14,7 +14,48 @@ def stationary_controller(plant, weights):
     return riccati_finite(plant, weights).controller()
 
 
+def reference_mpc_run(cfg):
+    """Per-step loop: one noise draw per step, cost and norms summed as it goes."""
+    sys = cfg.plant
+    gain = cfg.controller.block(0, 0)
+    rng = np.random.default_rng(cfg.seed)
+    x = np.zeros(sys.state_dim)
+    cost = sum_x2 = sum_u2 = 0.0
+    for _ in range(cfg.horizon):
+        u = gain @ x
+        cost += float(x @ cfg.q_state @ x + u @ cfg.r_input @ u)
+        sum_x2 += float(x @ x)
+        sum_u2 += float(u @ u)
+        if float(x @ x) > cfg.divergence_threshold**2 or not np.all(np.isfinite(x)):
+            return math.inf, math.inf, math.inf, True
+        x = sys.A @ x + sys.B @ u + sys.noise_std * rng.standard_normal(sys.state_dim)
+    return cost, math.sqrt(sum_x2), math.sqrt(sum_u2), False
+
+
 class TestMpcRun:
+    @pytest.mark.parametrize("gain", ["stationary", "open-loop"])
+    def test_matches_per_step_reference(self, plant, bench_weights, gain):
+        # The open-loop case is the diverging run of the test below.
+        controller = (
+            stationary_controller(plant, bench_weights)
+            if gain == "stationary"
+            else LtvOperator(L_BENCH, 3, 3, np.zeros((30, 30)))
+        )
+        for seed in range(1, 4):
+            cfg = MpcConfig(
+                horizon=1000,
+                plant=plant,
+                controller=controller,
+                q_state=bench_weights.q_state,
+                r_input=bench_weights.r_input,
+                seed=seed,
+            )
+            stats = mpc_run(cfg)
+            cost, state_norm, input_norm, diverged = reference_mpc_run(cfg)
+            assert stats.diverged == diverged == (gain == "open-loop")
+            got = [stats.cost, stats.state_norm, stats.input_norm]
+            np.testing.assert_allclose(got, [cost, state_norm, input_norm], rtol=1e-14, atol=0.0)
+
     def test_zero_noise_zero_start_is_free(self, plant, bench_weights):
         quiet = LtiSystem(A=plant.A, B=plant.B, noise_std=0.0)
         cfg = MpcConfig(

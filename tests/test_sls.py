@@ -4,6 +4,7 @@ import pytest
 from ddsls.blockops import CostWeights, LtvOperator, block_downshift, toeplitz_stack
 from ddsls.lti import LtiSystem, simulate
 from ddsls.sls import (
+    SystemResponsePair,
     achievability_map,
     achievability_residual,
     closed_loop,
@@ -181,11 +182,19 @@ class TestRobustClosedLoop:
             phi_x = scipy.linalg.solve_triangular(
                 I_ZA, np.eye(n * L) + delta + ZB @ phi_u, lower=True
             )
-            resp = responses_from_controller(plant, np.zeros((m * L, n * L)), L)
-            pair = type(resp)(
+            pair = SystemResponsePair(
                 phi_x=LtvOperator(L, n, n, phi_x), phi_u=LtvOperator(L, m, n, phi_u)
             )
             K = recover_controller(pair)
+            # The numpy solve reproduces the triangular solve bit for bit.
+            reference = scipy.linalg.solve_triangular(phi_x.T, phi_u.T, lower=False).T
+            np.testing.assert_array_equal(K.dense, reference)
+            # The closed loop of K is exactly causal with identity diagonal blocks.
+            realized = responses_from_controller(plant, K).phi_x
+            for i in range(L):
+                np.testing.assert_array_equal(realized.block(i, i), np.eye(n))
+                for j in range(i + 1, L):
+                    assert not realized.block(i, j).any()
             wvec = rng.standard_normal(n * L)
             x_sim, u_sim = closed_loop(plant, K, wvec)
             mapped = pair.stacked() @ np.linalg.solve(np.eye(n * L) + delta, wvec)
