@@ -41,7 +41,6 @@ from .sls import (
 )
 from .lqg import GStar, RiccatiSolution, dare, optimal_responses, recover_gstar, riccati_finite
 from .solver import (
-    EqualityConstraint,
     InfeasibleEpsilon,
     SolveReport,
     gamma_search,

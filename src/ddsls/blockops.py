@@ -151,6 +151,11 @@ def psd_sqrt(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
+def _block_max(M: np.ndarray, L: int) -> np.ndarray:
+    """(L, L) array of the largest absolute entry of each block of an L x L block grid."""
+    return np.abs(M.reshape(L, M.shape[0] // L, L, M.shape[1] // L)).max(axis=(1, 3), initial=0.0)
+
+
 @dataclass(frozen=True)
 class LtvOperator:
     """Causal linear operator over a finite horizon, stored densely.
@@ -187,17 +192,12 @@ class LtvOperator:
         return self.dense[i * p : (i + 1) * p, j * q : (j + 1) * q]
 
     def is_causal(self, tol: float = 0.0) -> bool:
-        p, q = self.block_rows, self.block_cols
-        for i in range(self.horizon):
-            for j in range(i + 1, self.horizon):
-                if np.abs(self.block(i, j)).max(initial=0.0) > tol:
-                    return False
-        return True
+        """Every block above the diagonal is at most tol in absolute value."""
+        return not (_block_max(self.dense, self.horizon)[np.triu_indices(self.horizon, 1)] > tol).any()
 
     def is_strictly_causal(self, tol: float = 0.0) -> bool:
-        if not self.is_causal(tol):
-            return False
-        return all(np.abs(self.block(i, i)).max(initial=0.0) <= tol for i in range(self.horizon))
+        """Every block on and above the diagonal is at most tol in absolute value."""
+        return not (_block_max(self.dense, self.horizon)[np.triu_indices(self.horizon)] > tol).any()
 
 
 @dataclass(frozen=True)

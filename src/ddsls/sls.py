@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import CostWeights, LtvOperator, block_downshift, obs_stack, toeplitz_stack
+from .blockops import CostWeights, LtvOperator, _block_max, block_downshift, obs_stack, toeplitz_stack
 from .hankel import build_hankel
 from .lti import LtiSystem, Trajectory
 
@@ -52,10 +52,9 @@ class SystemResponsePair:
             raise ValueError("phi_x and phi_u must share horizon and block columns")
         if not px.is_causal(_STRUCT_TOL) or not pu.is_causal(_STRUCT_TOL):
             raise ValueError("responses must be causal (block lower triangular)")
-        n = px.block_rows
-        for i in range(px.horizon):
-            if np.abs(px.block(i, i) - np.eye(n)).max() > _STRUCT_TOL:
-                raise ValueError("phi_x must have identity diagonal blocks")
+        diagonal = np.diagonal(_block_max(px.dense - np.eye(px.dense.shape[0]), px.horizon))
+        if (diagonal > _STRUCT_TOL).any():
+            raise ValueError("phi_x must have identity diagonal blocks")
 
     @property
     def horizon(self) -> int:
@@ -95,21 +94,15 @@ def achievability_map(sys: LtiSystem, L: int) -> np.ndarray:
     return np.hstack([left, right])
 
 
-def responses_from_controller(sys: LtiSystem, K, L: int | None = None) -> SystemResponsePair:
-    """Exact closed-loop responses of a causal controller.
+def responses_from_controller(sys: LtiSystem, K: LtvOperator) -> SystemResponsePair:
+    """Exact closed-loop responses of a causal controller over its horizon.
 
     The matrix I - Z (A_lift + B_lift K) is unit lower triangular, so LU of
     its transpose picks no pivot and the inverse comes from plain back
     substitution: its blocks above the diagonal are exactly zero and its
     diagonal blocks exactly the identity.
     """
-    n, m = sys.state_dim, sys.input_dim
-    if isinstance(K, LtvOperator):
-        Kd, L = K.dense, K.horizon
-    else:
-        if L is None:
-            raise ValueError("L is required when K is a bare array")
-        Kd = np.asarray(K, dtype=float)
+    n, m, L, Kd = sys.state_dim, sys.input_dim, K.horizon, K.dense
     if Kd.shape != (m * L, n * L):
         raise ValueError(f"controller must be {m * L} x {n * L}, got {Kd.shape}")
     Z = block_downshift(L, n)

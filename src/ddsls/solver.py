@@ -1,18 +1,24 @@
 """Optimization engine for the data-driven synthesis programs.
 
-The inner problem is equality-constrained Frobenius least squares,
-min ||C G||_F s.t. A G = rhs, with a spectral-norm ball ||G||_2 <= tau on
-the variable.  Both inner problem classes share one construction of the
-affine set (SVD of A: minimum-norm point, orthonormal nullspace basis,
-feasibility floor), and without the ball both are solved in closed form on
-the nullspace.  Every solve reports, besides status, iterations and gap,
-the slope d(objective^2)/d tau at its point: the derivative of the inner
-optimal value in the radius is the ball's Lagrange multiplier (Boyd &
-Vandenberghe, Convex Optimization, sec. 5.6).
+The inner problem is equality-constrained Frobenius least squares over the
+structured parameter G, an L x L grid of (cols x n) blocks:
+min ||C G||_F s.t. h1x G(i, i) = I and h1x G(i, j) = 0 for i > j, with a
+spectral-norm ball ||G||_2 <= tau on the variable.  Both inner problem
+classes are built from the same two inputs, the (rows x L cols) cost map C
+and the (n x cols) top block row h1x of the state Hankel: n and cols are
+h1x's shape and L is the number of column blocks of C.  They share one
+construction of the affine set {G_k : h1x G_k = I} (SVD of h1x: minimum-norm
+point, orthonormal nullspace basis, feasibility floor), and without the ball
+both are solved in closed form on the nullspace.  Every solve reports,
+besides status, iterations and gap, the slope d(objective^2)/d tau at its
+point: the derivative of the inner optimal value in the radius is the
+ball's Lagrange multiplier (Boyd & Vandenberghe, Convex Optimization,
+sec. 5.6).
 
 ``gamma_search`` is the outer scalar search for the quasi-convex program
 min h(gamma) = f(gamma) / (1 - gamma) over one inner problem, where
-f(gamma) is the inner optimal value with ball radius gamma / (sqrt(L) eps).
+f(gamma) is the inner optimal value with ball radius gamma / (sqrt(L) eps)
+and L is the problem's own horizon.
 It runs the same code for both problem classes: a coarse grid brackets the
 minimum, and bisection on the sign of h', read from each solve's slope,
 shrinks the bracket.  Solves depend on their arguments only; each starts
@@ -47,7 +53,6 @@ import numpy as np
 from .blockops import rank_tolerance
 
 __all__ = [
-    "EqualityConstraint",
     "SolveReport",
     "BlockDiagonalProblem",
     "CoupledCausalProblem",
@@ -60,14 +65,6 @@ __all__ = [
 
 class InfeasibleEpsilon(RuntimeError):
     """No gamma in [0, 1) admits a feasible inner problem."""
-
-
-@dataclass(frozen=True)
-class EqualityConstraint:
-    """Affine constraint A @ G = rhs."""
-
-    A: np.ndarray
-    rhs: np.ndarray
 
 
 @dataclass
@@ -88,24 +85,29 @@ def _infeasible_report(solution: np.ndarray, tau: float | None = None) -> SolveR
     return SolveReport(solution=solution, objective=np.inf, status="infeasible", slope=None, tau=tau)
 
 
-def _affine_set(A: np.ndarray, rhs: np.ndarray):
-    """The affine set {G : A G = rhs} through one SVD of A.
+def _layout(cmap: np.ndarray, h1x: np.ndarray) -> tuple[int, int, int]:
+    """(L, cols, n) of a cost map over L column blocks of h1x's width."""
+    n, cols = h1x.shape
+    L, rest = divmod(cmap.shape[1], cols)
+    if rest:
+        raise ValueError(f"cost map width {cmap.shape[1]} is not a multiple of h1x's {cols} columns")
+    return L, cols, n
+
+
+def _affine_set(A: np.ndarray):
+    """The affine set {G : A G = I} through one SVD of A.
 
     Returns the minimum-norm point G_part, an orthonormal nullspace basis N
     of A (every feasible G is G_part + N Z), the feasibility floor and
     whether the set is empty.  G_part has the least spectral norm on the
     set, so its norm is the exact floor of any ball that meets it.  The set
-    is empty when G_part misses rhs by more than rounding.
+    is empty when G_part misses I by more than rounding.
     """
     A = np.asarray(A, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
     U, s, Vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(s > rank_tolerance(s, A.shape)))
-    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-    G_part = pinv @ rhs
-    infeasible = bool(
-        np.abs(A @ G_part - rhs).max(initial=0.0) > 1e-8 * max(1.0, np.abs(rhs).max(initial=0.0))
-    )
+    G_part = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
+    infeasible = bool(np.abs(A @ G_part - np.eye(A.shape[0])).max(initial=0.0) > 1e-8)
     floor = float(np.linalg.svd(G_part, compute_uv=False)[0]) if G_part.size else 0.0
     return G_part, Vt[rank:].T, floor, infeasible
 
@@ -126,12 +128,13 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
 
 
 class BlockDiagonalProblem:
-    """Independent blocks min ||C_k G_k||_F s.t. A G_k = rhs, ||G_k||_2 <= tau.
+    """Independent blocks min ||C_k G_k||_F s.t. h1x G_k = I, ||G_k||_2 <= tau.
 
-    The blocks share the affine constraint (in the structured program the top
-    block row of the state Hankel, mapped to the identity) and each has its
-    own objective map.  Every feasible block is G_part + N Z_k, with G_part
-    the minimum-norm solution and N an orthonormal nullspace basis of A;
+    ``BlockDiagonalProblem(cmap, h1x)`` solves for the diagonal blocks G_k
+    (cols x n) of the structured parameter; block k has the objective map
+    C_k, column block k of the cost map, and the blocks share the
+    constraint.  Every feasible block is G_part + N Z_k, with G_part the
+    minimum-norm solution and N an orthonormal nullspace basis of h1x;
     G_part is orthogonal to N, so the ball reads Z_k^T Z_k <= S with
     S = tau^2 I - G_part^T G_part.
 
@@ -158,18 +161,12 @@ class BlockDiagonalProblem:
     _SECULAR_STEPS = 8
     _SECULAR_TARGET = 0.5  # start inside the ball, at half of S along each eigenvector
 
-    def __init__(self, C_list: list[np.ndarray], constraint: EqualityConstraint | None):
-        self.C = np.stack([np.asarray(c, dtype=float) for c in C_list])
-        self.L, _, ncols = self.C.shape
-        self.constraint = constraint
-        if constraint is None:
-            self.G_part, self.null_basis = np.zeros((ncols, 1)), np.eye(ncols)
-            self.floor, self._infeasible_constraint = 0.0, False
-        else:
-            # G_part is shared by every block.
-            self.G_part, self.null_basis, self.floor, self._infeasible_constraint = _affine_set(
-                constraint.A, constraint.rhs
-            )
+    def __init__(self, cmap: np.ndarray, h1x: np.ndarray):
+        cmap = np.asarray(cmap, dtype=float)
+        self.L = _layout(cmap, h1x)[0]
+        self.C = np.stack(np.hsplit(cmap, self.L))  # (L, rows, cols)
+        # G_part is shared by every block.
+        self.G_part, self.null_basis, self.floor, self._infeasible_constraint = _affine_set(h1x)
         CN = np.matmul(self.C, self.null_basis)  # (L, rows, d)
         CG = np.matmul(self.C, self.G_part)
         # The Gram eigenbasis from the SVD of C_k N: orthonormal at rounding
@@ -252,8 +249,6 @@ class BlockDiagonalProblem:
             return _infeasible_report(self._stacked(self.G_part), tau)
         base = self.unconstrained()
         active = self.unconstrained_norms() > tau * (1.0 + 1e-12)
-        # tau = 0 gets past the floor check only when G_part = 0, and then
-        # the closed form is 0 too: no block is active.
         if not active.any():
             return replace(base, tau=tau)
         k = np.flatnonzero(active)
@@ -453,14 +448,15 @@ def ball_projection_batch(M: np.ndarray, tau: float) -> np.ndarray:
 class CoupledCausalProblem:
     """Ball-constrained least squares over a causal block-triangular variable.
 
-    The variable is an L x L grid of (cols x n) blocks, zero above the
-    diagonal, every block constrained through the same thin matrix A
-    (diagonal blocks to the identity, lower blocks to zero).  The objective
+    ``CoupledCausalProblem(cmap, h1x)`` solves for the whole structured
+    parameter: an L x L grid of (cols x n) blocks, zero above the diagonal,
+    every block constrained through h1x (diagonal blocks to the identity,
+    lower blocks to zero), with objective ||cmap G||_F.  The objective
     couples blocks within a block column; the spectral ball couples all of
     them, handled by ADMM: a quadratic step on the affine set alternating
     with a projection onto the ball.
 
-    The free part of every block lies in the nullspace of A, so the affine
+    The free part of every block lies in the nullspace of h1x, so the affine
     projection is ``G_part + mask * (P V)`` with P = N N^T applied to each
     block row.  For block column j with cost columns C_j (block rows j..L-1)
     the quadratic step solves its reduced normal equations through the
@@ -468,12 +464,13 @@ class CoupledCausalProblem:
     eigendecomposed once at build; the step never forms the reduced basis.
     """
 
-    def __init__(self, C: np.ndarray, A: np.ndarray, L: int, cols: int, n: int):
-        self.C = np.asarray(C, dtype=float)
+    def __init__(self, cmap: np.ndarray, h1x: np.ndarray):
+        self.C = np.asarray(cmap, dtype=float)
+        L, cols, n = _layout(self.C, h1x)
         self.L, self.cols, self.n = L, cols, n
         # Diagonal blocks map to the identity: the block-diagonal stack of the
         # minimum-norm block is the minimum-norm point, with the same norm.
-        part, self._null, self.floor, self._infeasible_constraint = _affine_set(A, np.eye(n))
+        part, self._null, self.floor, self._infeasible_constraint = _affine_set(h1x)
         self._P = self._null @ self._null.T
         # Block (i, j) of the variable is free iff i >= j.
         self._mask = np.kron(np.tril(np.ones((L, L))), np.ones((cols, n)))
@@ -648,7 +645,6 @@ class GammaSearchResult:
 def gamma_search(
     problem,
     eps: float,
-    L: int,
     grid_points: int = 16,
     gamma_tol: float = 1e-3,
     tol: float = 1e-7,
@@ -658,7 +654,7 @@ def gamma_search(
 
     ``problem`` is the inner problem (``BlockDiagonalProblem`` or
     ``CoupledCausalProblem``); the ball radius at gamma is
-    tau = gamma / (sqrt(L) * eps).  f is convex and nonincreasing in gamma
+    tau = gamma / (sqrt(L) * eps), with L = ``problem.L``.  f is convex and nonincreasing in gamma
     because larger radii only relax the ball, so h is quasi-convex.  With
     eps = 0 the ball is vacuous and the closed-form solution is returned at
     gamma = 0.
@@ -679,7 +675,7 @@ def gamma_search(
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    scale = np.sqrt(L) * eps
+    scale = np.sqrt(problem.L) * eps
 
     if eps == 0.0:
         rep = problem.unconstrained()

@@ -8,8 +8,13 @@ Hankels:
 
     phi_x = [I Z ... Z^{L-1}] (I_L (x) H_L(x)) G,   similarly for phi_u,
 
-so block column k of phi_x is the k-step downshift of H_L(x) G(k, k) plus
-contributions of the lower blocks in full (coupled) mode.
+and [I Z ... Z^{L-1}] (I_L (x) H) is the shift stack [H, Z H, ..., Z^{L-1} H]
+of ``_shift_stack``.  Every use of the layout reads that one stack: the
+weighted cost map the solver minimizes over is W times the stacked state
+and input shift stacks, the responses are the shift stacks times G, and the
+achievability perturbation is the shift stack of the once-downshifted noise
+Hankel times G.  Blocks of G above the diagonal, which the structure check
+lets through up to its tolerance, are set to zero before any product.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .sls import _STRUCT_TOL, Perturbation, SystemResponsePair, recover_controll
 from .solver import (
     BlockDiagonalProblem,
     CoupledCausalProblem,
-    EqualityConstraint,
     GammaSearchResult,
     gamma_search,
 )
@@ -123,92 +127,85 @@ class SynthesisResult:
         }
 
 
-def _downshift_rows(M: np.ndarray, k: int, block: int) -> np.ndarray:
-    """Rows of M pushed down by k blocks of the given size, zero-filled."""
-    if k == 0:
-        return M
-    out = np.zeros_like(M)
-    out[k * block :] = M[: M.shape[0] - k * block]
+def _shift_stack(H: np.ndarray, L: int, block: int) -> np.ndarray:
+    """[H, Z H, ..., Z^{L-1} H], Z the downshift by one block of ``block`` rows."""
+    rows, cols = H.shape
+    out = np.zeros((rows, L * cols))
+    for k in range(L):
+        out[k * block :, k * cols : (k + 1) * cols] = H[: rows - k * block]
     return out
 
 
 def stacked_cost_map(data: DataHankels, weights: CostWeights) -> np.ndarray:
-    """Weighted stacked assembly map of size (n+m)L x cols*L.
+    """Weighted stacked assembly map W [shift(hx); shift(hu)] of size (n+m)L x cols*L.
 
-    Column block k holds the weighted k-step-downshifted data Hankels, so
-    multiplying by a parameter matrix yields the weighted stacked responses.
+    Multiplying it by a parameter matrix yields the weighted stacked
+    responses.
     """
-    L, n, m, cols = data.L, data.n, data.m, data.cols
+    L, cols = data.L, data.cols
+    S = np.vstack([_shift_stack(data.hx, L, data.n), _shift_stack(data.hu, L, data.m)])
     W = weights.weight_sqrt()
-    out = np.empty(((n + m) * L, cols * L))
-    for k in range(L):
-        xk = _downshift_rows(data.hx, k, n)
-        uk = _downshift_rows(data.hu, k, m)
-        out[:, k * cols : (k + 1) * cols] = W @ np.vstack([xk, uk])
-    return out
+    # One product per column block: each block of the map is W times that
+    # block alone, so its rounding does not depend on L.
+    return np.hstack([W @ S[:, k * cols : (k + 1) * cols] for k in range(L)])
 
 
-def _ghat_blocks(data: DataHankels, ghat: np.ndarray):
-    cols, n, L = data.cols, data.n, data.L
+def _block_grid(data: DataHankels, ghat: np.ndarray) -> np.ndarray:
+    """The (L, L, cols, n) view of ghat whose entry [i, j] is the block G(i, j)."""
+    L, cols, n = data.L, data.cols, data.n
     if ghat.shape != (cols * L, n * L):
         raise ValueError(f"ghat must be {cols * L} x {n * L}, got {ghat.shape}")
-    return [
-        [ghat[i * cols : (i + 1) * cols, j * n : (j + 1) * n] for j in range(L)]
-        for i in range(L)
-    ]
+    return ghat.reshape(L, cols, L, n).transpose(0, 2, 1, 3)
 
 
-def _structure_residuals(data: DataHankels, ghat: np.ndarray):
-    """(i, j, residual) of every parameter block.
+def _causal_part(data: DataHankels, ghat: np.ndarray) -> np.ndarray:
+    """Gc: ghat with its blocks above the diagonal set to zero."""
+    lower = np.tri(data.L, dtype=bool)[:, :, None, None]
+    return np.where(lower, _block_grid(data, ghat), 0.0).transpose(0, 2, 1, 3).reshape(ghat.shape)
+
+
+def _structure_residuals(data: DataHankels, ghat: np.ndarray) -> np.ndarray:
+    """(L, L) array of the residual of every parameter block.
 
     On and below the diagonal the residual is max |h1x G(i, j) - target|,
     target I on the diagonal and 0 below it; above the diagonal it is
     max |G(i, j)|.
     """
-    blocks = _ghat_blocks(data, ghat)
-    n, L = data.n, data.L
-    for i in range(L):
-        for j in range(L):
-            if j > i:
-                yield i, j, float(np.abs(blocks[i][j]).max(initial=0.0))
-            else:
-                target = np.eye(n) if i == j else np.zeros((n, n))
-                yield i, j, float(np.abs(data.h1x @ blocks[i][j] - target).max())
+    L, n = data.L, data.n
+    blocks = _block_grid(data, ghat)
+    target = np.eye(L)[:, :, None, None] * np.eye(n)
+    return np.where(
+        np.triu(np.ones((L, L), dtype=bool), 1),
+        np.abs(blocks).max(axis=(2, 3)),
+        np.abs(np.matmul(data.h1x, blocks) - target).max(axis=(2, 3)),
+    )
 
 
 def structure_residual(data: DataHankels, ghat: np.ndarray) -> float:
     """Largest residual of the block structure over every block of ghat."""
-    return max(err for _, _, err in _structure_residuals(data, ghat))
+    return float(_structure_residuals(data, ghat).max())
 
 
 def _validate_structure(data: DataHankels, ghat: np.ndarray) -> None:
+    err = _structure_residuals(data, ghat)
+    upper = np.triu(np.ones(err.shape, dtype=bool), 1)
     scale = max(1.0, np.abs(ghat).max(initial=0.0))
-    for i, j, err in _structure_residuals(data, ghat):
-        if j > i:
-            if err > _STRUCT_TOL * scale:
-                raise ValueError(f"parameter block ({i},{j}) above the diagonal is nonzero")
-        elif err > _STRUCT_TOL:
-            raise ValueError(f"parameter block ({i},{j}) violates its data constraint by {err:.3e}")
-
-
-def _downshift_sum(H: np.ndarray, blocks, block: int) -> np.ndarray:
-    """Block column j is sum_{i >= j} downshift(H G(i, j), i) (shift in blocks of size block)."""
-    L, n = len(blocks), blocks[0][0].shape[1]
-    out = np.zeros((H.shape[0], n * L))
-    for j in range(L):
-        for i in range(j, L):
-            out[:, j * n : (j + 1) * n] += _downshift_rows(H @ blocks[i][j], i, block)
-    return out
+    bad = np.argwhere(err > np.where(upper, _STRUCT_TOL * scale, _STRUCT_TOL))
+    if bad.size:
+        i, j = bad[0]  # the first in row-major order
+        if upper[i, j]:
+            raise ValueError(f"parameter block ({i},{j}) above the diagonal is nonzero")
+        raise ValueError(f"parameter block ({i},{j}) violates its data constraint by {err[i, j]:.3e}")
 
 
 def assemble_responses(data: DataHankels, ghat: np.ndarray) -> SystemResponsePair:
-    """Approximate system responses induced by a structured parameter matrix."""
+    """Approximate system responses shift(hx) Gc and shift(hu) Gc of a structured parameter."""
     _validate_structure(data, ghat)
-    blocks = _ghat_blocks(data, ghat)
+    Gc = _causal_part(data, ghat)
     L, n, m = data.L, data.n, data.m
     return SystemResponsePair(
-        phi_x=LtvOperator(L, n, n, _downshift_sum(data.hx, blocks, n)),
-        phi_u=LtvOperator(L, m, n, _downshift_sum(data.hu, blocks, m)),
+        phi_x=LtvOperator(L, n, n, _shift_stack(data.hx, L, n) @ Gc),
+        phi_u=LtvOperator(L, m, n, _shift_stack(data.hu, L, m) @ Gc),
     )
 
 
@@ -219,20 +216,18 @@ def assemble_delta(hw: np.ndarray, data: DataHankels, ghat: np.ndarray) -> Pertu
     noise Hankel; the result is strictly causal and obeys
     ||delta||_2 <= sqrt(L) * ||hw||_2 * ||ghat||_2.
     """
-    blocks = _ghat_blocks(data, ghat)
     L, n = data.L, data.n
-    delta = _downshift_sum(_downshift_rows(hw, 1, n), blocks, n)
+    shifted = np.vstack([np.zeros((n, hw.shape[1])), hw[:-n]])
+    delta = _shift_stack(shifted, L, n) @ _causal_part(data, ghat)
     return Perturbation(delta=LtvOperator(L, n, n, delta))
 
 
 def _build_problem(data: DataHankels, weights: CostWeights, structure: str):
     cmap = stacked_cost_map(data, weights)
-    cols, n, L = data.cols, data.n, data.L
     if structure == "blockdiag":
-        constraint = EqualityConstraint(A=data.h1x, rhs=np.eye(n))
-        return BlockDiagonalProblem([cmap[:, k * cols : (k + 1) * cols] for k in range(L)], constraint)
+        return BlockDiagonalProblem(cmap, data.h1x)
     if structure == "full":
-        return CoupledCausalProblem(cmap, data.h1x, L, cols, n)
+        return CoupledCausalProblem(cmap, data.h1x)
     raise ValueError(f"unknown structure {structure!r}")
 
 
@@ -282,7 +277,6 @@ def synth_robust(
     search = gamma_search(
         _build_problem(data, weights, structure),
         eps if mode == "robust" else 0.0,
-        data.L,
         grid_points=grid_points,
         gamma_tol=gamma_tol,
         tol=tol,

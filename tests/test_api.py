@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -42,6 +43,21 @@ def test_every_name_the_package_imports_resolves():
     ]
     assert names
     assert [n for n in names if not hasattr(ddsls, n)] == []
+
+
+def test_names_the_benchmark_tracer_patches_stay_in_place():
+    # perfbench/tracer.py wraps __init__ and solve through each problem
+    # class's own __dict__, and stacked_cost_map and assemble_responses as
+    # attributes of ddsls.synth; moving any of them (into a base class, or
+    # behind another name) would silently drop its spans from traced runs.
+    from ddsls import synth
+    from ddsls.solver import BlockDiagonalProblem, CoupledCausalProblem
+
+    for cls in (BlockDiagonalProblem, CoupledCausalProblem):
+        assert {"__init__", "solve"} <= set(vars(cls))
+    for name in ("stacked_cost_map", "assemble_responses"):
+        fn = vars(synth)[name]
+        assert inspect.isfunction(fn) and fn.__module__ == "ddsls.synth"
 
 
 NUMPY_ONLY_SCRIPT = textwrap.dedent(

@@ -192,6 +192,24 @@ class TestLtvOperator:
         assert op.is_strictly_causal(0.0)
         assert not LtvOperator.identity(3, 2).is_strictly_causal(0.0)
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["causal", "strictly-causal"])
+    def test_tolerance_boundary_at_every_entry(self, strict):
+        # An entry of absolute value tol passes, the next float above fails,
+        # at every entry above the diagonal (causal) or on it (strictly causal).
+        L, p, q, tol = 3, 2, 3, 1e-6
+        rng = np.random.default_rng(6)
+        base = np.kron(np.tri(L, k=-1), np.ones((p, q))) * rng.standard_normal((p * L, q * L))
+        check = LtvOperator.is_strictly_causal if strict else LtvOperator.is_causal
+        blocks = [(i, i) for i in range(L)] if strict else list(zip(*np.triu_indices(L, 1)))
+        for i, j in blocks:
+            for r in range(p):
+                for c in range(q):
+                    sign = (-1.0) ** (r + c)
+                    for value, expected in ((tol, True), (np.nextafter(tol, np.inf), False)):
+                        dense = base.copy()
+                        dense[i * p + r, j * q + c] = sign * value
+                        assert check(LtvOperator(L, p, q, dense), tol) is expected
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LtvOperator(2, 2, 2, np.zeros((3, 4)))

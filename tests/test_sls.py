@@ -29,13 +29,13 @@ def random_causal(rng, L, p, q, scale=1.0):
 class TestResponses:
     def test_static_system_no_feedback(self):
         sys = LtiSystem(A=np.zeros((2, 2)), B=np.eye(2))
-        resp = responses_from_controller(sys, np.zeros((6, 6)), 3)
+        resp = responses_from_controller(sys, LtvOperator(3, 2, 2, np.zeros((6, 6))))
         np.testing.assert_array_equal(resp.phi_x.dense, np.eye(6))
         np.testing.assert_array_equal(resp.phi_u.dense, np.zeros((6, 6)))
 
     def test_open_loop_is_truncated_power_series(self, plant):
         L, n = 3, 3
-        resp = responses_from_controller(plant, np.zeros((3 * L, 3 * L)), L)
+        resp = responses_from_controller(plant, LtvOperator(L, 3, 3, np.zeros((3 * L, 3 * L))))
         Z = block_downshift(L, n)
         ZA = Z @ np.kron(np.eye(L), plant.A)
         series = np.eye(n * L) + ZA + ZA @ ZA
@@ -48,9 +48,14 @@ class TestResponses:
             resp = responses_from_controller(plant, K)
             assert achievability_residual(resp, plant) < 1e-10
 
+    def test_controller_blocks_must_match_the_plant(self, plant):
+        # The benchmark plant has 3 states and 3 inputs; 2 x 3 gains do not fit it.
+        with pytest.raises(ValueError, match="controller must be"):
+            responses_from_controller(plant, LtvOperator(4, 2, 3, np.zeros((8, 12))))
+
     def test_residual_of_identity_guess(self, plant):
         L = 4
-        resp = responses_from_controller(plant, np.zeros((12, 12)), L)
+        resp = responses_from_controller(plant, LtvOperator(L, 3, 3, np.zeros((12, 12))))
         # Replacing phi_x by the identity leaves exactly the shifted dynamics.
         fake = type(resp)(
             phi_x=LtvOperator(L, 3, 3, np.eye(12)),
@@ -63,7 +68,7 @@ class TestResponses:
 
 class TestRecoverController:
     def test_zero_input_map(self, plant):
-        resp = responses_from_controller(plant, np.zeros((9, 9)), 3)
+        resp = responses_from_controller(plant, LtvOperator(3, 3, 3, np.zeros((9, 9))))
         K = recover_controller(resp)
         assert np.abs(K.dense).max() < 1e-12
 
@@ -81,14 +86,14 @@ class TestSlsCost:
         sys = LtiSystem(A=np.zeros((2, 2)), B=np.eye(2))
         L = 5
         w = CostWeights(np.eye(2), np.eye(2), np.eye(2), horizon=L)
-        resp = responses_from_controller(sys, np.zeros((10, 10)), L)
+        resp = responses_from_controller(sys, LtvOperator(L, 2, 2, np.zeros((10, 10))))
         assert sls_cost(resp, w) == pytest.approx(np.sqrt(2 * L))
 
     def test_vanishing_weights_vanishing_cost(self):
         sys = LtiSystem(A=np.zeros((2, 2)), B=np.eye(2))
         L = 4
         w = CostWeights(np.zeros((2, 2)), 1e-30 * np.eye(2), np.zeros((2, 2)), horizon=L)
-        resp = responses_from_controller(sys, np.zeros((8, 8)), L)
+        resp = responses_from_controller(sys, LtvOperator(L, 2, 2, np.zeros((8, 8))))
         assert sls_cost(resp, w) < 1e-10
 
     def test_monte_carlo_expected_cost(self, plant, bench_weights):

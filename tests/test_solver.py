@@ -10,7 +10,6 @@ from ddsls.lti import LtiSystem, average, generate_ensemble, simulate
 from ddsls.solver import (
     BlockDiagonalProblem,
     CoupledCausalProblem,
-    EqualityConstraint,
     InfeasibleEpsilon,
     ball_projection_batch,
     gamma_search,
@@ -34,15 +33,15 @@ def oracle_friendly_instance(seed, slack=1.6):
     interior-point reference.
     """
     for j in range(64):
-        C, constraint = small_instance(seed + 7919 * j)
-        probe = BlockDiagonalProblem([C], constraint)
+        C, A = small_instance(seed + 7919 * j)
+        probe = BlockDiagonalProblem(C, A)
         if probe.unconstrained_norm() >= slack * probe.floor:
-            return C, constraint
+            return C, A
     raise RuntimeError("no well-separated instance found")
 
 
 def small_instance(seed, n=2, m=1, L=3, T=15):
-    """One random inner problem from a small noisy data record."""
+    """One random inner problem (one cost-map block and h1x) from a small noisy data record."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) * 0.4 + 0.5 * np.eye(n)
     sys = LtiSystem(A=A, B=rng.standard_normal((n, m)), noise_std=0.2)
@@ -54,39 +53,33 @@ def small_instance(seed, n=2, m=1, L=3, T=15):
     k = int(rng.integers(0, L))
     cmap = stacked_cost_map(data, w)
     C = cmap[:, k * data.cols : (k + 1) * data.cols]
-    constraint = EqualityConstraint(A=data.h1x, rhs=np.eye(n))
-    return C, constraint
+    return C, data.h1x
 
 
-def closed_form(C, constraint):
-    """Equality-constrained least squares without the ball (one block)."""
-    return BlockDiagonalProblem([C], constraint).unconstrained()
+def closed_form(C, A):
+    """Equality-constrained least squares A G = I without the ball (one block)."""
+    return BlockDiagonalProblem(C, A).unconstrained()
 
 
 class TestEqLs:
     def test_zero_objective_returns_min_norm_point(self, plant):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((2, 8))
-        constraint = EqualityConstraint(A=A, rhs=np.eye(2))
-        rep = closed_form(np.zeros((3, 8)), constraint)
+        rep = closed_form(np.zeros((3, 8)), A)
         np.testing.assert_allclose(rep.solution[0], np.linalg.pinv(A), atol=1e-10)
-
-    def test_no_constraint_gives_zero(self):
-        rep = closed_form(np.random.default_rng(1).standard_normal((4, 6)), None)
-        assert np.abs(rep.solution).max() == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_kkt_oracle(self, seed):
-        C, constraint = small_instance(seed)
-        rep = closed_form(C, constraint)
-        _, obj_kkt = kkt_equality_ls(C, constraint.A, constraint.rhs)
+        C, A = small_instance(seed)
+        rep = closed_form(C, A)
+        _, obj_kkt = kkt_equality_ls(C, A, np.eye(len(A)))
         assert rep.objective == pytest.approx(obj_kkt, abs=1e-8, rel=1e-8)
-        assert np.abs(constraint.A @ rep.solution[0] - constraint.rhs).max() < 1e-9
+        assert np.abs(A @ rep.solution[0] - np.eye(len(A))).max() < 1e-9
 
     def test_stationarity_residual(self):
-        C, constraint = small_instance(99)
-        rep = closed_form(C, constraint)
-        solver = BlockDiagonalProblem([C], constraint)
+        C, A = small_instance(99)
+        rep = closed_form(C, A)
+        solver = BlockDiagonalProblem(C, A)
         grad = C.T @ (C @ rep.solution[0])
         assert np.abs(solver.null_basis.T @ grad).max() < 1e-9
 
@@ -117,14 +110,14 @@ class TestBallProjection:
 
 class TestSpectralAdmm:
     def test_unbounded_radius_matches_eq_ls(self):
-        C, constraint = small_instance(5)
-        rep = BlockDiagonalProblem([C], constraint).solve(None)
-        ref = closed_form(C, constraint)
+        C, A = small_instance(5)
+        rep = BlockDiagonalProblem(C, A).solve(None)
+        ref = closed_form(C, A)
         assert rep.objective == pytest.approx(ref.objective, rel=1e-12)
 
     def test_inactive_ball_iterative_agrees_with_closed_form(self):
-        C, constraint = small_instance(6)
-        solver = BlockDiagonalProblem([C], constraint)
+        C, A = small_instance(6)
+        solver = BlockDiagonalProblem(C, A)
         ref = solver.unconstrained()
         inactive = solver.solve(1.2 * solver.unconstrained_norm(), tol=1e-9)
         assert (inactive.status, inactive.iterations, inactive.gap) == ("optimal", 0, 0.0)
@@ -137,56 +130,50 @@ class TestSpectralAdmm:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_active_ball_matches_projected_gradient(self, seed):
-        C, constraint = oracle_friendly_instance(seed + 20)
-        solver = BlockDiagonalProblem([C], constraint)
+        C, A = oracle_friendly_instance(seed + 20)
+        solver = BlockDiagonalProblem(C, A)
         tau = active_radius(solver)
         rep = solver.solve(tau, tol=1e-9)
         assert rep.status == "optimal"
         _, obj_ref = projected_gradient_spectral(
-            C, constraint.A, constraint.rhs, tau, iters=20_000
+            C, A, np.eye(len(A)), tau, iters=20_000
         )
         assert rep.objective == pytest.approx(obj_ref, rel=1e-4)
 
     def test_solution_satisfies_both_constraint_families(self):
-        C, constraint = small_instance(7)
-        solver = BlockDiagonalProblem([C], constraint)
+        C, A = small_instance(7)
+        solver = BlockDiagonalProblem(C, A)
         tau = active_radius(solver)
         rep = solver.solve(tau, tol=1e-8)
-        assert np.abs(constraint.A @ rep.solution[0] - constraint.rhs).max() < 1e-10
+        assert np.abs(A @ rep.solution[0] - np.eye(len(A))).max() < 1e-10
         assert spectral_norm(rep.solution[0]) <= tau * (1.0 + 1e-6)
 
     def test_matches_interior_point_on_thin_feasible_sets(self):
         cp = pytest.importorskip("cvxpy")
         for seed in (506, 510, 41):
-            C, constraint = small_instance(seed)
-            solver = BlockDiagonalProblem([C], constraint)
+            C, A = small_instance(seed)
+            solver = BlockDiagonalProblem(C, A)
             tau = active_radius(solver)
             rep = solver.solve(tau, tol=1e-9)
-            G = cp.Variable((C.shape[1], constraint.rhs.shape[1]))
+            G = cp.Variable((C.shape[1], len(A)))
             prob = cp.Problem(
                 cp.Minimize(cp.norm(C @ G, "fro")),
-                [constraint.A @ G == constraint.rhs, cp.sigma_max(G) <= tau],
+                [A @ G == np.eye(len(A)), cp.sigma_max(G) <= tau],
             )
             prob.solve(solver=cp.SCS, eps=1e-9, max_iters=200_000)
             assert rep.objective == pytest.approx(prob.value, rel=1e-6, abs=1e-8)
 
-    def test_zero_radius_without_constraint_is_the_origin(self):
-        C, _ = small_instance(10)
-        rep = BlockDiagonalProblem([C], None).solve(0.0)
-        assert (rep.status, rep.gap) == ("optimal", 0.0)
-        assert not rep.solution.any()
-
     def test_below_floor_infeasible(self):
-        C, constraint = small_instance(8)
-        solver = BlockDiagonalProblem([C], constraint)
+        C, A = small_instance(8)
+        solver = BlockDiagonalProblem(C, A)
         rep = solver.solve(0.5 * solver.floor)
         assert rep.status == "infeasible"
 
     def test_floor_equals_min_norm_solution_norm(self):
-        C, constraint = small_instance(9)
-        solver = BlockDiagonalProblem([C], constraint)
+        C, A = small_instance(9)
+        solver = BlockDiagonalProblem(C, A)
         assert solver.floor == pytest.approx(
-            spectral_norm(np.linalg.pinv(constraint.A)), rel=1e-12
+            spectral_norm(np.linalg.pinv(A)), rel=1e-12
         )
 
 
@@ -202,19 +189,19 @@ class TestGammaSearch:
 
     def test_eps_zero_returns_closed_form(self):
         prob, _ = self.build_problem(0)
-        res = gamma_search(prob, 0.0, 3)
+        res = gamma_search(prob, 0.0)
         assert res.gamma == 0.0
         assert res.objective == pytest.approx(prob.unconstrained().objective)
 
     def test_huge_eps_infeasible(self):
         prob, _ = self.build_problem(1)
         with pytest.raises(InfeasibleEpsilon):
-            gamma_search(prob, 1e9, 3)
+            gamma_search(prob, 1e9)
 
     def test_f_monotone_on_grid(self):
         prob, data = self.build_problem(2)
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
-        res = gamma_search(prob, eps, 3)
+        res = gamma_search(prob, eps)
         gammas = [g for g, f, h in res.grid if np.isfinite(f)]
         fs = [f for g, f, h in res.grid if np.isfinite(f)]
         order = np.argsort(gammas)
@@ -234,7 +221,7 @@ class TestGammaSearch:
         prob, data = self.build_problem(3, structure=structure)
         # A budget that leaves the program feasible with margin.
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
-        res = gamma_search(prob, eps, 3)
+        res = gamma_search(prob, eps)
         scale = np.sqrt(3) * eps
         lo = scale * prob.floor * 1.001 + 1e-12
         best = np.inf
@@ -248,15 +235,15 @@ class TestGammaSearch:
     def test_zero_gamma_tol_stops_at_float_resolution(self):
         prob, data = self.build_problem(3)
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
-        coarse = gamma_search(prob, eps, 3)
-        res = gamma_search(self.build_problem(3)[0], eps, 3, gamma_tol=0.0)
+        coarse = gamma_search(prob, eps)
+        res = gamma_search(self.build_problem(3)[0], eps, gamma_tol=0.0)
         assert len(res.grid) < len(coarse.grid) + 60
         assert res.objective <= coarse.objective * (1.0 + 1e-6)
 
     def test_solution_respects_radius(self):
         prob, data = self.build_problem(4)
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
-        res = gamma_search(prob, eps, 3)
+        res = gamma_search(prob, eps)
         tau = res.gamma / (np.sqrt(3) * eps)
         # Every diagonal block of the solution lies in the ball.
         assert np.linalg.svd(res.solution, compute_uv=False).max() <= tau * (1.0 + 1e-6)
@@ -266,7 +253,7 @@ class TestGammaSearch:
         prob, data = self.build_problem(3, structure=structure)
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
         recording = RecordingProblem(prob)
-        res = gamma_search(recording, eps, 3)
+        res = gamma_search(recording, eps)
         *explore, (tau_final, start_final, _) = recording.calls
         assert len(explore) > 3 and explore[0][1] is None
         for i, (tau, start, _) in enumerate(explore[1:], 1):
@@ -282,10 +269,10 @@ class TestGammaSearch:
     def test_status_is_worst_final_inner_status(self):
         prob, data = self.build_problem(4)
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
-        capped = gamma_search(prob, eps, 3, max_iter=2)
+        capped = gamma_search(prob, eps, max_iter=2)
         assert (capped.status, capped.iterations) == ("max-iter", 2)
         prob, _ = self.build_problem(4)
-        converged = gamma_search(prob, eps, 3)
+        converged = gamma_search(prob, eps)
         assert converged.status == "optimal" and 2 < converged.iterations < 50_000
 
 
@@ -441,13 +428,12 @@ class TestBlockDiagonalProblem:
     def test_matches_per_block_closed_form(self):
         rng = np.random.default_rng(10)
         A = rng.standard_normal((2, 9))
-        constraint = EqualityConstraint(A=A, rhs=np.eye(2))
         Cs = [rng.standard_normal((5, 9)) for _ in range(4)]
-        batch = BlockDiagonalProblem(Cs, constraint)
+        batch = BlockDiagonalProblem(np.hstack(Cs), A)
         rep = batch.unconstrained()
         total = 0.0
         for k, C in enumerate(Cs):
-            ref = closed_form(C, constraint)
+            ref = closed_form(C, A)
             np.testing.assert_allclose(rep.solution[k], ref.solution[0], atol=1e-9)
             total += ref.objective**2
         assert rep.objective == pytest.approx(np.sqrt(total), rel=1e-10)
@@ -455,13 +441,12 @@ class TestBlockDiagonalProblem:
     def test_ball_constrained_matches_single_solver(self):
         rng = np.random.default_rng(11)
         A = rng.standard_normal((2, 9))
-        constraint = EqualityConstraint(A=A, rhs=np.eye(2))
         Cs = [rng.standard_normal((5, 9)) for _ in range(3)]
-        batch = BlockDiagonalProblem(Cs, constraint)
+        batch = BlockDiagonalProblem(np.hstack(Cs), A)
         tau = max(1.05 * batch.floor, 0.5 * batch.unconstrained_norm())
         rep = batch.solve(tau, tol=1e-9)
         for k, C in enumerate(Cs):
-            single = BlockDiagonalProblem([C], constraint).solve(tau, tol=1e-9)
+            single = BlockDiagonalProblem(C, A).solve(tau, tol=1e-9)
             obj_k = float(np.linalg.norm(C @ rep.solution[k]))
             assert obj_k == pytest.approx(single.objective, rel=1e-5, abs=1e-7)
 
@@ -473,21 +458,28 @@ def test_rank_deficient_constraint_is_infeasible_in_both_classes():
     row = rng.standard_normal((1, cols))
     A = np.vstack([row, 2.0 * row])  # rank 1: A G = I has no solution
     C = rng.standard_normal((5 * L, cols * L))
-    blocks = [C[:, k * cols : (k + 1) * cols] for k in range(L)]
-    block = BlockDiagonalProblem(blocks, EqualityConstraint(A, np.eye(n)))
-    coupled = CoupledCausalProblem(C, A, L, cols, n)
+    block = BlockDiagonalProblem(C, A)
+    coupled = CoupledCausalProblem(C, A)
     for prob in (block, coupled):
         assert prob.unconstrained().status == "infeasible"
         assert prob.solve(10.0 * prob.floor).status == "infeasible"
         with pytest.raises(InfeasibleEpsilon):
-            gamma_search(prob, 0.0, L)
+            gamma_search(prob, 0.0)
+
+
+@pytest.mark.parametrize("cls", [BlockDiagonalProblem, CoupledCausalProblem], ids=["blockdiag", "full"])
+def test_cost_map_width_must_be_a_multiple_of_h1x_width(cls):
+    # L is read off the cost map as its width over h1x's width.
+    rng = np.random.default_rng(13)
+    with pytest.raises(ValueError, match="not a multiple"):
+        cls(rng.standard_normal((5, 3 * 9 + 1)), rng.standard_normal((2, 9)))
 
 
 def coupled_instance(sys, weights, T, N, seed):
     """Coupled problem, cost map and data from an averaged record of ``sys``."""
     data = DataHankels.from_trajectory(average(generate_ensemble(sys, T, N, seed=seed)), weights.horizon)
     cmap = stacked_cost_map(data, weights)
-    return CoupledCausalProblem(cmap, data.h1x, data.L, data.cols, data.n), cmap, data
+    return CoupledCausalProblem(cmap, data.h1x), cmap, data
 
 
 def random_plant(seed, n, m, radius):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddsls.blockops import CostWeights, spectral_norm
+from ddsls.blockops import CostWeights, block_downshift, spectral_norm, z_stack
 from ddsls.hankel import NotPersistentlyExciting
 from ddsls.lqg import optimal_responses, recover_gstar
 from ddsls.lti import LtiSystem, average, generate_ensemble, simulate
@@ -108,6 +108,41 @@ class TestAssembleResponses:
         with pytest.raises(ValueError):
             assemble_responses(noisy_data, bad)
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([(1, 3), (2, 0)], r"parameter block \(1,3\) above the diagonal is nonzero"),
+            ([(2, 1), (3, 5)], r"parameter block \(2,1\) violates its data constraint"),
+        ],
+        ids=["upper-first", "lower-first"],
+    )
+    def test_first_violating_block_in_row_major_order_is_reported(self, noisy_data, blocks, message):
+        cols, n = noisy_data.cols, noisy_data.n
+        ghat = random_feasible_ghat(noisy_data, np.random.default_rng(25))
+        for i, j in blocks:
+            # Above the diagonal any nonzero block violates; below it, adding
+            # the pseudo-inverse moves h1x G(i, j) from 0 to I.
+            ghat[i * cols : (i + 1) * cols, j * n : (j + 1) * n] += np.linalg.pinv(noisy_data.h1x)
+        with pytest.raises(ValueError, match=message):
+            assemble_responses(noisy_data, ghat)
+
+    def test_matches_the_shift_stack_formula(self, noisy_data):
+        # phi = [I Z ... Z^{L-1}] (I_L (x) H) G for H = hx, hu and, for delta,
+        # the once-downshifted noise Hankel, with every lower block of G in use.
+        d = noisy_data
+        ghat = random_feasible_ghat(d, np.random.default_rng(34))
+        assert np.abs(ghat[d.cols :, : d.n]).min() > 0
+
+        def formula(H, block):
+            return z_stack(d.L, block) @ np.kron(np.eye(d.L), H) @ ghat
+
+        resp = assemble_responses(d, ghat)
+        delta = assemble_delta(d.hw, d, ghat).delta
+        np.testing.assert_allclose(resp.phi_x.dense, formula(d.hx, d.n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(resp.phi_u.dense, formula(d.hu, d.m), rtol=0, atol=1e-12)
+        shifted = block_downshift(d.L, d.n) @ d.hw
+        np.testing.assert_allclose(delta.dense, formula(shifted, d.n), rtol=0, atol=1e-12)
+
     def test_residual_equals_delta(self, plant, noisy_data):
         rng = np.random.default_rng(26)
         for _ in range(10):
@@ -204,6 +239,16 @@ class TestSynthRobust:
         block = synth_robust(data, w, eps, structure="blockdiag")
         # The coupled parameterization can only improve on block-diagonal.
         assert full.objective <= block.objective * (1 + 1e-6)
+
+    @pytest.mark.parametrize("structure", ["blockdiag", "full"])
+    def test_f_value_is_the_cost_of_the_assembled_responses(self, structure):
+        # The solver's objective and the responses are read off the same
+        # shift stacks, so they agree to rounding.
+        sys = LtiSystem(A=np.array([[0.9, 0.2], [0.0, 0.8]]), B=np.eye(2), noise_std=0.1)
+        w = CostWeights.uniform(np.eye(2), np.eye(2), horizon=3)
+        data = DataHankels.from_trajectory(average(generate_ensemble(sys, 15, 8, seed=32)), 3)
+        res = synth_robust(data, w, spectral_norm(data.hw), structure=structure)
+        assert res.f_value == pytest.approx(sls_cost(res.responses, w), rel=1e-12)
 
     def test_full_structure_capped_is_certified_and_reported(self):
         rng = np.random.default_rng(31)
