@@ -196,15 +196,14 @@ def bootstrap_epsilon(
     ens: Ensemble,
     L: int,
     resamples: int = 1000,
-    percentile: float = 95.0,
     statistic: str = "deviation",
     seed: int | None = None,
 ) -> float:
-    """Bootstrap percentile estimate of the averaged-noise Hankel norm.
+    """Bootstrap 95th-percentile estimate of the averaged-noise Hankel norm.
 
     Each resample averages member deviations from the ensemble mean and
     records the spectral norm of the order-L Hankel of that averaged
-    deviation; the requested percentile over all resamples is returned.
+    deviation; the 95th percentile over all resamples is returned.
 
     ``statistic="deviation"`` uses state deviations from the mean
     trajectory, which are exactly the responses to the member noise
@@ -243,4 +242,4 @@ def bootstrap_epsilon(
     means = (sel @ flat) * (np.sqrt(m * (N - 1) / (N - m)) / (m * np.sqrt(N)))
     means = means.reshape(resamples, *deviations.shape[1:])
     norms = hankel_norms_of_signals(means, L)
-    return float(np.percentile(norms, percentile))
+    return float(np.percentile(norms, 95.0))

@@ -4,7 +4,9 @@ Subcommands: simulate | synth | bounds | mpc | concentration | bootstrap.
 Every command reads a JSON config (defaults reproduce the reference
 experiment setup), is deterministic under (config, seed), writes CSV/JSON
 artifacts with 17-significant-digit numbers, and exits nonzero with a
-structured JSON error record on failure.  DDSLS_THREADS caps trial fan-out.
+structured JSON error record on failure.  The ``mpc`` CSV columns are the
+fields of ``TrialRecord`` after controller and N, which name the file.
+DDSLS_THREADS > 1 runs the trials of ``mpc`` (only) on that many threads.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ import math
 import os
 import sys
 import traceback
+from dataclasses import fields
 
 import numpy as np
 
 from . import analysis, lqg, synth
 from .blockops import CostWeights, obs_stack, psd_sqrt, spectral_norm, toeplitz_stack
-from .experiments import compare_controllers, parallel_map
+from .experiments import TrialRecord, compare_controllers
 from .hankel import build_hankel
 from .lti import LtiSystem, _write_csv, _write_json, average, generate_ensemble, save_ensemble, simulate
 
@@ -144,21 +147,13 @@ def cmd_synth(cfg: dict) -> dict:
     summary["mode"] = mode
     summary["residuals"] = {"structure_max": synth.structure_residual(data, result.ghat)}
     _write_json(os.path.join(out, "synthesis.json"), summary)
-    _write_csv(
-        os.path.join(out, "phi_x.csv"),
-        [f"c{j}" for j in range(result.responses.phi_x.dense.shape[1])],
-        result.responses.phi_x.dense.tolist(),
-    )
-    _write_csv(
-        os.path.join(out, "phi_u.csv"),
-        [f"c{j}" for j in range(result.responses.phi_u.dense.shape[1])],
-        result.responses.phi_u.dense.tolist(),
-    )
-    _write_csv(
-        os.path.join(out, "controller.csv"),
-        [f"c{j}" for j in range(result.controller.dense.shape[1])],
-        result.controller.dense.tolist(),
-    )
+    for name, op in (
+        ("phi_x", result.responses.phi_x),
+        ("phi_u", result.responses.phi_u),
+        ("controller", result.controller),
+    ):
+        dense = op.dense
+        _write_csv(os.path.join(out, f"{name}.csv"), [f"c{j}" for j in range(dense.shape[1])], dense.tolist())
     return summary
 
 
@@ -199,7 +194,7 @@ def cmd_bounds(cfg: dict) -> dict:
                 jstar=jstar,
             )
         )
-        rows.append([eps, bound.value, int(bound.certified)])
+        rows.append([eps, bound.value, bound.certified])
     out = _out_dir(cfg)
     _write_csv(os.path.join(out, "suboptimality_bounds.csv"), ["eps", "bound", "certified"], rows)
 
@@ -241,41 +236,13 @@ def cmd_mpc(cfg: dict) -> dict:
         mpc_horizon=cfg["horizons"]["H"],
     )
     out = _out_dir(cfg)
+    columns = [f.name for f in fields(TrialRecord)][2:]  # controller and N name the file
     by_key: dict[tuple, list] = {}
     for r in results.records:
         by_key.setdefault((r.controller, r.N), []).append(r)
     for (ctrl, N), rows in by_key.items():
         _write_csv(
-            os.path.join(out, f"mpc_{ctrl}_N{N}.csv"),
-            [
-                "trial",
-                "feasible",
-                "diverged",
-                "cost",
-                "state_norm",
-                "input_norm",
-                "gamma",
-                "eps",
-                "certified",
-                "rel_subopt",
-                "subopt_bound",
-            ],
-            [
-                [
-                    r.trial,
-                    int(r.feasible),
-                    int(r.diverged),
-                    r.cost,
-                    r.state_norm,
-                    r.input_norm,
-                    r.gamma if r.gamma is not None else math.nan,
-                    r.eps if r.eps is not None else math.nan,
-                    int(r.certified) if r.certified is not None else math.nan,
-                    r.rel_subopt if r.rel_subopt is not None else math.nan,
-                    r.subopt_bound if r.subopt_bound is not None else math.nan,
-                ]
-                for r in sorted(rows, key=lambda r: r.trial)
-            ],
+            os.path.join(out, f"mpc_{ctrl}_N{N}.csv"), columns, [[getattr(r, c) for c in columns] for r in rows]
         )
     _write_json(os.path.join(out, "mpc_summary.json"), results.summary)
     return results.summary
@@ -293,13 +260,8 @@ def cmd_concentration(cfg: dict) -> dict:
     params = analysis.TailParams(n=n, T=T, N=N, sigma2=sigma2)
 
     seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
-
-    def one(s):
-        rng = np.random.default_rng(int(s))
-        wbar = math.sqrt(sigma2 / N) * rng.standard_normal((T, n))
-        return float(analysis.hankel_norms_of_signals(wbar[None], L)[0])
-
-    norms = np.asarray(parallel_map(one, seeds))
+    draws = np.stack([np.random.default_rng(int(s)).standard_normal((T, n)) for s in seeds])
+    norms = analysis.hankel_norms_of_signals(math.sqrt(sigma2 / N) * draws, L)
     tgrid = np.linspace(0.0, float(norms.max()) * 1.5, 10)
     rows = []
     for t in tgrid:

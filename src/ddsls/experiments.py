@@ -5,7 +5,8 @@ robust data-driven controllers (budgeted by the bootstrap estimate and by
 the realized noise Hankel norm), and the naive data-driven controller that
 drops the norm constraint.  Each controller's first-step gain is applied in
 a receding-horizon loop against fresh process noise; trials share noise
-realizations across controllers so comparisons are paired.
+realizations across controllers so comparisons are paired.  The trials of
+:func:`compare_controllers` run on ``DDSLS_THREADS`` threads (default 1).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,6 +47,9 @@ def parallel_map(fn, items):
         return list(pool.map(fn, items))
 
 
+_DIVERGENCE_THRESHOLD = 1e6  # state norm beyond which an MPC run stops as diverged
+
+
 @dataclass(frozen=True)
 class MpcConfig:
     """One receding-horizon run of a finite-horizon LTV controller."""
@@ -56,7 +60,6 @@ class MpcConfig:
     q_state: np.ndarray
     r_input: np.ndarray
     seed: int
-    divergence_threshold: float = 1e6
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -89,7 +92,7 @@ def mpc_run(cfg: MpcConfig) -> RunStats:
     gain = cfg.controller.block(0, 0)
     H, n = cfg.horizon, sys.state_dim
     noise = sys.noise_std * np.random.default_rng(cfg.seed).standard_normal((H, n))
-    limit = cfg.divergence_threshold**2
+    limit = _DIVERGENCE_THRESHOLD**2
     xs = np.empty((H, n))
     x = np.zeros(n)
     for t in range(H):
@@ -124,41 +127,36 @@ class TrialRecord:
     subopt_bound: float | None = None
 
 
-@dataclass
-class ComparisonResults:
-    records: list[TrialRecord]
-    summary: dict = field(default_factory=dict)
-
-    def aggregate(self) -> dict:
-        """Median and quartiles per (controller, N), inf-aware."""
-        out: dict = {}
-        keys = sorted({(r.controller, r.N) for r in self.records})
-        for ctrl, N in keys:
-            rows = [r for r in self.records if r.controller == ctrl and r.N == N]
-            costs = np.array([r.cost for r in rows])
-            xs = np.array([r.state_norm for r in rows])
-            us = np.array([r.input_norm for r in rows])
+def _summarize(records: list[TrialRecord]) -> dict:
+    """Median and quartiles of cost and signal norms per (controller, N), inf-aware."""
+    groups: dict[tuple, list[TrialRecord]] = {}
+    for r in records:
+        groups.setdefault((r.controller, r.N), []).append(r)
+    out: dict = {}
+    for ctrl, N in sorted(groups):
+        rows = groups[ctrl, N]
+        entry = {"controller": ctrl, "N": N, "trials": len(rows)}
+        for stat in ("cost", "state_norm", "input_norm"):
+            values = np.array([getattr(r, stat) for r in rows])
             # Order statistics ("nearest") keep quantiles well defined when
             # infeasible/diverged trials contribute +inf entries.
-            q = lambda a, p: float(np.quantile(a, p, method="nearest"))
-            out[f"{ctrl}@N={N}"] = {
-                "controller": ctrl,
-                "N": N,
-                "trials": len(rows),
-                "cost_median": q(costs, 0.5),
-                "cost_q25": q(costs, 0.25),
-                "cost_q75": q(costs, 0.75),
-                "state_norm_median": q(xs, 0.5),
-                "state_norm_q25": q(xs, 0.25),
-                "state_norm_q75": q(xs, 0.75),
-                "input_norm_median": q(us, 0.5),
-                "input_norm_q25": q(us, 0.25),
-                "input_norm_q75": q(us, 0.75),
-                "diverged_fraction": float(np.mean([r.diverged for r in rows])),
-                "feasible_fraction": float(np.mean([r.feasible for r in rows])),
-            }
-        self.summary = out
-        return out
+            for label, p in (("median", 0.5), ("q25", 0.25), ("q75", 0.75)):
+                entry[f"{stat}_{label}"] = float(np.quantile(values, p, method="nearest"))
+        entry["diverged_fraction"] = float(np.mean([r.diverged for r in rows]))
+        entry["feasible_fraction"] = float(np.mean([r.feasible for r in rows]))
+        out[f"{ctrl}@N={N}"] = entry
+    return out
+
+
+@dataclass
+class ComparisonResults:
+    """Trial records and their per-(controller, N) summary, computed once."""
+
+    records: list[TrialRecord]
+    summary: dict = field(init=False)
+
+    def __post_init__(self):
+        self.summary = _summarize(self.records)
 
 
 _INFEASIBLE = RunStats(cost=math.inf, state_norm=math.inf, input_norm=math.inf, diverged=True)
@@ -180,22 +178,28 @@ def compare_controllers(
     excitation input, average it, synthesize the robust controllers with
     the bootstrap and realized noise budgets plus the naive controller, and
     run all of them (and the model-based optimum) through the same MPC
-    noise stream.  Synthesis infeasibility is recorded as an infinite-cost
-    trial rather than raised.
+    noise stream.  Synthesis infeasibility is recorded as an infinite-cost,
+    diverged trial rather than raised.  Records come in the order of
+    ``N_list``, then trial, then optimal, robust_bootstrap, robust_true,
+    naive; trials fan out over ``DDSLS_THREADS`` without changing them.
     """
     L = weights.horizon
     responses_star, jstar = optimal_responses(sys, weights)
     k_star = riccati_finite(sys, weights).controller()
-    obsn = spectral_norm(obs_stack(sys.A, L))
-    toep = spectral_norm(toeplitz_stack(sys.A, np.eye(sys.state_dim), T - L + 1))
-    qhalf = float(np.linalg.norm(psd_sqrt(weights.q_state)))
+    plant_terms = {  # the bound's inputs that do not depend on the trial
+        "L": L,
+        "T": T,
+        "obsnorm": spectral_norm(obs_stack(sys.A, L)),
+        "toepnorm": spectral_norm(toeplitz_stack(sys.A, np.eye(sys.state_dim), T - L + 1)),
+        "qhalf_frob": float(np.linalg.norm(psd_sqrt(weights.q_state))),
+        "jstar": jstar,
+    }
 
-    ss = np.random.SeedSequence(seed)
-    all_seeds = ss.generate_state(2 * len(N_list) * trials_per_N, dtype=np.uint64)
-    records: list[TrialRecord] = []
+    jobs = [(N, trial) for N in N_list for trial in range(trials_per_N)]
+    seeds = np.random.SeedSequence(seed).generate_state(2 * len(jobs), dtype=np.uint64)
 
-    def run_trial(args) -> list[TrialRecord]:
-        N, trial, data_seed, mpc_seed = args
+    def run_trial(job) -> list[TrialRecord]:
+        (N, trial), (data_seed, mpc_seed) = job
         ens = generate_ensemble(sys, T, N, int(data_seed))
         avg = average(ens)
         data = DataHankels.from_trajectory(avg, L)
@@ -213,86 +217,39 @@ def compare_controllers(
         except NotPersistentlyExciting:
             gstar_norm = None  # no bound without the optimal parameter
 
-        trial_records = []
-
-        def evaluate(name, controller, feasible, gamma=None, eps=None, extra=None):
-            if not feasible:
-                stats = _INFEASIBLE
-            else:
-                stats = mpc_run(
-                    MpcConfig(
-                        horizon=mpc_horizon,
-                        plant=sys,
-                        controller=controller,
-                        q_state=weights.q_state,
-                        r_input=weights.r_input,
-                        seed=int(mpc_seed),
-                    )
-                )
-            rec = TrialRecord(
-                controller=name,
-                N=N,
-                trial=trial,
-                feasible=feasible,
-                diverged=stats.diverged,
-                cost=stats.cost,
-                state_norm=stats.state_norm,
-                input_norm=stats.input_norm,
-                gamma=gamma,
-                eps=eps,
-                **(extra or {}),
+        def record(name, controller, **fields) -> TrialRecord:
+            """The MPC run of ``controller``; None stands for an infeasible synthesis."""
+            stats = _INFEASIBLE
+            if controller is not None:
+                cfg = MpcConfig(mpc_horizon, sys, controller, weights.q_state, weights.r_input, int(mpc_seed))
+                stats = mpc_run(cfg)
+            return TrialRecord(
+                controller=name, N=N, trial=trial, feasible=controller is not None, **asdict(stats), **fields
             )
-            trial_records.append(rec)
 
-        evaluate("optimal", k_star, True)
+        def certificate(controller, eps) -> dict:
+            """Realized relative suboptimality and the bound, when it applies, at ``eps``."""
+            jhat = sls_cost(responses_from_controller(sys, controller), weights)
+            certified, bound = False, math.nan
+            if gstar_norm is not None:
+                b = suboptimality_bound(BoundInputs(gstar_norm=gstar_norm, eps=eps, **plant_terms))
+                certified, bound = b.certified, (b.value if b.certified else math.nan)
+            return {"certified": certified, "rel_subopt": (jhat - jstar) / jstar, "subopt_bound": bound}
 
-        for name, eps_val in (("robust_bootstrap", eps_boot), ("robust_true", eps_true)):
+        records = [record("optimal", k_star)]
+        for name, eps, kwargs in (
+            ("robust_bootstrap", eps_boot, {}),
+            ("robust_true", eps_true, {}),
+            ("naive", 0.0, {"mode": "naive", "structure": "full"}),
+        ):
             try:
-                res = synth_robust(data, weights, eps_val)
+                res = synth_robust(data, weights, eps, **kwargs)
             except (InfeasibleEpsilon, NotPersistentlyExciting):
-                evaluate(name, None, False, eps=eps_val)
+                records.append(record(name, None, eps=eps))
                 continue
-            extra = None
-            if name == "robust_true":
-                jhat = sls_cost(responses_from_controller(sys, res.controller), weights)
-                certified, bound = False, math.nan
-                if gstar_norm is not None:
-                    b = suboptimality_bound(
-                        BoundInputs(
-                            gstar_norm=gstar_norm,
-                            eps=eps_val,
-                            L=L,
-                            T=T,
-                            obsnorm=obsn,
-                            toepnorm=toep,
-                            qhalf_frob=qhalf,
-                            jstar=jstar,
-                        )
-                    )
-                    certified, bound = b.certified, (b.value if b.certified else math.nan)
-                extra = {
-                    "certified": certified,
-                    "rel_subopt": (jhat - jstar) / jstar,
-                    "subopt_bound": bound,
-                }
-            evaluate(name, res.controller, True, gamma=res.gamma, eps=eps_val, extra=extra)
+            cert = certificate(res.controller, eps) if name == "robust_true" else {}
+            records.append(record(name, res.controller, gamma=res.gamma, eps=eps, **cert))
+        return records
 
-        try:
-            res = synth_robust(data, weights, 0.0, mode="naive", structure="full")
-            evaluate("naive", res.controller, True, gamma=None, eps=0.0)
-        except (InfeasibleEpsilon, NotPersistentlyExciting):
-            evaluate("naive", None, False, eps=0.0)
-
-        return trial_records
-
-    jobs = []
-    i = 0
-    for N in N_list:
-        for trial in range(trials_per_N):
-            jobs.append((N, trial, all_seeds[i], all_seeds[i + 1]))
-            i += 2
-    for recs in parallel_map(run_trial, jobs):
-        records.extend(recs)
-    results = ComparisonResults(records=records)
-    results.aggregate()
-    return results
+    trials = parallel_map(run_trial, zip(jobs, seeds.reshape(-1, 2)))
+    return ComparisonResults([r for records in trials for r in records])

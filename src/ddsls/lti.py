@@ -198,14 +198,8 @@ def simulate(
     return Trajectory(x=x, u=u.copy(), w=w)
 
 
-def generate_ensemble(
-    sys: LtiSystem,
-    T: int,
-    N: int,
-    seed: int,
-    x0: np.ndarray | None = None,
-) -> Ensemble:
-    """Sample N trajectories under one i.i.d. N(0, I) input with fresh noise.
+def generate_ensemble(sys: LtiSystem, T: int, N: int, seed: int) -> Ensemble:
+    """Sample N trajectories from the zero state under one i.i.d. N(0, I) input.
 
     Every member receives the same input, so that averaging does not wash
     the excitation out.  Deterministic under the seed: the input is drawn
@@ -215,18 +209,15 @@ def generate_ensemble(
         raise ValueError("N must be >= 1")
     n, m = sys.state_dim, sys.input_dim
     rng = np.random.default_rng(seed)
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).reshape(n)
-
     u = rng.standard_normal((T, m))
     noise = sys.noise_std * rng.standard_normal((N, T - 1, n))
 
     # Batch rollout: one time loop advances all members together.
     u_all = np.broadcast_to(u, (N, T, m))
-    x = np.empty((N, T, n))
-    x[:, 0, :] = x0
+    x = np.zeros((N, T, n))
     for t in range(T - 1):
         x[:, t + 1, :] = x[:, t, :] @ sys.A.T + u_all[:, t, :] @ sys.B.T + noise[:, t, :]
-    w = np.concatenate([np.broadcast_to(x0, (N, 1, n)), noise], axis=1)
+    w = np.concatenate([np.zeros((N, 1, n)), noise], axis=1)
     return Ensemble(x=x, w=w, u=u, seed=seed)
 
 
@@ -261,11 +252,23 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _csv_cell(v) -> str:
+    if v is None:
+        return "nan"
+    if isinstance(v, (bool, np.bool_)):
+        return str(int(v))
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """Comma-separated rows under a header; floats with 17 significant digits."""
+    """Comma-separated rows under a header.
+
+    Floats carry 17 significant digits, None is written as ``nan`` and a
+    bool as 0/1.
+    """
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(_csv_cell(v) for v in row))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

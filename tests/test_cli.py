@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ddsls import cli
+from ddsls.experiments import TrialRecord
 
 TINY = {
     "horizons": {"L": 4, "T": 20, "H": 60},
@@ -162,7 +164,9 @@ def test_mpc_outputs(tmp_path):
     summary = json.loads((out / "mpc_summary.json").read_text())
     assert "optimal@N=16" in summary
     assert (out / "mpc_optimal_N16.csv").exists()
-    assert (out / "mpc_naive_N16.csv").exists()
+    rows = (out / "mpc_naive_N16.csv").read_text().splitlines()
+    assert rows[0].split(",") == [f.name for f in fields(TrialRecord)][2:]
+    assert [r.split(",")[0] for r in rows[1:]] == ["0", "1"]
 
 
 def test_concentration_outputs(tmp_path):

@@ -1,10 +1,18 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from ddsls.blockops import LtvOperator
-from ddsls.experiments import MpcConfig, compare_controllers, mpc_run
+from ddsls.experiments import (
+    _DIVERGENCE_THRESHOLD,
+    ComparisonResults,
+    MpcConfig,
+    TrialRecord,
+    compare_controllers,
+    mpc_run,
+)
 from ddsls.lqg import dare, riccati_finite
 from ddsls.lti import LtiSystem
 from tests.conftest import L_BENCH, SIGMA2, T_BENCH
@@ -26,7 +34,7 @@ def reference_mpc_run(cfg):
         cost += float(x @ cfg.q_state @ x + u @ cfg.r_input @ u)
         sum_x2 += float(x @ x)
         sum_u2 += float(u @ u)
-        if float(x @ x) > cfg.divergence_threshold**2 or not np.all(np.isfinite(x)):
+        if float(x @ x) > _DIVERGENCE_THRESHOLD**2 or not np.all(np.isfinite(x)):
             return math.inf, math.inf, math.inf, True
         x = sys.A @ x + sys.B @ u + sys.noise_std * rng.standard_normal(sys.state_dim)
     return cost, math.sqrt(sum_x2), math.sqrt(sum_u2), False
@@ -168,3 +176,69 @@ class TestCompareControllers:
         for r in results.records:
             if r.controller == "robust_true" and r.certified:
                 assert r.rel_subopt <= r.subopt_bound
+
+    def test_records_do_not_depend_on_the_thread_count(self, plant, bench_weights, monkeypatch):
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DDSLS_THREADS", threads)
+            runs.append(
+                compare_controllers(
+                    plant,
+                    bench_weights,
+                    N_list=[8, 32],
+                    trials_per_N=2,
+                    seed=3,
+                    T=T_BENCH,
+                    mpc_horizon=50,
+                    bootstrap_resamples=50,
+                )
+            )
+        serial, threaded = runs
+        assert len(serial.records) == len(threaded.records) == 16
+        for a, b in zip(serial.records, threaded.records):
+            for f in fields(TrialRecord):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                assert x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y)), (a, f.name)
+        assert serial.summary == threaded.summary
+
+
+def test_summary_layout_and_quantiles():
+    # An infinite cost stands for an infeasible synthesis, recorded as diverged.
+    groups = {
+        ("robust_true", 8): [math.inf, 7.0],
+        ("naive", 32): [5.0],
+        ("naive", 8): [4.0, 1.0, math.inf, 2.0, 3.0],
+    }
+    records = [
+        TrialRecord(
+            controller=ctrl,
+            N=N,
+            trial=k,
+            feasible=c < math.inf,
+            diverged=c == math.inf,
+            cost=c,
+            state_norm=2.0 * c,
+            input_norm=3.0 * c,
+        )
+        for (ctrl, N), costs in groups.items()
+        for k, c in enumerate(costs)
+    ]
+    summary = ComparisonResults(records).summary
+
+    assert list(summary) == ["naive@N=8", "naive@N=32", "robust_true@N=8"]
+    stats = ("cost", "state_norm", "input_norm")
+    quantiles = (("median", 0.5), ("q25", 0.25), ("q75", 0.75))
+    layout = ["controller", "N", "trials"] + [f"{stat}_{label}" for stat in stats for label, _ in quantiles]
+    for (ctrl, N), costs in groups.items():
+        entry = summary[f"{ctrl}@N={N}"]
+        assert list(entry) == layout + ["diverged_fraction", "feasible_fraction"]
+        assert (entry["controller"], entry["N"], entry["trials"]) == (ctrl, N, len(costs))
+        for stat, scale in zip(stats, (1.0, 2.0, 3.0)):
+            values = scale * np.array(costs)
+            for label, p in quantiles:
+                assert entry[f"{stat}_{label}"] == float(np.quantile(values, p, method="nearest"))
+    naive, robust = summary["naive@N=8"], summary["robust_true@N=8"]
+    assert (naive["cost_q25"], naive["cost_median"], naive["cost_q75"]) == (2.0, 3.0, 4.0)
+    assert (naive["diverged_fraction"], naive["feasible_fraction"]) == (0.2, 0.8)
+    assert (robust["cost_median"], robust["cost_q75"]) == (7.0, math.inf)
+    assert (robust["diverged_fraction"], robust["feasible_fraction"]) == (0.5, 0.5)

@@ -174,6 +174,14 @@ class TestSerialization:
             b"1,0.33333333333333331,-3.9999999999999998e-20,-0.5,1.0000000000000001e+300,7\n"
         )
 
+    def test_csv_cells_render_none_as_nan_and_bools_as_digits(self, tmp_path):
+        from ddsls.lti import _write_csv
+
+        path = tmp_path / "cells.csv"
+        rows = [[None, True, False, np.True_, 0.1], [3, np.False_, 2.5, "x", None]]
+        _write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        assert path.read_bytes() == b"a,b,c,d,e\nnan,1,0,1,0.10000000000000001\n3,0,2.5,x,nan\n"
+
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             Trajectory(x=np.zeros((5, 2)), u=np.zeros((5, 1)), w=np.ones((5, 2)))
