@@ -16,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blockops import CostWeights, obs_stack, psd_sqrt, spectral_norm, toeplitz_stack
 from .hankel import build_hankel
-from .lti import Ensemble
+from .lqg import optimal_responses
+from .lti import Ensemble, LtiSystem
+from .sls import SystemResponsePair
 
 __all__ = [
     "BoundInputs",
@@ -96,6 +99,25 @@ def suboptimality_bound(b: BoundInputs) -> BoundValue:
     )
     certified = b.eps <= eps_precondition(b.gstar_norm, b.L, b.toepnorm) and b.T >= 2 * b.L + 1
     return BoundValue(value=value, certified=certified)
+
+
+def _plant_terms(sys: LtiSystem, weights: CostWeights, T: int) -> tuple[SystemResponsePair, dict]:
+    """The optimal responses and the bound's inputs that the data do not change.
+
+    The dict holds every :class:`BoundInputs` field but ``gstar_norm`` and
+    ``eps``, so ``BoundInputs(gstar_norm=g, eps=e, **terms)`` completes it;
+    the Toeplitz stack spans the T - L + 1 columns of an order-L Hankel.
+    """
+    L = weights.horizon
+    responses, jstar = optimal_responses(sys, weights)
+    return responses, {
+        "L": L,
+        "T": T,
+        "obsnorm": spectral_norm(obs_stack(sys.A, L)),
+        "toepnorm": spectral_norm(toeplitz_stack(sys.A, np.eye(sys.state_dim), T - L + 1)),
+        "qhalf_frob": float(np.linalg.norm(psd_sqrt(weights.q_state))),
+        "jstar": jstar,
+    }
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ experiment setup), is deterministic under (config, seed), writes CSV/JSON
 artifacts with 17-significant-digit numbers, and exits nonzero with a
 structured JSON error record on failure.  The ``mpc`` CSV columns are the
 fields of ``TrialRecord`` after controller and N, which name the file.
-DDSLS_THREADS > 1 runs the trials of ``mpc`` (only) on that many threads.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import analysis, lqg, synth
-from .blockops import CostWeights, obs_stack, psd_sqrt, spectral_norm, toeplitz_stack
+from .blockops import CostWeights, spectral_norm
 from .experiments import TrialRecord, compare_controllers
 from .hankel import build_hankel
 from .lti import LtiSystem, _write_csv, _write_json, average, generate_ensemble, save_ensemble, simulate
@@ -167,12 +166,9 @@ def cmd_bounds(cfg: dict) -> dict:
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((T, sys_.input_dim))
     noiseless = simulate(sys_, np.zeros(n), u)
-    responses_star, jstar = lqg.optimal_responses(sys_, weights)
+    responses_star, terms = analysis._plant_terms(sys_, weights, T)
     gstar = lqg.recover_gstar(build_hankel(noiseless.x, L), build_hankel(noiseless.u, L), responses_star)
-
-    toep = spectral_norm(toeplitz_stack(sys_.A, np.eye(n), T - L + 1))
-    obsn = spectral_norm(obs_stack(sys_.A, L))
-    qhalf = float(np.linalg.norm(psd_sqrt(weights.q_state)))
+    toep = terms["toepnorm"]
     eps_max = analysis.eps_precondition(gstar.norm, L, toep)
 
     sigma2 = cfg["system"]["sigma2"]
@@ -182,18 +178,7 @@ def cmd_bounds(cfg: dict) -> dict:
     eps_grid = [0.0] + [eps_max * f for f in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)]
     rows = []
     for eps in eps_grid:
-        bound = analysis.suboptimality_bound(
-            analysis.BoundInputs(
-                gstar_norm=gstar.norm,
-                eps=eps,
-                L=L,
-                T=T,
-                obsnorm=obsn,
-                toepnorm=toep,
-                qhalf_frob=qhalf,
-                jstar=jstar,
-            )
-        )
+        bound = analysis.suboptimality_bound(analysis.BoundInputs(gstar_norm=gstar.norm, eps=eps, **terms))
         rows.append([eps, bound.value, bound.certified])
     out = _out_dir(cfg)
     _write_csv(os.path.join(out, "suboptimality_bounds.csv"), ["eps", "bound", "certified"], rows)
@@ -212,10 +197,10 @@ def cmd_bounds(cfg: dict) -> dict:
 
     summary = {
         "gstar_norm": gstar.norm,
-        "jstar": jstar,
+        "jstar": terms["jstar"],
         "toepnorm": toep,
-        "obsnorm": obsn,
-        "qhalf_frob": qhalf,
+        "obsnorm": terms["obsnorm"],
+        "qhalf_frob": terms["qhalf_frob"],
         "eps_precondition": eps_max,
         "sample_complexity": {"delta": delta, "N_min": nmin},
     }

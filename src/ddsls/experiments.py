@@ -5,23 +5,21 @@ robust data-driven controllers (budgeted by the bootstrap estimate and by
 the realized noise Hankel norm), and the naive data-driven controller that
 drops the norm constraint.  Each controller's first-step gain is applied in
 a receding-horizon loop against fresh process noise; trials share noise
-realizations across controllers so comparisons are paired.  The trials of
-:func:`compare_controllers` run on ``DDSLS_THREADS`` threads (default 1).
+realizations across controllers so comparisons are paired.  Trials run
+one after another in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .analysis import BoundInputs, bootstrap_epsilon, suboptimality_bound
-from .blockops import CostWeights, LtvOperator, obs_stack, psd_sqrt, spectral_norm, toeplitz_stack
+from .analysis import BoundInputs, _plant_terms, bootstrap_epsilon, suboptimality_bound
+from .blockops import CostWeights, LtvOperator, spectral_norm
 from .hankel import NotPersistentlyExciting, build_hankel
-from .lqg import optimal_responses, recover_gstar, riccati_finite
+from .lqg import recover_gstar, riccati_finite
 from .lti import LtiSystem, average, generate_ensemble, simulate
 from .sls import responses_from_controller, sls_cost
 from .solver import InfeasibleEpsilon
@@ -34,17 +32,7 @@ __all__ = [
     "TrialRecord",
     "ComparisonResults",
     "compare_controllers",
-    "parallel_map",
 ]
-
-
-def parallel_map(fn, items):
-    """Map preserving order, fanned out over DDSLS_THREADS when > 1."""
-    workers = int(os.environ.get("DDSLS_THREADS", "1"))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 _DIVERGENCE_THRESHOLD = 1e6  # state norm beyond which an MPC run stops as diverged
@@ -181,25 +169,18 @@ def compare_controllers(
     noise stream.  Synthesis infeasibility is recorded as an infinite-cost,
     diverged trial rather than raised.  Records come in the order of
     ``N_list``, then trial, then optimal, robust_bootstrap, robust_true,
-    naive; trials fan out over ``DDSLS_THREADS`` without changing them.
+    naive.
     """
     L = weights.horizon
-    responses_star, jstar = optimal_responses(sys, weights)
+    responses_star, plant_terms = _plant_terms(sys, weights, T)
+    jstar = plant_terms["jstar"]
     k_star = riccati_finite(sys, weights).controller()
-    plant_terms = {  # the bound's inputs that do not depend on the trial
-        "L": L,
-        "T": T,
-        "obsnorm": spectral_norm(obs_stack(sys.A, L)),
-        "toepnorm": spectral_norm(toeplitz_stack(sys.A, np.eye(sys.state_dim), T - L + 1)),
-        "qhalf_frob": float(np.linalg.norm(psd_sqrt(weights.q_state))),
-        "jstar": jstar,
-    }
 
     jobs = [(N, trial) for N in N_list for trial in range(trials_per_N)]
     seeds = np.random.SeedSequence(seed).generate_state(2 * len(jobs), dtype=np.uint64)
 
-    def run_trial(job) -> list[TrialRecord]:
-        (N, trial), (data_seed, mpc_seed) = job
+    records: list[TrialRecord] = []
+    for (N, trial), (data_seed, mpc_seed) in zip(jobs, seeds.reshape(-1, 2)):
         ens = generate_ensemble(sys, T, N, int(data_seed))
         avg = average(ens)
         data = DataHankels.from_trajectory(avg, L)
@@ -217,26 +198,8 @@ def compare_controllers(
         except NotPersistentlyExciting:
             gstar_norm = None  # no bound without the optimal parameter
 
-        def record(name, controller, **fields) -> TrialRecord:
-            """The MPC run of ``controller``; None stands for an infeasible synthesis."""
-            stats = _INFEASIBLE
-            if controller is not None:
-                cfg = MpcConfig(mpc_horizon, sys, controller, weights.q_state, weights.r_input, int(mpc_seed))
-                stats = mpc_run(cfg)
-            return TrialRecord(
-                controller=name, N=N, trial=trial, feasible=controller is not None, **asdict(stats), **fields
-            )
-
-        def certificate(controller, eps) -> dict:
-            """Realized relative suboptimality and the bound, when it applies, at ``eps``."""
-            jhat = sls_cost(responses_from_controller(sys, controller), weights)
-            certified, bound = False, math.nan
-            if gstar_norm is not None:
-                b = suboptimality_bound(BoundInputs(gstar_norm=gstar_norm, eps=eps, **plant_terms))
-                certified, bound = b.certified, (b.value if b.certified else math.nan)
-            return {"certified": certified, "rel_subopt": (jhat - jstar) / jstar, "subopt_bound": bound}
-
-        records = [record("optimal", k_star)]
+        # (family, controller or None for an infeasible synthesis, extra record fields)
+        runs = [("optimal", k_star, {})]
         for name, eps, kwargs in (
             ("robust_bootstrap", eps_boot, {}),
             ("robust_true", eps_true, {}),
@@ -245,11 +208,26 @@ def compare_controllers(
             try:
                 res = synth_robust(data, weights, eps, **kwargs)
             except (InfeasibleEpsilon, NotPersistentlyExciting):
-                records.append(record(name, None, eps=eps))
+                runs.append((name, None, {"eps": eps}))
                 continue
-            cert = certificate(res.controller, eps) if name == "robust_true" else {}
-            records.append(record(name, res.controller, gamma=res.gamma, eps=eps, **cert))
-        return records
+            extra = {"gamma": res.gamma, "eps": eps}
+            if name == "robust_true":
+                # Realized relative suboptimality, and the bound when it applies.
+                jhat = sls_cost(responses_from_controller(sys, res.controller), weights)
+                extra.update(certified=False, rel_subopt=(jhat - jstar) / jstar, subopt_bound=math.nan)
+                if gstar_norm is not None:
+                    b = suboptimality_bound(BoundInputs(gstar_norm=gstar_norm, eps=eps, **plant_terms))
+                    extra.update(certified=b.certified, subopt_bound=b.value if b.certified else math.nan)
+            runs.append((name, res.controller, extra))
 
-    trials = parallel_map(run_trial, zip(jobs, seeds.reshape(-1, 2)))
-    return ComparisonResults([r for records in trials for r in records])
+        for name, controller, extra in runs:
+            stats = _INFEASIBLE
+            if controller is not None:
+                cfg = MpcConfig(mpc_horizon, sys, controller, weights.q_state, weights.r_input, int(mpc_seed))
+                stats = mpc_run(cfg)
+            records.append(
+                TrialRecord(
+                    controller=name, N=N, trial=trial, feasible=controller is not None, **asdict(stats), **extra
+                )
+            )
+    return ComparisonResults(records)

@@ -63,14 +63,16 @@ def test_names_the_benchmark_tracer_patches_stay_in_place():
 NUMPY_ONLY_SCRIPT = textwrap.dedent(
     """
     import sys
+    import threading
 
     import numpy as np
 
     import ddsls
     import ddsls.cli
     from ddsls import (
-        CostWeights, DataHankels, LtiSystem, MpcConfig, average, generate_ensemble,
-        mpc_run, recover_controller, responses_from_controller, spectral_norm, synth_robust,
+        CostWeights, DataHankels, LtiSystem, MpcConfig, average, compare_controllers,
+        generate_ensemble, mpc_run, recover_controller, responses_from_controller,
+        spectral_norm, synth_robust,
     )
 
     plant = LtiSystem(A=np.diag([1.01, 0.9, 0.8]), B=np.eye(3), noise_std=0.1)
@@ -83,7 +85,11 @@ NUMPY_ONLY_SCRIPT = textwrap.dedent(
     K = recover_controller(responses_from_controller(plant, res.controller))
     mpc_run(MpcConfig(horizon=50, plant=plant, controller=K, q_state=np.eye(3),
                       r_input=np.eye(3), seed=2))
+    compare_controllers(plant, weights, N_list=[16], trials_per_N=1, seed=3, T=24,
+                        mpc_horizon=50, bootstrap_resamples=50)
     print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    print(sorted(m for m in sys.modules if m.split(".")[0] == "concurrent"))
+    print(threading.active_count())
     """
 )
 
@@ -100,4 +106,8 @@ def test_runtime_never_imports_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scipy_modules, concurrent_modules, threads = proc.stdout.splitlines()
+    assert scipy_modules == "[]"
+    # Trials run serially: no executor is imported and no thread is started.
+    assert concurrent_modules == "[]"
+    assert threads == "1"

@@ -177,29 +177,26 @@ class TestCompareControllers:
             if r.controller == "robust_true" and r.certified:
                 assert r.rel_subopt <= r.subopt_bound
 
-    def test_records_do_not_depend_on_the_thread_count(self, plant, bench_weights, monkeypatch):
-        runs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("DDSLS_THREADS", threads)
-            runs.append(
-                compare_controllers(
-                    plant,
-                    bench_weights,
-                    N_list=[8, 32],
-                    trials_per_N=2,
-                    seed=3,
-                    T=T_BENCH,
-                    mpc_horizon=50,
-                    bootstrap_resamples=50,
-                )
+    def test_repeated_runs_give_equal_records(self, plant, bench_weights):
+        first, second = [
+            compare_controllers(
+                plant,
+                bench_weights,
+                N_list=[8, 32],
+                trials_per_N=2,
+                seed=3,
+                T=T_BENCH,
+                mpc_horizon=50,
+                bootstrap_resamples=50,
             )
-        serial, threaded = runs
-        assert len(serial.records) == len(threaded.records) == 16
-        for a, b in zip(serial.records, threaded.records):
+            for _ in range(2)
+        ]
+        assert len(first.records) == len(second.records) == 16
+        for a, b in zip(first.records, second.records):
             for f in fields(TrialRecord):
                 x, y = getattr(a, f.name), getattr(b, f.name)
                 assert x == y or (isinstance(x, float) and math.isnan(x) and math.isnan(y)), (a, f.name)
-        assert serial.summary == threaded.summary
+        assert first.summary == second.summary
 
 
 def test_summary_layout_and_quantiles():
