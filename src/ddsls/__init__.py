@@ -9,7 +9,6 @@ from .blockops import (
     psd_sqrt,
     spectral_norm,
     toeplitz_stack,
-    z_stack,
 )
 from .hankel import (
     NotPersistentlyExciting,

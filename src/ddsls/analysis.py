@@ -244,6 +244,8 @@ def bootstrap_epsilon(
     N = len(ens)
     if N < 2:
         raise ValueError("bootstrap requires at least two trajectories")
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
     if statistic == "deviation":
         members = ens.x
     elif statistic == "noise":

@@ -2,20 +2,21 @@
 
 All matrices are plain float64 ``numpy`` arrays in row-major order.  The
 horizons handled here are small (a few hundred rows at most), so everything
-is built densely and norms/ranks are always computed through the SVD, which
-keeps rank decisions reproducible.
+is built densely.  ``spectral_norm`` and ``matrix_rank`` go through the SVD,
+which keeps rank decisions reproducible; the batched Hankel norms of
+``analysis`` and the spectral-ball projection of ``solver`` go through the
+eigenvalues of small Gram matrices instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "block_diag",
     "block_downshift",
-    "z_stack",
     "obs_stack",
     "toeplitz_stack",
     "spectral_norm",
@@ -60,20 +61,6 @@ def block_downshift(L: int, n: int) -> np.ndarray:
     for i in range(1, L):
         Z[i * n : (i + 1) * n, (i - 1) * n : i * n] = np.eye(n)
     return Z
-
-
-def z_stack(L: int, n: int) -> np.ndarray:
-    """Horizontal stack [I  Z  Z^2 ... Z^(L-1)] of downshift powers.
-
-    Shape nL x (nL*L).  Its spectral norm is at most sqrt(L).
-    """
-    if L < 1 or n < 1:
-        raise ValueError("L and n must be >= 1")
-    Z = block_downshift(L, n)
-    blocks = [np.eye(n * L)]
-    for _ in range(L - 1):
-        blocks.append(Z @ blocks[-1])
-    return np.hstack(blocks)
 
 
 def obs_stack(A: np.ndarray, L: int) -> np.ndarray:
@@ -183,10 +170,6 @@ class LtvOperator:
         p, q = as_matrix(blocks[0], "block").shape
         return cls(horizon=len(blocks), block_rows=p, block_cols=q, dense=block_diag(blocks))
 
-    @classmethod
-    def identity(cls, horizon: int, n: int) -> "LtvOperator":
-        return cls(horizon=horizon, block_rows=n, block_cols=n, dense=np.eye(n * horizon))
-
     def block(self, i: int, j: int) -> np.ndarray:
         p, q = self.block_rows, self.block_cols
         return self.dense[i * p : (i + 1) * p, j * q : (j + 1) * q]
@@ -206,15 +189,14 @@ class CostWeights:
 
     The lifted state weight repeats ``q_state`` on the block diagonal with
     ``q_terminal`` installed in the last block; the lifted input weight
-    repeats ``r_input`` on every block.
+    repeats ``r_input`` on every block.  ``weight_sqrt`` is the one lifted
+    form the package builds.
     """
 
     q_state: np.ndarray
     r_input: np.ndarray
     q_terminal: np.ndarray
     horizon: int
-    lifted_q: np.ndarray = field(init=False, repr=False)
-    lifted_r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         Q = as_matrix(self.q_state, "q_state")
@@ -238,16 +220,6 @@ class CostWeights:
         object.__setattr__(self, "q_state", Q)
         object.__setattr__(self, "r_input", R)
         object.__setattr__(self, "q_terminal", QF)
-        L, n, m = self.horizon, Q.shape[0], R.shape[0]
-        lifted_q = np.kron(np.eye(L), Q)
-        lifted_q[(L - 1) * n :, (L - 1) * n :] = QF
-        object.__setattr__(self, "lifted_q", lifted_q)
-        object.__setattr__(self, "lifted_r", np.kron(np.eye(L), R))
-
-    @classmethod
-    def uniform(cls, q_state, r_input, horizon: int) -> "CostWeights":
-        """No distinguished terminal weight: last state block equals q_state."""
-        return cls(q_state=q_state, r_input=r_input, q_terminal=q_state, horizon=horizon)
 
     @property
     def state_dim(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import CostWeights, LtvOperator, block_diag, matrix_rank, spectral_norm
+from .blockops import CostWeights, LtvOperator, matrix_rank, spectral_norm
 from .hankel import NotPersistentlyExciting
 from .lti import LtiSystem
 from .sls import SystemResponsePair, responses_from_controller, sls_cost
@@ -33,10 +33,6 @@ class RiccatiSolution:
 
     gains: list
     value_mats: list
-
-    @property
-    def horizon(self) -> int:
-        return len(self.gains)
 
     def controller(self) -> LtvOperator:
         """The gains as a block-diagonal causal operator u(t) = K_t x(t)."""
@@ -111,10 +107,6 @@ class GStar:
     """
 
     blocks: list
-
-    @property
-    def dense(self) -> np.ndarray:
-        return block_diag(self.blocks)
 
     @property
     def norm(self) -> float:

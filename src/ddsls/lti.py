@@ -110,11 +110,6 @@ class Trajectory:
         """
         return _process_noise(self.w)
 
-    def dynamics_residual(self, sys: LtiSystem) -> float:
-        """Max-norm violation of x(t+1) = A x(t) + B u(t) + w(t)."""
-        pred = self.x[:-1] @ sys.A.T + self.u[:-1] @ sys.B.T + self.w[1:]
-        return float(np.abs(self.x[1:] - pred).max(initial=0.0))
-
 
 def _process_noise(w: np.ndarray) -> np.ndarray:
     """Shift (..., T, n) embedded noise records to injection time (last row zero)."""
@@ -155,10 +150,6 @@ class Ensemble:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.x.shape[1]
 
     @property
     def w_process(self) -> np.ndarray:

@@ -40,7 +40,7 @@ and the quadratic step of block column j uses the Woodbury identity on
 K_j = C_j (I (x) P) C_j^T, one small (rows x rows) eigendecomposition per
 block column made once at build.  Its ball projection goes through the
 eigendecomposition of the small right Gram matrix
-(``ball_projection_batch``), and its returned point is blended toward the
+(``_ball_projection``), and its returned point is blended toward the
 minimum-norm feasible point so that it lies in the ball exactly.
 """
 
@@ -56,7 +56,6 @@ __all__ = [
     "SolveReport",
     "BlockDiagonalProblem",
     "CoupledCausalProblem",
-    "ball_projection_batch",
     "GammaSearchResult",
     "gamma_search",
     "InfeasibleEpsilon",
@@ -428,21 +427,19 @@ class BlockDiagonalProblem:
         return _symmetrize(Lam), _symmetrize(X), step
 
 
-def ball_projection_batch(M: np.ndarray, tau: float) -> np.ndarray:
-    """Spectral-ball projection applied across the leading batch axis.
+def _ball_projection(M: np.ndarray, tau: float) -> np.ndarray:
+    """Projection of M onto the spectral ball of radius tau.
 
     Works through the eigendecomposition of the small right Gram matrix:
     only singular values above tau are shrunk, and those are where the
     squared spectrum is numerically reliable.
     """
-    gram = np.matmul(M.transpose(0, 2, 1), M)
-    lam, V = np.linalg.eigh(gram)
+    lam, V = np.linalg.eigh(M.T @ M)
     s = np.sqrt(np.clip(lam, 0.0, None))
-    if bool(np.all(s[:, -1] <= tau)):
+    if s[-1] <= tau:
         return M.copy()
     shrink = np.where(s > tau, tau / np.maximum(s, 1e-300), 1.0)
-    factor = np.matmul(V * shrink[:, None, :], V.transpose(0, 2, 1))
-    return np.matmul(M, factor)
+    return M @ ((V * shrink) @ V.T)
 
 
 class CoupledCausalProblem:
@@ -586,7 +583,7 @@ class CoupledCausalProblem:
         if start is not None and start.state is not None:
             Y, Uv, rho = start.state
         else:
-            Y = ball_projection_batch(base.solution[None], tau)[0]
+            Y = _ball_projection(base.solution, tau)
             Uv, rho = np.zeros_like(Y), self._initial_rho()
         relax = 1.7
         status = "max-iter"
@@ -595,7 +592,7 @@ class CoupledCausalProblem:
             G = self._prox(Y - Uv, rho)
             G_rel = relax * G + (1.0 - relax) * Y
             Y_prev = Y
-            Y = ball_projection_batch((G_rel + Uv)[None], tau)[0]
+            Y = _ball_projection(G_rel + Uv, tau)
             Uv = Uv + G_rel - Y
             r = float(np.linalg.norm(G - Y))
             s = rho * float(np.linalg.norm(Y - Y_prev))
@@ -673,8 +670,10 @@ def gamma_search(
     returned.  Each solve starts from the report of the nearest gamma solved
     so far (the latest on ties): the final one resumes its gamma's own.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not eps >= 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     scale = np.sqrt(problem.L) * eps
 
     if eps == 0.0:

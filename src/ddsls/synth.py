@@ -87,9 +87,6 @@ class DataHankels:
     def cols(self) -> int:
         return self.hx.shape[1]
 
-    def stacked_full_rank(self) -> bool:
-        return _data_rank(self.h1x, self.hu)[1]
-
 
 @dataclass(frozen=True)
 class SynthesisResult:
@@ -209,14 +206,14 @@ def assemble_responses(data: DataHankels, ghat: np.ndarray) -> SystemResponsePai
     )
 
 
-def assemble_delta(hw: np.ndarray, data: DataHankels, ghat: np.ndarray) -> Perturbation:
-    """Achievability perturbation induced by the recorded noise Hankel.
+def assemble_delta(data: DataHankels, ghat: np.ndarray) -> Perturbation:
+    """Achievability perturbation induced by the recorded noise Hankel ``data.hw``.
 
     Applies the same assembly as the responses to the once-downshifted
     noise Hankel; the result is strictly causal and obeys
     ||delta||_2 <= sqrt(L) * ||hw||_2 * ||ghat||_2.
     """
-    L, n = data.L, data.n
+    L, n, hw = data.L, data.n, data.hw
     shifted = np.vstack([np.zeros((n, hw.shape[1])), hw[:-n]])
     delta = _shift_stack(shifted, L, n) @ _causal_part(data, ghat)
     return Perturbation(delta=LtvOperator(L, n, n, delta))
@@ -232,7 +229,7 @@ def _build_problem(data: DataHankels, weights: CostWeights, structure: str):
 
 
 def _require_excitation(data: DataHankels) -> None:
-    if not data.stacked_full_rank():
+    if not _data_rank(data.h1x, data.hu)[1]:
         raise NotPersistentlyExciting(
             "stacked data matrix is rank deficient; input is not persistently exciting"
         )
@@ -269,8 +266,15 @@ def synth_robust(
     and that solve's status, gap and added iterations are in ``search``.
     """
     _require_excitation(data)
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    for name, have, want in (
+        ("horizon", weights.horizon, data.L),
+        ("state_dim", weights.state_dim, data.n),
+        ("input_dim", weights.input_dim, data.m),
+    ):
+        if have != want:
+            raise ValueError(f"weights {name} {have} does not match the data's {want}")
+    if not eps >= 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
     if mode not in ("robust", "naive"):
         raise ValueError(f"unknown mode {mode!r}")
     start = time.perf_counter()

@@ -11,66 +11,46 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from functools import lru_cache
 from unittest import mock
 
 import numpy as np
 
 from ddsls.analysis import (
-    BoundInputs,
     TailParams,
-    bootstrap_epsilon,
     eps_precondition,
     hankel_norms_of_signals,
     lipschitz_shift,
     sample_complexity,
-    suboptimality_bound,
     tail_bound_lipschitz,
     tail_bound_matrix,
 )
-from ddsls.blockops import CostWeights, obs_stack, psd_sqrt, spectral_norm, toeplitz_stack
+from ddsls.blockops import spectral_norm
 from ddsls.hankel import build_hankel
-from ddsls.lqg import dare, optimal_responses, recover_gstar
-from ddsls.lti import LtiSystem, average, generate_ensemble, simulate
+from ddsls.lqg import recover_gstar
+from ddsls.lti import average, generate_ensemble, simulate
 from ddsls.sls import (
     achievability_map,
     achievability_residual,
     closed_loop,
     recover_controller,
     responses_from_controller,
-    sls_cost,
 )
 from ddsls.solver import BlockDiagonalProblem
 from ddsls.synth import DataHankels, assemble_delta, assemble_responses, synth_robust
+from tests.acceptance_jobs import (
+    L,
+    N_STATE,
+    SIGMA2,
+    T,
+    bench,
+    bench_norms,
+    certified_pipeline_run,
+    coverage_trial,
+)
 from tests.oracles import kkt_equality_ls, projected_gradient_spectral
 from tests.test_sls import random_causal
 from tests.test_solver import active_radius, oracle_friendly_instance
 from tests.test_synth import random_feasible_ghat
-
-N_STATE = 3
-L = 10
-T = 45
-SIGMA2 = 0.1
-
-
-@lru_cache(maxsize=1)
-def bench():
-    A = np.array([[1.01, 0.01, 0.00], [0.01, 1.01, 0.01], [0.00, 0.01, 1.01]])
-    plant = LtiSystem(A=A, B=np.eye(3), noise_std=math.sqrt(SIGMA2))
-    q = 1e-3 * np.eye(3)
-    r = np.eye(3)
-    weights = CostWeights(q_state=q, r_input=r, q_terminal=dare(plant, q, r), horizon=L)
-    return plant, weights
-
-
-@lru_cache(maxsize=1)
-def bench_norms():
-    plant, weights = bench()
-    resp_star, jstar = optimal_responses(plant, weights)
-    toep = spectral_norm(toeplitz_stack(plant.A, np.eye(3), T - L + 1))
-    obsn = spectral_norm(obs_stack(plant.A, L))
-    qhalf = float(np.linalg.norm(psd_sqrt(weights.q_state)))
-    return resp_star, jstar, toep, obsn, qhalf
 
 
 def report(idx, name, ok, detail=""):
@@ -133,7 +113,7 @@ def test_criterion_03_noisy_identity_and_delta_bound():
     for _ in range(50):
         ghat = random_feasible_ghat(data, rng, spread=0.2)
         resp = assemble_responses(data, ghat)
-        delta = assemble_delta(data.hw, data, ghat)
+        delta = assemble_delta(data, ghat)
         res = np.abs(amap @ resp.stacked() - np.eye(3 * L) - delta.delta.dense).max()
         worst_res = max(worst_res, float(res))
         bound = math.sqrt(L) * eps_h * spectral_norm(ghat)
@@ -157,7 +137,7 @@ def test_criterion_04_perturbed_closed_loop_equivalence():
     for _ in range(50):
         ghat = random_feasible_ghat(data, rng, spread=0.15)
         resp = assemble_responses(data, ghat)
-        delta = assemble_delta(data.hw, data, ghat).delta.dense
+        delta = assemble_delta(data, ghat).delta.dense
         K = recover_controller(resp)
         wvec = rng.standard_normal(3 * L)
         x_sim, u_sim = closed_loop(plant, K, wvec)
@@ -210,43 +190,10 @@ def _pool_map(fn, items, chunksize: int) -> list:
             return list(pool.map(fn, items, chunksize=chunksize))
 
 
-def _certified_pipeline_run(seed: int):
-    plant, weights = bench()
-    resp_star, jstar, toep, obsn, qhalf = bench_norms()
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((T, 3))
-    clean = simulate(plant, np.zeros(3), u)
-    gstar = recover_gstar(build_hankel(clean.x, L), build_hankel(clean.u, L), resp_star)
-    eps_max = eps_precondition(gstar.norm, L, toep)
-    N = sample_complexity(0.05, gstar.norm, L, toep, N_STATE, T, SIGMA2)
-    wbar = math.sqrt(SIGMA2 / N) * rng.standard_normal((T - 1, 3))
-    noisy = simulate(plant, np.zeros(3), u, noise=wbar)
-    data = DataHankels.from_trajectory(noisy, L)
-    eps_run = spectral_norm(data.hw)
-    if eps_run > eps_max:
-        return None
-    res = synth_robust(data, weights, eps_run, grid_points=5, gamma_tol=1e-2, tol=1e-4, max_iter=1200)
-    jhat = sls_cost(responses_from_controller(plant, res.controller), weights)
-    rel = (jhat - jstar) / jstar
-    bound = suboptimality_bound(
-        BoundInputs(
-            gstar_norm=gstar.norm,
-            eps=eps_run,
-            L=L,
-            T=T,
-            obsnorm=obsn,
-            toepnorm=toep,
-            qhalf_frob=qhalf,
-            jstar=jstar,
-        )
-    ).value
-    return rel, bound
-
-
 def test_criterion_06_suboptimality_bound_dominance():
     start = time.perf_counter()
     seeds = [int(s) for s in np.random.SeedSequence(606).generate_state(200, dtype=np.uint64)]
-    outcomes = _pool_map(_certified_pipeline_run, seeds, chunksize=10)
+    outcomes = _pool_map(certified_pipeline_run, seeds, chunksize=10)
     certified = [o for o in outcomes if o is not None]
     violations = sum(1 for rel, bound in certified if rel > bound)
     elapsed = time.perf_counter() - start
@@ -307,22 +254,10 @@ def test_criterion_08_averaging_law():
     )
 
 
-def _coverage_trial(seed: int) -> bool:
-    plant, _ = bench()
-    rng = np.random.default_rng(seed)
-    ens = generate_ensemble(plant, T, 64, int(rng.integers(0, 2**63)))
-    eps_hat = bootstrap_epsilon(
-        ens, L, resamples=1000, statistic="noise", seed=int(rng.integers(0, 2**63))
-    )
-    fresh = math.sqrt(SIGMA2 / 64) * rng.standard_normal((T - 1, 3))
-    fresh = np.vstack([fresh, np.zeros((1, 3))])
-    return float(hankel_norms_of_signals(fresh[None], L)[0]) <= eps_hat
-
-
 def test_criterion_09_bootstrap_coverage():
     start = time.perf_counter()
     seeds = [int(s) for s in np.random.SeedSequence(909).generate_state(1000, dtype=np.uint64)]
-    hits = sum(_pool_map(_coverage_trial, seeds, chunksize=25))
+    hits = sum(_pool_map(coverage_trial, seeds, chunksize=25))
     coverage = hits / 1000.0
     elapsed = time.perf_counter() - start
     report(

@@ -12,7 +12,6 @@ from ddsls.blockops import (
     psd_sqrt,
     spectral_norm,
     toeplitz_stack,
-    z_stack,
 )
 from tests.conftest import A_BENCH, T_BENCH, L_BENCH
 
@@ -34,28 +33,6 @@ class TestBlockDownshift:
         v = np.arange(6.0)
         shifted = Z @ v
         assert np.array_equal(shifted, np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0]))
-
-
-class TestZStack:
-    def test_order_one_is_identity(self):
-        assert np.array_equal(z_stack(1, 4), np.eye(4))
-
-    def test_scalar_order_two(self):
-        expected = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
-        assert np.array_equal(z_stack(2, 1), expected)
-
-    def test_block_column_groups_are_powers(self):
-        L, n = 4, 2
-        S = z_stack(L, n)
-        Z = block_downshift(L, n)
-        for k in range(L):
-            np.testing.assert_array_equal(
-                S[:, k * n * L : (k + 1) * n * L], nla.matrix_power(Z, k)
-            )
-
-    @pytest.mark.parametrize("L,n", [(2, 1), (3, 2), (4, 3), (6, 2)])
-    def test_norm_at_most_sqrt_L(self, L, n):
-        assert spectral_norm(z_stack(L, n)) <= np.sqrt(L) + 1e-12
 
 
 class TestObsStack:
@@ -190,7 +167,7 @@ class TestLtvOperator:
         Z = block_downshift(3, 2)
         op = LtvOperator(3, 2, 2, Z)
         assert op.is_strictly_causal(0.0)
-        assert not LtvOperator.identity(3, 2).is_strictly_causal(0.0)
+        assert not LtvOperator(3, 2, 2, np.eye(6)).is_strictly_causal(0.0)
 
     @pytest.mark.parametrize("strict", [False, True], ids=["causal", "strictly-causal"])
     def test_tolerance_boundary_at_every_entry(self, strict):
@@ -217,13 +194,14 @@ class TestLtvOperator:
 
 class TestCostWeights:
     def test_lifted_blocks(self):
+        # State roots on the first L-1 blocks, the terminal root on the last,
+        # input roots on every input block, zero elsewhere.
         Q = 2.0 * np.eye(2)
         R = 3.0 * np.eye(1)
         QF = 5.0 * np.eye(2)
         w = CostWeights(q_state=Q, r_input=R, q_terminal=QF, horizon=3)
-        np.testing.assert_array_equal(w.lifted_q[:2, :2], Q)
-        np.testing.assert_array_equal(w.lifted_q[4:, 4:], QF)
-        np.testing.assert_array_equal(w.lifted_r, 3.0 * np.eye(3))
+        qh, rh, qfh = psd_sqrt(Q), psd_sqrt(R), psd_sqrt(QF)
+        np.testing.assert_array_equal(w.weight_sqrt(), block_diag([qh, qh, qfh, rh, rh, rh]))
 
     def test_weight_sqrt_squares_to_lifted(self):
         rng = np.random.default_rng(5)
@@ -231,9 +209,7 @@ class TestCostWeights:
         Q = B @ B.T
         w = CostWeights(q_state=Q, r_input=np.eye(1), q_terminal=2 * Q, horizon=4)
         W = w.weight_sqrt()
-        lifted = np.zeros((12, 12))
-        lifted[:8, :8] = w.lifted_q
-        lifted[8:, 8:] = w.lifted_r
+        lifted = block_diag([Q, Q, Q, 2 * Q] + [np.eye(1)] * 4)
         np.testing.assert_allclose(W @ W, lifted, atol=1e-10)
 
     def test_rejects_indefinite_r(self):
@@ -244,7 +220,3 @@ class TestCostWeights:
                 q_terminal=np.eye(2),
                 horizon=2,
             )
-
-    def test_uniform_uses_state_weight_terminally(self):
-        w = CostWeights.uniform(np.eye(2), np.eye(1), horizon=3)
-        np.testing.assert_array_equal(w.q_terminal, np.eye(2))

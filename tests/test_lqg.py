@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ddsls.blockops import CostWeights
+from ddsls.blockops import CostWeights, block_diag
 from ddsls.hankel import NotPersistentlyExciting, build_hankel
 from ddsls.lqg import dare, optimal_responses, recover_gstar, riccati_finite
 from ddsls.lti import LtiSystem, simulate
@@ -81,7 +81,8 @@ class TestOptimalResponses:
         sys = LtiSystem(A=np.zeros((2, 2)), B=np.eye(2))
         w = CostWeights(2.0 * np.eye(2), np.eye(2), 5.0 * np.eye(2), horizon=4)
         _, jstar = optimal_responses(sys, w)
-        assert jstar == pytest.approx(np.sqrt(np.trace(w.lifted_q)))
+        lifted_state_weight = block_diag([w.q_state] * 3 + [w.q_terminal])
+        assert jstar == pytest.approx(np.sqrt(np.trace(lifted_state_weight)))
 
     def test_lower_bounds_random_controllers(self, plant, bench_weights):
         from tests.test_sls import random_causal
@@ -108,7 +109,7 @@ class TestRecoverGstar:
         hu = build_hankel(noiseless_data.u, L_BENCH)
         gstar = recover_gstar(hx, hu, resp_star)
         data = DataHankels.from_trajectory(noiseless_data, L_BENCH)
-        rebuilt = assemble_responses(data, gstar.dense)
+        rebuilt = assemble_responses(data, block_diag(gstar.blocks))
         assert np.abs(rebuilt.stacked() - resp_star.stacked()).max() < 1e-8
 
     def test_blocks_lie_in_constraint_set(self, plant, bench_weights, noiseless_data):

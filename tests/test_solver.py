@@ -11,7 +11,7 @@ from ddsls.solver import (
     BlockDiagonalProblem,
     CoupledCausalProblem,
     InfeasibleEpsilon,
-    ball_projection_batch,
+    _ball_projection,
     gamma_search,
 )
 from ddsls.synth import DataHankels, _build_problem, stacked_cost_map
@@ -47,7 +47,7 @@ def small_instance(seed, n=2, m=1, L=3, T=15):
     sys = LtiSystem(A=A, B=rng.standard_normal((n, m)), noise_std=0.2)
     ens = generate_ensemble(sys, T, 4, seed=seed)
     data = DataHankels.from_trajectory(average(ens), L)
-    w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+    w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
     from ddsls.synth import stacked_cost_map
 
     k = int(rng.integers(0, L))
@@ -85,27 +85,25 @@ class TestEqLs:
 
 
 class TestBallProjection:
-    # Each test projects a batch of several matrices at once.
+    # Each test projects several matrices, one at a time.
     def test_idempotent(self):
-        M = np.random.default_rng(2).standard_normal((10, 7, 3))
-        P = ball_projection_batch(M, 1.0)
-        np.testing.assert_allclose(ball_projection_batch(P, 1.0), P, atol=1e-12)
+        for M in np.random.default_rng(2).standard_normal((10, 7, 3)):
+            P = _ball_projection(M, 1.0)
+            np.testing.assert_allclose(_ball_projection(P, 1.0), P, atol=1e-12)
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(3)
-        X = rng.standard_normal((10, 6, 4))
-        Y = rng.standard_normal((10, 6, 4))
-        dist = np.linalg.norm(ball_projection_batch(X, 0.7) - ball_projection_batch(Y, 0.7), axis=(1, 2))
-        assert np.all(dist <= np.linalg.norm(X - Y, axis=(1, 2)) + 1e-12)
+        for X, Y in zip(rng.standard_normal((10, 6, 4)), rng.standard_normal((10, 6, 4))):
+            dist = np.linalg.norm(_ball_projection(X, 0.7) - _ball_projection(Y, 0.7))
+            assert dist <= np.linalg.norm(X - Y) + 1e-12
 
     def test_interior_untouched(self):
-        M = np.stack([0.1 * np.eye(3), 0.5 * np.eye(3), np.diag([0.9, 0.2, 0.0])])
-        np.testing.assert_array_equal(ball_projection_batch(M, 1.0), M)
+        for M in (0.1 * np.eye(3), 0.5 * np.eye(3), np.diag([0.9, 0.2, 0.0])):
+            np.testing.assert_array_equal(_ball_projection(M, 1.0), M)
 
     def test_norm_clipped(self):
-        rng = np.random.default_rng(4)
-        M = 5.0 * rng.standard_normal((6, 8, 2))
-        assert np.all(spectral_norm(ball_projection_batch(M, 0.3)) <= 0.3 + 1e-12)
+        for M in 5.0 * np.random.default_rng(4).standard_normal((6, 8, 2)):
+            assert spectral_norm(_ball_projection(M, 0.3)) <= 0.3 + 1e-12
 
 
 class TestSpectralAdmm:
@@ -184,7 +182,7 @@ class TestGammaSearch:
         sys = LtiSystem(A=A, B=rng.standard_normal((n, m)), noise_std=noise)
         ens = generate_ensemble(sys, T, 4, seed=seed)
         data = DataHankels.from_trajectory(average(ens), L)
-        w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+        w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
         return _build_problem(data, w, structure), data
 
     def test_eps_zero_returns_closed_form(self):
@@ -381,7 +379,7 @@ class TestBlockDiagonalProblem:
             prob, _ = bench_problem
         else:
             n, m, L = 2 + source % 2, 1 + source % 2, 3
-            w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+            w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
             plant = random_plant(source, n, m, 1.1)
             prob, _ = blockdiag_instance(plant, w, L + n + m * L + 8, 4, seed=source)
         floor, top = prob.floor, prob.unconstrained_norm()
@@ -404,7 +402,7 @@ class TestBlockDiagonalProblem:
     @example(seed=235, n=2, m=1, L=3, radius=1.3, frac=0.5)
     @example(seed=7721, n=3, m=1, L=4, radius=1.3, frac=0.5)
     def test_certified_on_random_plants(self, seed, n, m, L, radius, frac):
-        w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+        w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
         T = L + n + m * L + 8
         prob, data = blockdiag_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
         floor, top = prob.floor, prob.unconstrained_norm()
@@ -511,14 +509,14 @@ class TestCoupledCausalProblem:
     @pytest.fixture(scope="class")
     def small(self):
         n, m, L = 2, 1, 3
-        w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+        w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
         return coupled_instance(random_plant(17, n, m, 1.1), w, 15, 4, seed=17)
 
     @pytest.fixture(scope="class")
     def horizon3(self):
         # The plant and record of test_synth's robust full-structure check.
         sys = LtiSystem(A=np.array([[0.9, 0.2], [0.0, 0.8]]), B=np.eye(2), noise_std=0.1)
-        w = CostWeights.uniform(np.eye(2), np.eye(2), horizon=3)
+        w = CostWeights(np.eye(2), np.eye(2), q_terminal=np.eye(2), horizon=3)
         return coupled_instance(sys, w, 15, 8, seed=32)
 
     def test_inactive_ball_is_the_closed_form(self, horizon3):
@@ -593,7 +591,7 @@ class TestCoupledCausalProblem:
         # Few data columns: the reduced Gram of block column 0 is square and
         # nonsingular, so its smallest eigenvalue sets the penalty.
         n, m, L = 2, 1, 3
-        w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+        w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
         prob, cmap, data = coupled_instance(random_plant(4, n, m, 0.9), w, 7, 4, seed=4)
         _, _, Vt = np.linalg.svd(data.h1x)
         CB = cmap @ np.kron(np.eye(L), Vt[n:].T)
@@ -620,7 +618,7 @@ class TestCoupledCausalProblem:
         frac=st.floats(0.05, 0.95),
     )
     def test_capped_solve_feasible_on_random_plants(self, seed, n, m, L, radius, frac):
-        w = CostWeights.uniform(np.eye(n), np.eye(m), horizon=L)
+        w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
         T = L + n + m * L + 8
         prob, _, data = coupled_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
         floor, top = prob.floor, prob.unconstrained_norm()

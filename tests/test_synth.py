@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from ddsls.blockops import CostWeights, block_downshift, spectral_norm, z_stack
+from ddsls.analysis import bootstrap_epsilon
+from ddsls.blockops import CostWeights, block_diag, block_downshift, spectral_norm
 from ddsls.hankel import NotPersistentlyExciting
 from ddsls.lqg import optimal_responses, recover_gstar
 from ddsls.lti import LtiSystem, average, generate_ensemble, simulate
 from ddsls.sls import achievability_map, achievability_residual, responses_from_controller, sls_cost
+from ddsls.solver import gamma_search
 from ddsls.synth import (
     DataHankels,
+    _build_problem,
+    _shift_stack,
     assemble_delta,
     assemble_responses,
     synth_robust,
@@ -42,6 +46,28 @@ def random_feasible_ghat(data, rng, spread=0.1):
                 block = block + pinv
             ghat[i * data.cols : (i + 1) * data.cols, j * data.n : (j + 1) * data.n] = block
     return ghat
+
+
+class TestShiftStack:
+    # The shift stack of the identity is the downshift-power stack
+    # [I Z ... Z^(L-1)] that every assembly applies to I_L (x) H.
+    def test_order_one_is_identity(self):
+        assert np.array_equal(_shift_stack(np.eye(4), 1, 4), np.eye(4))
+
+    def test_scalar_order_two(self):
+        expected = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+        assert np.array_equal(_shift_stack(np.eye(2), 2, 1), expected)
+
+    def test_block_column_groups_are_powers(self):
+        L, n = 4, 2
+        S = _shift_stack(np.eye(n * L), L, n)
+        Z = block_downshift(L, n)
+        for k in range(L):
+            np.testing.assert_array_equal(S[:, k * n * L : (k + 1) * n * L], np.linalg.matrix_power(Z, k))
+
+    @pytest.mark.parametrize("L,n", [(2, 1), (3, 2), (4, 3), (6, 2)])
+    def test_norm_at_most_sqrt_L(self, L, n):
+        assert spectral_norm(_shift_stack(np.eye(n * L), L, n)) <= np.sqrt(L) + 1e-12
 
 
 class TestSynthNoiseless:
@@ -99,7 +125,7 @@ class TestAssembleResponses:
     def test_gstar_reassembly(self, plant, bench_weights, clean_data):
         resp_star, _ = optimal_responses(plant, bench_weights)
         gstar = recover_gstar(clean_data.hx, clean_data.hu, resp_star)
-        rebuilt = assemble_responses(clean_data, gstar.dense)
+        rebuilt = assemble_responses(clean_data, block_diag(gstar.blocks))
         assert np.abs(rebuilt.stacked() - resp_star.stacked()).max() < 1e-8
 
     def test_structure_violation_raises(self, noisy_data):
@@ -134,10 +160,12 @@ class TestAssembleResponses:
         assert np.abs(ghat[d.cols :, : d.n]).min() > 0
 
         def formula(H, block):
-            return z_stack(d.L, block) @ np.kron(np.eye(d.L), H) @ ghat
+            Z = block_downshift(d.L, block)
+            powers = np.hstack([np.linalg.matrix_power(Z, k) for k in range(d.L)])
+            return powers @ np.kron(np.eye(d.L), H) @ ghat
 
         resp = assemble_responses(d, ghat)
-        delta = assemble_delta(d.hw, d, ghat).delta
+        delta = assemble_delta(d, ghat).delta
         np.testing.assert_allclose(resp.phi_x.dense, formula(d.hx, d.n), rtol=0, atol=1e-12)
         np.testing.assert_allclose(resp.phi_u.dense, formula(d.hu, d.m), rtol=0, atol=1e-12)
         shifted = block_downshift(d.L, d.n) @ d.hw
@@ -148,7 +176,7 @@ class TestAssembleResponses:
         for _ in range(10):
             ghat = random_feasible_ghat(noisy_data, rng)
             resp = assemble_responses(noisy_data, ghat)
-            delta = assemble_delta(noisy_data.hw, noisy_data, ghat)
+            delta = assemble_delta(noisy_data, ghat)
             lhs = achievability_map(plant, L_BENCH) @ resp.stacked()
             residual = np.abs(lhs - np.eye(3 * L_BENCH) - delta.delta.dense).max()
             assert residual < 1e-9
@@ -161,14 +189,14 @@ class TestAssembleDelta:
     def test_zero_noise_zero_delta(self, plant, clean_data):
         rng = np.random.default_rng(27)
         ghat = random_feasible_ghat(clean_data, rng)
-        delta = assemble_delta(clean_data.hw, clean_data, ghat)
+        delta = assemble_delta(clean_data, ghat)
         assert np.abs(delta.delta.dense).max() < 1e-12
 
     def test_norm_bound(self, noisy_data):
         rng = np.random.default_rng(28)
         for _ in range(10):
             ghat = random_feasible_ghat(noisy_data, rng)
-            delta = assemble_delta(noisy_data.hw, noisy_data, ghat)
+            delta = assemble_delta(noisy_data, ghat)
             bound = (
                 np.sqrt(L_BENCH) * spectral_norm(noisy_data.hw) * spectral_norm(ghat)
             )
@@ -177,8 +205,8 @@ class TestAssembleDelta:
     def test_linearity_in_parameter(self, noisy_data):
         rng = np.random.default_rng(29)
         ghat = random_feasible_ghat(noisy_data, rng)
-        d1 = assemble_delta(noisy_data.hw, noisy_data, ghat).delta.dense
-        d2 = assemble_delta(noisy_data.hw, noisy_data, 2.0 * ghat).delta.dense
+        d1 = assemble_delta(noisy_data, ghat).delta.dense
+        d2 = assemble_delta(noisy_data, 2.0 * ghat).delta.dense
         np.testing.assert_allclose(d2, 2.0 * d1, atol=1e-12)
 
 
@@ -220,7 +248,7 @@ class TestSynthRobust:
         rng = np.random.default_rng(30)
         A = np.array([[0.9, 0.2], [0.0, 0.8]])
         sys = LtiSystem(A=A, B=np.eye(2))
-        w = CostWeights.uniform(np.eye(2), np.eye(2), horizon=3)
+        w = CostWeights(np.eye(2), np.eye(2), q_terminal=np.eye(2), horizon=3)
         traj = simulate(sys, np.zeros(2), rng.standard_normal((15, 2)))
         data = DataHankels.from_trajectory(traj, 3)
         _, jstar = optimal_responses(sys, w)
@@ -231,7 +259,7 @@ class TestSynthRobust:
         rng = np.random.default_rng(31)
         A = np.array([[0.9, 0.2], [0.0, 0.8]])
         sys = LtiSystem(A=A, B=np.eye(2), noise_std=0.1)
-        w = CostWeights.uniform(np.eye(2), np.eye(2), horizon=3)
+        w = CostWeights(np.eye(2), np.eye(2), q_terminal=np.eye(2), horizon=3)
         ens = generate_ensemble(sys, 15, 8, seed=32)
         data = DataHankels.from_trajectory(average(ens), 3)
         eps = spectral_norm(data.hw)
@@ -245,7 +273,7 @@ class TestSynthRobust:
         # The solver's objective and the responses are read off the same
         # shift stacks, so they agree to rounding.
         sys = LtiSystem(A=np.array([[0.9, 0.2], [0.0, 0.8]]), B=np.eye(2), noise_std=0.1)
-        w = CostWeights.uniform(np.eye(2), np.eye(2), horizon=3)
+        w = CostWeights(np.eye(2), np.eye(2), q_terminal=np.eye(2), horizon=3)
         data = DataHankels.from_trajectory(average(generate_ensemble(sys, 15, 8, seed=32)), 3)
         res = synth_robust(data, w, spectral_norm(data.hw), structure=structure)
         assert res.f_value == pytest.approx(sls_cost(res.responses, w), rel=1e-12)
@@ -254,7 +282,7 @@ class TestSynthRobust:
         rng = np.random.default_rng(31)
         A = np.array([[0.9, 0.2], [0.0, 0.8]])
         sys = LtiSystem(A=A, B=np.eye(2), noise_std=0.1)
-        w = CostWeights.uniform(np.eye(2), np.eye(2), horizon=3)
+        w = CostWeights(np.eye(2), np.eye(2), q_terminal=np.eye(2), horizon=3)
         data = DataHankels.from_trajectory(average(generate_ensemble(sys, 15, 8, seed=32)), 3)
         eps = spectral_norm(data.hw)
         res = synth_robust(data, w, eps, structure="full", max_iter=3)
@@ -282,3 +310,39 @@ class TestSynthRobust:
     def test_negative_eps_rejected(self, bench_weights, noisy_data):
         with pytest.raises(ValueError):
             synth_robust(noisy_data, bench_weights, -1.0)
+
+    @pytest.mark.parametrize(
+        "horizon, state, inp, message",
+        [
+            (5, 3, 3, "weights horizon 5 does not match the data's 10"),
+            (L_BENCH, 2, 3, "weights state_dim 2 does not match the data's 3"),
+            (L_BENCH, 3, 2, "weights input_dim 2 does not match the data's 3"),
+        ],
+        ids=["horizon", "state_dim", "input_dim"],
+    )
+    def test_weights_that_do_not_fit_the_data_are_rejected(self, noisy_data, horizon, state, inp, message):
+        w = CostWeights(np.eye(state), np.eye(inp), q_terminal=np.eye(state), horizon=horizon)
+        with pytest.raises(ValueError, match=message):
+            synth_robust(noisy_data, w, 0.1)
+
+
+def _bootstrap_without_resamples(*_):
+    ens = generate_ensemble(LtiSystem(A=np.eye(3), B=np.eye(3), noise_std=0.1), 12, 4, seed=1)
+    return bootstrap_epsilon(ens, 3, resamples=0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d, w: synth_robust(d, w, np.nan), "eps must be nonnegative, got nan"),
+        (lambda d, w: gamma_search(_build_problem(d, w, "blockdiag"), np.nan), "eps must be nonnegative, got nan"),
+        (lambda d, w: synth_robust(d, w, spectral_norm(d.hw), grid_points=0), "grid_points must be >= 1, got 0"),
+        (_bootstrap_without_resamples, "resamples must be >= 1, got 0"),
+    ],
+    ids=["nan-eps-synth", "nan-eps-search", "no-grid-points", "no-resamples"],
+)
+def test_bad_inputs_raise_a_typed_error(noisy_data, bench_weights, call, message):
+    # A NaN budget would otherwise end the search as InfeasibleEpsilon, an
+    # empty grid in min() of nothing, and an empty bootstrap in IndexError.
+    with pytest.raises(ValueError, match=message):
+        call(noisy_data, bench_weights)
