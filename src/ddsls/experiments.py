@@ -113,6 +113,13 @@ class TrialRecord:
     certified: bool | None = None
     rel_subopt: float | None = None
     subopt_bound: float | None = None
+    # The robust synthesis's final inner solve and its gamma search (None for
+    # naive and optimal): solver certificates, apart from ``certified``,
+    # which is the suboptimality bound's precondition on eps.
+    solver_status: str | None = None
+    solver_iterations: int | None = None
+    solver_gap: float | None = None
+    search_gap: float | None = None
 
 
 def _summarize(records: list[TrialRecord]) -> dict:
@@ -211,6 +218,14 @@ def compare_controllers(
                 runs.append((name, None, {"eps": eps}))
                 continue
             extra = {"gamma": res.gamma, "eps": eps}
+            if res.mode == "robust":
+                search = res.search
+                extra.update(
+                    solver_status=search.status,
+                    solver_iterations=search.iterations,
+                    solver_gap=search.gap,
+                    search_gap=search.search_gap,
+                )
             if name == "robust_true":
                 # Realized relative suboptimality, and the bound when it applies.
                 jhat = sls_cost(responses_from_controller(sys, res.controller), weights)

@@ -10,10 +10,12 @@ h1x's shape and L is the number of column blocks of C.  They share one
 construction of the affine set {G_k : h1x G_k = I} (SVD of h1x: minimum-norm
 point, orthonormal nullspace basis, feasibility floor), and without the ball
 both are solved in closed form on the nullspace.  Every solve reports,
-besides status, iterations and gap, the slope d(objective^2)/d tau at its
-point: the derivative of the inner optimal value in the radius is the
-ball's Lagrange multiplier (Boyd & Vandenberghe, Convex Optimization,
-sec. 5.6).
+besides status, iterations and the relative duality gap of its squared
+objective, the slope d(objective^2)/d tau at its point: the derivative of
+the inner optimal value in the radius is the ball's Lagrange multiplier
+(Boyd & Vandenberghe, Convex Optimization, sec. 5.6).  It also reports the
+cut of its dual point: a lower bound on the squared optimal value at every
+radius.
 
 ``gamma_search`` is the outer scalar search for the quasi-convex program
 min h(gamma) = f(gamma) / (1 - gamma) over one inner problem, where
@@ -21,7 +23,9 @@ f(gamma) is the inner optimal value with ball radius gamma / (sqrt(L) eps)
 and L is the problem's own horizon.
 It runs the same code for both problem classes: a coarse grid brackets the
 minimum, and bisection on the sign of h', read from each solve's slope,
-shrinks the bracket.  Solves depend on their arguments only; each starts
+shrinks the bracket.  The cuts of all solves bound min h from below, and
+bisection also stops once that bound is within ``gamma_tol`` of the best h
+(``search_gap``).  Solves depend on their arguments only; each starts
 from the report of the nearest gamma solved so far, passed as ``start``,
 and the final solve at the returned gamma resumes that gamma's own; the
 search reports that solve's status, gap and added iterations.
@@ -33,15 +37,18 @@ Newton method vectorized over the blocks.  Each solve returns a point
 exactly in the ball together with its relative duality gap.
 
 The coupled causal block-triangular variable (``CoupledCausalProblem``)
-is solved by operator splitting (ADMM), whose returned point carries no
-gap.  It never forms the Kronecker basis of its free blocks: the affine
-projection applies the nullspace projector P = N N^T to each block row,
-and the quadratic step of block column j uses the Woodbury identity on
-K_j = C_j (I (x) P) C_j^T, one small (rows x rows) eigendecomposition per
-block column made once at build.  Its ball projection goes through the
-eigendecomposition of the small right Gram matrix
-(``_ball_projection``), and its returned point is blended toward the
-minimum-norm feasible point so that it lies in the ball exactly.
+is solved by operator splitting (ADMM), which stops on its primal and
+dual residuals.  It never forms the Kronecker basis of its free blocks:
+the affine projection applies the nullspace projector P = N N^T to each
+block row, and the quadratic step of block column j uses the Woodbury
+identity on K_j = C_j (I (x) P) C_j^T, one small (rows x rows)
+eigendecomposition per block column made once at build.  Its ball
+projection goes through the eigendecomposition of the small right Gram
+matrix (``_ball_projection``), and its returned point is blended toward
+the minimum-norm feasible point so that it lies in the ball exactly.  Its
+gap comes from the Fenchel dual of the splitting, evaluated once per solve
+at the final ADMM multiplier through the same K_j eigenbases, so a capped
+solve is certified too.
 """
 
 from __future__ import annotations
@@ -72,16 +79,24 @@ class SolveReport:
     objective: float
     status: str  # "optimal" | "max-iter" | "infeasible"
     iterations: int = 0
-    gap: float | None = None  # relative duality gap of the returned point, when certified
+    gap: float | None = None  # relative duality gap of the returned point's squared objective (None: infeasible)
     # d(objective^2)/d tau at the returned point: 0 when the ball is slack,
     # None when the solve is infeasible.
     slope: float | None = 0.0
     tau: float | None = None  # the ball radius solved at (None: no ball)
     state: object = None  # iterate a ``start`` resumes: blockdiag's Lam (L, n, n), full's (Y, Uv, rho)
+    # (c0, c1, c2): c0 + c1 t + c2 t^2 bounds the squared optimal value at
+    # every radius t from below (None when infeasible).
+    cut: tuple[float, float, float] | None = None
 
 
 def _infeasible_report(solution: np.ndarray, tau: float | None = None) -> SolveReport:
     return SolveReport(solution=solution, objective=np.inf, status="infeasible", slope=None, tau=tau)
+
+
+def _closed_form_report(G: np.ndarray, objective: float, least: float) -> SolveReport:
+    """The optimum without the ball; ``least``, its squared value, bounds every radius."""
+    return SolveReport(solution=G, objective=objective, status="optimal", gap=0.0, cut=(least, 0.0, 0.0))
 
 
 def _layout(cmap: np.ndarray, h1x: np.ndarray) -> tuple[int, int, int]:
@@ -194,6 +209,7 @@ class BlockDiagonalProblem:
         products = np.einsum("aij,bjk->abik", E, E).reshape(-1, n, n)
         self._basis_products = _symmetrize(products).reshape(-1, n * n)
         self._unconstrained: SolveReport | None = None
+        self._norms: np.ndarray | None = None
 
     def _objectives(self, G: np.ndarray) -> np.ndarray:
         return np.linalg.norm(np.matmul(self.C, G), axis=(1, 2))
@@ -216,13 +232,15 @@ class BlockDiagonalProblem:
             else:
                 inv = np.divide(1.0, self._sig, out=np.zeros_like(self._sig), where=~self._flat)
                 G = self._to_blocks(-inv[:, :, None] * self._lin, slice(None))
-                self._unconstrained = SolveReport(
-                    solution=G, objective=self._combined(G), status="optimal", gap=0.0
-                )
+                objective = self._combined(G)
+                self._unconstrained = _closed_form_report(G, objective, objective**2)
         return self._unconstrained
 
     def unconstrained_norms(self) -> np.ndarray:
-        return np.linalg.svd(self.unconstrained().solution, compute_uv=False)[:, 0]
+        """Spectral norm of each block of the closed form (computed once)."""
+        if self._norms is None:
+            self._norms = np.linalg.svd(self.unconstrained().solution, compute_uv=False)[:, 0]
+        return self._norms
 
     def unconstrained_norm(self) -> float:
         return float(self.unconstrained_norms().max())
@@ -240,7 +258,9 @@ class BlockDiagonalProblem:
         block is not certified within ``tol``: its ``max_iter`` steps ran
         out, or a tol below rounding level left nothing to gain.  ``slope``
         is -2 tau sum_k tr Lam_k, the derivative in tau of the dual bound at
-        the multipliers the gap was measured at.
+        the multipliers the gap was measured at, and ``cut`` is that dual
+        bound as a function of the radius t:
+        objective^2 (1 - gap) - (t^2 - tau^2) sum_k tr Lam_k.
         """
         if tau is None or np.isinf(tau):
             return self.unconstrained()
@@ -256,15 +276,18 @@ class BlockDiagonalProblem:
         G[k] = self._to_blocks(Z, k)
         state = np.zeros((self.L, *Lam.shape[1:]))
         state[k] = Lam
+        objective, gap, trace = self._combined(G), float(gap.max()), float(np.einsum("kii->", Lam))
         return SolveReport(
             solution=G,
-            objective=self._combined(G),
-            status="optimal" if np.all(gap <= tol) else "max-iter",
+            objective=objective,
+            status="optimal" if gap <= tol else "max-iter",
             iterations=iterations,
-            gap=float(gap.max()),
-            slope=-2.0 * tau * float(np.einsum("kii->", Lam)),
+            gap=gap,
+            slope=-2.0 * tau * trace,
             tau=tau,
             state=state,
+            # The dual bound at radius t moves by -<Lam, S(t) - S(tau)> = -(t^2 - tau^2) tr Lam.
+            cut=(objective**2 * (1.0 - gap) + trace * tau**2, 0.0, -trace),
         )
 
     def _response(self, k: np.ndarray, Lam: np.ndarray):
@@ -488,10 +511,31 @@ class CoupledCausalProblem:
         self._eigvals = np.stack(
             [np.sum((CP[:, j * cols :].T @ self._eigvecs[j]) ** 2, axis=0) for j in range(L)]
         )
+        # The pseudo-inverse of each K_j in its eigenbasis.
+        lam = self._eigvals
+        cutoff = lam.shape[1] * np.finfo(float).eps * np.maximum(lam[:, -1:], 0.0)
+        self._pinv = np.where(lam > cutoff, 1.0 / np.maximum(lam, 1e-300), 0.0)
+        # The least squared objective, ||b - Pi_j b||^2 summed over block
+        # columns, b = C G_part and Pi_j the projector onto the range of K_j
+        # that the pseudo-inverse keeps.  The closed form's own objective
+        # can miss it by its solve error, which an ill-conditioned K_j
+        # amplifies far beyond rounding.
+        b = self._by_column(self._CG)
+        self._least = float(np.sum((b - self._spectral(self._pinv > 0, b)) ** 2))
         self._unconstrained: SolveReport | None = None
+        self._norm: float | None = None
 
     def _objective(self, G: np.ndarray) -> float:
         return float(np.linalg.norm(self.C @ G))
+
+    def _by_column(self, M: np.ndarray) -> np.ndarray:
+        """A (rows x L n) matrix as its L block columns, shape (L, rows, n)."""
+        return M.reshape(M.shape[0], self.L, self.n).transpose(1, 0, 2)
+
+    def _spectral(self, weights: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """U_j diag(weights_j) U_j^T X_j for every block column j of X (L, rows, n)."""
+        U = self._eigvecs
+        return np.matmul(U, weights[:, :, None] * np.matmul(U.transpose(0, 2, 1), X))
 
     def _apply_P(self, V: np.ndarray) -> np.ndarray:
         """P applied to every block row of V (a new array)."""
@@ -511,13 +555,9 @@ class CoupledCausalProblem:
         P C_i^T = (C_i P)^T, so C Y = C G_part + CP (mask * V) and the
         correction is mask * (CP^T X): P is applied once.
         """
-        L, n = self.L, self.n
-        rows = self.C.shape[0]
-        U = self._eigvecs
-        rhs = (self._CG + self._CP @ (V * self._mask)).reshape(rows, L, n).transpose(1, 0, 2)
-        X = np.matmul(U, inv[:, :, None] * np.matmul(U.transpose(0, 2, 1), rhs))
+        X = self._spectral(inv, self._by_column(self._CG + self._CP @ (V * self._mask)))
         W = self._apply_P(V)
-        W -= self._CP.T @ X.transpose(1, 0, 2).reshape(rows, L * n)
+        W -= self._CP.T @ X.transpose(1, 0, 2).reshape(self.C.shape[0], -1)
         W *= self._mask
         W += self.G_part
         return W
@@ -548,17 +588,15 @@ class CoupledCausalProblem:
             if self._infeasible_constraint:
                 self._unconstrained = _infeasible_report(self.G_part)
             else:
-                lam = self._eigvals
-                cutoff = lam.shape[1] * np.finfo(float).eps * np.maximum(lam[:, -1:], 0.0)
-                inv = np.where(lam > cutoff, 1.0 / np.maximum(lam, 1e-300), 0.0)
-                G = self._solve_columns(np.zeros_like(self.G_part), inv)
-                self._unconstrained = SolveReport(
-                    solution=G, objective=self._objective(G), status="optimal", gap=0.0
-                )
+                G = self._solve_columns(np.zeros_like(self.G_part), self._pinv)
+                self._unconstrained = _closed_form_report(G, self._objective(G), self._least)
         return self._unconstrained
 
     def unconstrained_norm(self) -> float:
-        return float(np.linalg.svd(self.unconstrained().solution, compute_uv=False)[0])
+        """Spectral norm of the closed form (computed once)."""
+        if self._norm is None:
+            self._norm = float(np.linalg.svd(self.unconstrained().solution, compute_uv=False)[0])
+        return self._norm
 
     def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
         """Solve with ball radius tau (None or inf means unconstrained).
@@ -567,10 +605,11 @@ class CoupledCausalProblem:
         (Y, Uv, rho) ``start.state`` of an earlier report at any radius, else
         starts from the ball projection of the closed form.
 
-        The ADMM stops on its primal and dual residuals, so an iterative
-        solve reports no gap.  Its ``slope`` is -||rho U||_*, the nuclear
-        norm of the ADMM multiplier: an estimate that is accurate only near
-        convergence.
+        The ADMM stops on its primal and dual residuals.  Its ``gap`` and
+        ``cut`` come from ``_dual_bound`` at the multiplier rho U it ends
+        on, for a capped solve too.  Its ``slope`` is -||rho U||_*, the
+        nuclear norm of the ADMM multiplier: an estimate that is accurate
+        only near convergence.
         """
         if tau is None or np.isinf(tau):
             return self.unconstrained()
@@ -616,15 +655,45 @@ class CoupledCausalProblem:
         if norm > tau:
             theta = (tau - self.floor) / (norm - self.floor) if tau > self.floor else 0.0
             G_out = theta * G_out + (1.0 - theta) * self.G_part
+        objective = self._objective(G_out)
+        bound, cut = self._dual_bound(rho * Uv, tau)
         return SolveReport(
             solution=G_out,
-            objective=self._objective(G_out),
+            objective=objective,
             status=status,
             iterations=it,
+            gap=float(max(objective**2 - bound, 0.0) / objective**2) if objective > 0 else 0.0,
             slope=-rho * float(np.linalg.svd(Uv, compute_uv=False).sum()),
             tau=tau,
             state=(Y, Uv, rho),
+            cut=cut,
         )
+
+    def _dual_bound(self, lam: np.ndarray, tau: float) -> tuple[float, tuple[float, float, float]]:
+        """Lower bound on the squared optimal value from a multiplier of G = Y.
+
+        The Fenchel dual of the splitting (G on the causal affine set, Y in
+        the ball) is g(lam) = min_G ||C G||^2 + <lam, G> - tau ||lam||_*,
+        finite when the free part of lam lies in the range of (C_j B_j)^T
+        on every block column j.  The free part mask * (P lam) is replaced
+        by its projection mask * (CP^T y), y_j = K_j^+ (CP (mask * lam))_j;
+        then, with b = C G_part, the dual at s lam' is
+        g(s) = least + s (<lam', G_part> - <y, b> - tau ||lam'||_*) - s^2 ||y||^2 / 4,
+        maximized in s >= 0.  Returns that g and the cut
+        g - (t - tau) s ||lam'||_* on the squared value at radius t.
+        """
+        y = self._spectral(self._pinv, self._by_column(self._CP @ (lam * self._mask)))
+        y = y.transpose(1, 0, 2).reshape(self.C.shape[0], -1)
+        free = self._CP.T @ y
+        free -= self._apply_P(lam)
+        free *= self._mask
+        lam = lam + free  # lam'
+        nuclear = float(np.linalg.svd(lam, compute_uv=False).sum())
+        lin = float(np.vdot(lam, self.G_part) - np.vdot(y, self._CG)) - tau * nuclear
+        quad = 0.25 * float(np.vdot(y, y))
+        s = max(lin, 0.0) / (2.0 * quad) if quad > 0 else 0.0
+        bound = self._least + s * lin - s * s * quad
+        return bound, (bound + tau * s * nuclear, -s * nuclear, 0.0)
 
 
 @dataclass
@@ -636,7 +705,31 @@ class GammaSearchResult:
     grid: list[tuple[float, float, float]]  # (gamma, f, h) at evaluated points
     status: str  # inner status at the returned gamma
     iterations: int = 0  # inner steps the final solve adds to the returned gamma's exploration report
-    gap: float | None = 0.0  # its relative duality gap (None: the solver gives none)
+    gap: float = 0.0  # its relative duality gap
+    search_gap: float = 0.0  # (objective - a lower bound on min h) / objective, at least 0
+
+
+_SUBGRID = np.linspace(0.0, 1.0, 33)  # the pieces of each interval between evaluated gammas
+_POWERS = np.arange(3)[:, None, None]
+
+
+def _search_bound(cuts: np.ndarray, knots: np.ndarray, scale: float) -> float:
+    """A lower bound on min h(gamma) = f / (1 - gamma) over [knots[0], knots[-1]].
+
+    Each row (c0, c1, c2) of ``cuts`` bounds F = f^2 from below at every
+    radius tau = gamma / scale, and F is nonincreasing in tau, so on any
+    [a, b] h >= sqrt(max_cuts cut(tau_b)) / (1 - a).  The bound is the least
+    of these over a subgrid that splits every interval between consecutive
+    knots into ``_SUBGRID.size - 1`` equal pieces; a single knot is a
+    range of one point.
+    """
+    if knots.size == 1:
+        knots = np.repeat(knots, 2)
+    grid = knots[:-1, None] + np.diff(knots)[:, None] * _SUBGRID
+    powers = (grid[:, 1:] / scale) ** _POWERS  # 1, tau, tau^2 at the right ends
+    model = np.max(cuts @ powers.reshape(3, -1), axis=0).reshape(grid.shape[0], -1)
+    # A piece where the model is negative bounds h by zero.
+    return float(np.sqrt(max(np.min(model * (1.0 - grid[:, :-1]) ** -2), 0.0)))
 
 
 def gamma_search(
@@ -669,6 +762,16 @@ def gamma_search(
     bracket's ends win ties, is solved again at ``(tol, max_iter)`` and
     returned.  Each solve starts from the report of the nearest gamma solved
     so far (the latest on ties): the final one resumes its gamma's own.
+
+    Every feasible report carries a cut, a lower bound on f^2 at every
+    radius, valid however loose or capped its solve was; so does the
+    closed form (its squared value at every radius).  f^2 is nonincreasing
+    in the radius, so on every piece [a, b] of a subgrid of the evaluated
+    gammas h >= sqrt(max cut at b) / (1 - a), and the least of these, LB,
+    bounds min h over [gamma_lo, hi] (beyond hi, h only grows).  Bisection also
+    stops once (h - LB) / h <= ``gamma_tol`` for the best h so far, when
+    ``gamma_tol`` > 0.  ``search_gap`` is that relative gap at the returned
+    objective, clipped at zero.
     """
     if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
@@ -710,6 +813,20 @@ def gamma_search(
         """Whether h'(gamma) >= 0; an infeasible radius lies left of the minimum."""
         return rep.slope is not None and rep.slope * (1.0 - gamma) + 2.0 * scale * rep.objective**2 >= 0.0
 
+    def search_gap(h_best: float) -> float:
+        """(h_best - LB) / h_best, LB a lower bound on min h over [gamma_lo, hi] from every cut."""
+        cuts = np.array([problem.unconstrained().cut] + [r.cut for _, r in solved if r.cut is not None])
+        knots = np.array(sorted({gamma_lo, hi, *(g for g, _ in solved)}))
+        return 1.0 - _search_bound(cuts, knots, scale) / h_best if h_best > 0 else 0.0
+
+    def certified() -> bool:
+        """Whether the cuts put the incumbent within gamma_tol of min h.
+
+        A gap at rounding level certifies nothing more, so gamma_tol = 0
+        bisects down to float resolution.
+        """
+        return gamma_tol > 0 and search_gap(min(map(h, solved))) <= gamma_tol
+
     explore = (max(tol, 1e-4), min(max_iter, 1200))
     # f never drops below the unconstrained optimum, so any gamma whose
     # h lower bound already exceeds the incumbent cannot win.
@@ -726,7 +843,7 @@ def gamma_search(
     # its slope points to.
     i = int(np.searchsorted(grid, best[0]))
     lo_b, hi_b = grid[np.clip([i - 1, i] if rises(*best) else [i, i + 1], 0, len(grid) - 1)]
-    while hi_b - lo_b > gamma_tol:
+    while hi_b - lo_b > gamma_tol and not certified():
         mid = 0.5 * (lo_b + hi_b)
         if mid in (lo_b, hi_b):  # the bracket is down to adjacent floats
             break
@@ -751,4 +868,5 @@ def gamma_search(
         status=rep.status,
         iterations=rep.iterations,
         gap=rep.gap,
+        search_gap=max(search_gap(h(solved[-1])), 0.0),
     )

@@ -120,6 +120,7 @@ class SynthesisResult:
             "status": self.search.status,
             "iterations": self.search.iterations,
             "gap": self.search.gap,
+            "search_gap": self.search.search_gap,
             "timings": self.timings,
         }
 
@@ -260,10 +261,13 @@ def synth_robust(
     gamma comes from ``solver.gamma_search``, the same search for both
     structures: a scan of ``grid_points`` radii brackets the minimum, and
     bisection on the sign of the objective's slope, which every inner solve
-    reports, shrinks the bracket to ``gamma_tol``.  Exploration solves run
-    at (max(tol, 1e-4), min(max_iter, 1200)), each from the nearest gamma
-    solved so far; the returned gamma's report is resumed at ``(tol, max_iter)``
-    and that solve's status, gap and added iterations are in ``search``.
+    reports, shrinks the bracket to ``gamma_tol``, or stops sooner once the
+    dual cuts of the solves certify the best objective within a relative
+    ``gamma_tol``.  Exploration solves run at (max(tol, 1e-4),
+    min(max_iter, 1200)), each from the nearest gamma solved so far; the
+    returned gamma's report is resumed at ``(tol, max_iter)`` and that
+    solve's status, gap and added iterations are in ``search``, with the
+    search's own certificate ``search.search_gap``.
     """
     _require_excitation(data)
     for name, have, want in (

@@ -141,6 +141,15 @@ class TestCompareControllers:
         entry = summary["optimal@N=32"]
         assert entry["trials"] == 2
         assert not math.isinf(entry["cost_median"])
+        # Solver certificates belong to the robust syntheses only.
+        assert any(r.controller.startswith("robust") and r.feasible for r in results.records)
+        for r in results.records:
+            solver_fields = (r.solver_status, r.solver_iterations, r.solver_gap, r.search_gap)
+            if r.controller.startswith("robust") and r.feasible:
+                assert r.solver_status in ("optimal", "max-iter") and r.solver_iterations >= 0
+                assert 0.0 <= r.solver_gap < 1.0 and 0.0 <= r.search_gap < 1.0
+            else:
+                assert solver_fields == (None, None, None, None), r
 
     def test_zero_noise_all_families_match_optimal(self, bench_weights, plant):
         quiet = LtiSystem(A=plant.A, B=plant.B, noise_std=0.0)

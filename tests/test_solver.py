@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from ddsls import solver
 from ddsls.blockops import CostWeights, spectral_norm
 from ddsls.lti import LtiSystem, average, generate_ensemble, simulate
 from ddsls.solver import (
@@ -273,6 +274,42 @@ class TestGammaSearch:
         converged = gamma_search(prob, eps)
         assert converged.status == "optimal" and 2 < converged.iterations < 50_000
 
+    @pytest.mark.parametrize("structure", ["blockdiag", "full"])
+    def test_search_gap_bounds_the_dense_scan(self, structure):
+        prob, data = self.build_problem(3, structure=structure)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        res = gamma_search(prob, eps)
+        assert 0.0 <= res.search_gap < 1.0
+        scale = np.sqrt(3) * eps
+        lo = scale * prob.floor * 1.001 + 1e-12
+        # Every scanned point is feasible, so the least scanned h bounds min h from above.
+        best = min(
+            prob.solve(g / scale, tol=1e-7, max_iter=2000).objective / (1.0 - g)
+            for g in np.linspace(lo, 0.999, 50)
+        )
+        assert res.objective * (1.0 - res.search_gap) <= best * (1.0 + 1e-9)
+
+    def test_negative_search_gap_ends_only_a_positive_gamma_tol(self, monkeypatch):
+        prob, data = self.build_problem(3)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        scale = np.sqrt(3) * eps
+        plain = gamma_search(self.build_problem(3)[0], eps, gamma_tol=0.0)
+        recording = RecordingProblem(prob)
+
+        def overshoot(cuts, knots, scale_):
+            # A bound a rounding error above the best h solved so far.
+            return min(rep.objective / (1.0 - tau * scale) for tau, _, rep in recording.calls) * (1.0 + 1e-15)
+
+        monkeypatch.setattr(solver, "_search_bound", overshoot)
+        res = gamma_search(recording, eps, gamma_tol=0.0)
+        assert res.grid == plain.grid and res.gamma == plain.gamma
+        # With a positive tolerance the same gap ends the search right after
+        # the scan, as a bracket already narrower than gamma_tol does.
+        scan_only = gamma_search(RecordingProblem(prob), eps, gamma_tol=1.0)
+        recording.calls.clear()
+        stopped = gamma_search(recording, eps, gamma_tol=1e-3)
+        assert len(recording.calls) == len(scan_only.grid) and stopped.search_gap == 0.0
+
 
 class RecordingProblem:
     """An inner problem that records the radius, start and report of every solve."""
@@ -314,6 +351,31 @@ def squared_objective_slope(prob, tau, tol, step=1e-4):
     up = prob.solve(tau * (1.0 + step), tol=tol, max_iter=50_000).objective ** 2
     down = prob.solve(tau * (1.0 - step), tol=tol, max_iter=50_000).objective ** 2
     return (up - down) / (2.0 * tau * step)
+
+
+def cut_value(rep, tau):
+    """The report's lower bound on the squared optimal value at radius tau."""
+    c0, c1, c2 = rep.cut
+    return c0 + c1 * tau + c2 * tau**2
+
+
+def assert_cuts_below_tight_values(prob, fracs, caps, rel=1e-9):
+    """Cuts of capped solves at every radius lie below the squared optimum there.
+
+    A tight solve's objective is attained by a feasible point, so its square
+    bounds the optimum from above: a valid cut stays below it up to rounding.
+    """
+    floor, top = prob.floor, prob.unconstrained_norm()
+    taus = floor + np.asarray(fracs) * (top - floor)
+    tight = [prob.solve(tau, tol=1e-11, max_iter=50_000) for tau in taus]
+    assert all(rep.status == "optimal" and rep.gap <= 1e-6 for rep in tight)
+    F = np.array([rep.objective**2 for rep in tight])
+    for cap in caps:
+        for tau in taus:
+            rep = prob.solve(tau, tol=1e-12, max_iter=cap)
+            assert np.isfinite(rep.gap) and rep.gap >= 0.0
+            bounds = np.array([cut_value(rep, t) for t in taus])
+            assert np.all(bounds <= F * (1.0 + rel)), (cap, tau, bounds / F - 1.0)
 
 
 class TestBlockDiagonalProblem:
@@ -422,6 +484,10 @@ class TestBlockDiagonalProblem:
             assert obj == pytest.approx(obj_ref, rel=1e-4)
             # The oracle's point is feasible: it cannot beat a certified optimum.
             assert obj <= obj_ref * (1.0 + 1e-8)
+
+    def test_dual_cut_bounds_the_tight_optimum(self, bench_problem):
+        prob, _ = bench_problem
+        assert_cuts_below_tight_values(prob, [0.05, 0.3, 0.7], caps=[1, 3, 50])
 
     def test_matches_per_block_closed_form(self):
         rng = np.random.default_rng(10)
@@ -627,3 +693,41 @@ class TestCoupledCausalProblem:
         assert rep.status in ("optimal", "max-iter")
         assert_causal_and_feasible(rep.solution, data, 1e-10)
         assert spectral_norm(rep.solution) <= tau * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "seed, n, m, L, radius", [(0, 2, 1, 3, 0.5), (3, 3, 2, 4, 1.3), (11, 2, 2, 3, 1.05)]
+    )
+    def test_dual_cut_bounds_the_tight_optimum_on_random_plants(self, seed, n, m, L, radius):
+        w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
+        T = L + n + m * L + 8
+        prob, _, _ = coupled_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
+        assert_cuts_below_tight_values(prob, [0.05, 0.3, 0.7], caps=[10, 150, 1000])
+
+    def test_dual_cut_bounds_the_tight_optimum(self, horizon3):
+        prob, _, _ = horizon3
+        assert_cuts_below_tight_values(prob, [0.05, 0.2, 0.5, 0.8], caps=[10, 150, 1000])
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        L=st.integers(2, 4),
+        radius=st.sampled_from([0.5, 0.95, 1.05, 1.3]),
+        frac=st.floats(0.0, 1.0),
+        cap=st.sampled_from([1, 10, 150]),
+    )
+    def test_dual_bound_never_exceeds_the_returned_objective(self, seed, n, m, L, radius, frac, cap):
+        w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
+        T = L + n + m * L + 8
+        prob, _, _ = coupled_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
+        floor, top = prob.floor, prob.unconstrained_norm()
+        tau = floor + frac * (top - floor)
+        rep = prob.solve(tau, tol=1e-12, max_iter=cap)
+        f2 = rep.objective**2
+        # Weak duality: the returned point is feasible, the cut is a dual
+        # value.  The point meets h1x G = I up to rounding, which moved the
+        # objective of the closed form by up to 1.2e-10 relative on 1000
+        # draws of these plants.
+        assert f2 - cut_value(rep, tau) >= -1e-9 * f2
+        assert np.isfinite(rep.gap) and rep.gap >= 0.0

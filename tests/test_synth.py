@@ -287,7 +287,10 @@ class TestSynthRobust:
         eps = spectral_norm(data.hw)
         res = synth_robust(data, w, eps, structure="full", max_iter=3)
         summary = res.summary()
-        assert (summary["status"], summary["iterations"], summary["gap"]) == ("max-iter", 3, None)
+        assert (summary["status"], summary["iterations"]) == ("max-iter", 3)
+        # A capped solve still carries the gap of its dual certificate.
+        assert np.isfinite(summary["gap"]) and summary["gap"] >= 0.0
+        assert np.isfinite(summary["search_gap"]) and summary["search_gap"] >= 0.0
         # The robust objective bounds the returned controller only if its
         # parameter matrix lies in the ball of radius gamma / (sqrt(L) eps).
         assert np.sqrt(3) * eps * res.ghat_norm <= res.gamma * (1.0 + 1e-12)
