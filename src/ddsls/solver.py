@@ -9,46 +9,25 @@ and the (n x cols) top block row h1x of the state Hankel: n and cols are
 h1x's shape and L is the number of column blocks of C.  They share one
 construction of the affine set {G_k : h1x G_k = I} (SVD of h1x: minimum-norm
 point, orthonormal nullspace basis, feasibility floor), and without the ball
-both are solved in closed form on the nullspace.  Every solve reports,
-besides status, iterations and the relative duality gap of its squared
-objective, the slope d(objective^2)/d tau at its point: the derivative of
-the inner optimal value in the radius is the ball's Lagrange multiplier
-(Boyd & Vandenberghe, Convex Optimization, sec. 5.6).  It also reports the
-cut of its dual point: a lower bound on the squared optimal value at every
-radius.
+both are solved in closed form on the nullspace.
 
-``gamma_search`` is the outer scalar search for the quasi-convex program
-min h(gamma) = f(gamma) / (1 - gamma) over one inner problem, where
-f(gamma) is the inner optimal value with ball radius gamma / (sqrt(L) eps)
-and L is the problem's own horizon.
-It runs the same code for both problem classes: a coarse grid brackets the
-minimum, and bisection on the sign of h', read from each solve's slope,
-shrinks the bracket.  The cuts of all solves bound min h from below, and
-bisection also stops once that bound is within ``gamma_tol`` of the best h
-(``search_gap``).  Solves depend on their arguments only; each starts
-from the report of the nearest gamma solved so far, passed as ``start``,
-and the final solve at the returned gamma resumes that gamma's own; the
-search reports that solve's status, gap and added iterations.
+Every solve carries one certificate: the relative duality gap of its
+squared objective ("optimal" means gap <= ``tol``, for both classes) and
+the cut of its dual point, a lower bound on the squared optimal value at
+every radius.  The cut's derivative at the solve's radius stands in for
+d(objective^2)/d tau, which at an optimal dual point is the ball's Lagrange
+multiplier (Boyd & Vandenberghe, Convex Optimization, sec. 5.6).
+Independent blocks (``BlockDiagonalProblem``) are solved exactly through
+the Lagrange dual of the ball by a primal-dual Newton method.  The coupled
+causal variable (``CoupledCausalProblem``) is solved by ADMM, and its
+certificate is the Fenchel dual of the splitting at the ADMM multiplier.
 
-Independent blocks (``BlockDiagonalProblem``, the diagonal blocks of the
-structured program) are solved exactly through the Lagrange dual of the
-ball: one small n x n multiplier per block, maximized by a primal-dual
-Newton method vectorized over the blocks.  Each solve returns a point
-exactly in the ball together with its relative duality gap.
-
-The coupled causal block-triangular variable (``CoupledCausalProblem``)
-is solved by operator splitting (ADMM), which stops on its primal and
-dual residuals.  It never forms the Kronecker basis of its free blocks:
-the affine projection applies the nullspace projector P = N N^T to each
-block row, and the quadratic step of block column j uses the Woodbury
-identity on K_j = C_j (I (x) P) C_j^T, one small (rows x rows)
-eigendecomposition per block column made once at build.  Its ball
-projection goes through the eigendecomposition of the small right Gram
-matrix (``_ball_projection``), and its returned point is blended toward
-the minimum-norm feasible point so that it lies in the ball exactly.  Its
-gap comes from the Fenchel dual of the splitting, evaluated once per solve
-at the final ADMM multiplier through the same K_j eigenbases, so a capped
-solve is certified too.
+``gamma_search`` minimizes h(gamma) = f(gamma) / (1 - gamma) over one inner
+problem, where f(gamma) is the inner optimal value at radius
+gamma / (sqrt(L) eps), with the same code for both classes.  It reads the
+cuts alone: a grid scan skips the gammas they rule out, bisection follows
+the sign of h' from each solve's cut, and the cuts of all solves bound
+min h from below, which stops the bisection and gives ``search_gap``.
 """
 
 from __future__ import annotations
@@ -75,23 +54,29 @@ class InfeasibleEpsilon(RuntimeError):
 
 @dataclass
 class SolveReport:
+    """One inner solve and its certificate.
+
+    ``gap`` is the relative duality gap of the returned point's squared
+    objective; the status is "optimal" iff gap <= the solve's ``tol``.
+    ``cut`` = (c0, c1, c2) bounds the squared optimal value at every radius
+    t from below by c0 + c1 t + c2 t^2, however capped the solve; its
+    derivative c1 + 2 c2 ``tau`` is the d(objective^2)/d tau the gamma
+    search reads.  ``state`` is the iterate a ``start`` resumes.  An
+    infeasible solve has no gap or cut.
+    """
+
     solution: np.ndarray
     objective: float
     status: str  # "optimal" | "max-iter" | "infeasible"
     iterations: int = 0
-    gap: float | None = None  # relative duality gap of the returned point's squared objective (None: infeasible)
-    # d(objective^2)/d tau at the returned point: 0 when the ball is slack,
-    # None when the solve is infeasible.
-    slope: float | None = 0.0
+    gap: float | None = None
     tau: float | None = None  # the ball radius solved at (None: no ball)
-    state: object = None  # iterate a ``start`` resumes: blockdiag's Lam (L, n, n), full's (Y, Uv, rho)
-    # (c0, c1, c2): c0 + c1 t + c2 t^2 bounds the squared optimal value at
-    # every radius t from below (None when infeasible).
+    state: object = None  # blockdiag's Lam (L, n, n), full's (Y, Uv, rho)
     cut: tuple[float, float, float] | None = None
 
 
 def _infeasible_report(solution: np.ndarray, tau: float | None = None) -> SolveReport:
-    return SolveReport(solution=solution, objective=np.inf, status="infeasible", slope=None, tau=tau)
+    return SolveReport(solution=solution, objective=np.inf, status="infeasible", tau=tau)
 
 
 def _closed_form_report(G: np.ndarray, objective: float, least: float) -> SolveReport:
@@ -256,11 +241,11 @@ class BlockDiagonalProblem:
         duality gap over the blocks (of the squared objective, hence a bound
         on the combined one too) and the status is "max-iter" when some
         block is not certified within ``tol``: its ``max_iter`` steps ran
-        out, or a tol below rounding level left nothing to gain.  ``slope``
-        is -2 tau sum_k tr Lam_k, the derivative in tau of the dual bound at
-        the multipliers the gap was measured at, and ``cut`` is that dual
-        bound as a function of the radius t:
-        objective^2 (1 - gap) - (t^2 - tau^2) sum_k tr Lam_k.
+        out, or a tol below rounding level left nothing to gain.  ``cut`` is
+        the dual bound at the multipliers the gap was measured at, as a
+        function of the radius t:
+        objective^2 (1 - gap) - (t^2 - tau^2) sum_k tr Lam_k,
+        whose derivative at tau is -2 tau sum_k tr Lam_k.
         """
         if tau is None or np.isinf(tau):
             return self.unconstrained()
@@ -283,7 +268,6 @@ class BlockDiagonalProblem:
             status="optimal" if gap <= tol else "max-iter",
             iterations=iterations,
             gap=gap,
-            slope=-2.0 * tau * trace,
             tau=tau,
             state=state,
             # The dual bound at radius t moves by -<Lam, S(t) - S(tau)> = -(t^2 - tau^2) tr Lam.
@@ -605,11 +589,11 @@ class CoupledCausalProblem:
         (Y, Uv, rho) ``start.state`` of an earlier report at any radius, else
         starts from the ball projection of the closed form.
 
-        The ADMM stops on its primal and dual residuals.  Its ``gap`` and
-        ``cut`` come from ``_dual_bound`` at the multiplier rho U it ends
-        on, for a capped solve too.  Its ``slope`` is -||rho U||_*, the
-        nuclear norm of the ADMM multiplier: an estimate that is accurate
-        only near convergence.
+        Every 10 iterations (the rho-update cadence) at which the primal and
+        dual residuals are within ``tol``, the gap of the point the solve
+        would return is evaluated; the ADMM stops once it is at most ``tol``.
+        ``gap`` and ``cut`` come from ``_dual_bound`` at the multiplier
+        rho U, capped solves included, and "optimal" means gap <= tol.
         """
         if tau is None or np.isinf(tau):
             return self.unconstrained()
@@ -625,7 +609,6 @@ class CoupledCausalProblem:
             Y = _ball_projection(base.solution, tau)
             Uv, rho = np.zeros_like(Y), self._initial_rho()
         relax = 1.7
-        status = "max-iter"
         it = 0
         for it in range(1, max_iter + 1):
             G = self._prox(Y - Uv, rho)
@@ -633,19 +616,25 @@ class CoupledCausalProblem:
             Y_prev = Y
             Y = _ball_projection(G_rel + Uv, tau)
             Uv = Uv + G_rel - Y
-            r = float(np.linalg.norm(G - Y))
-            s = rho * float(np.linalg.norm(Y - Y_prev))
-            scale = max(1.0, float(np.linalg.norm(G)), float(np.linalg.norm(Y)))
-            if r <= tol * scale and s <= tol * scale:
-                status = "optimal"
-                break
             if it % 10 == 0:
+                r = float(np.linalg.norm(G - Y))
+                s = rho * float(np.linalg.norm(Y - Y_prev))
+                scale = max(1.0, float(np.linalg.norm(G)), float(np.linalg.norm(Y)))
+                # Small residuals only gate the gap, which alone certifies a stop.
+                if r <= tol * scale and s <= tol * scale:
+                    rep = self._report(Y, Uv, rho, tau, tol, it)
+                    if rep.status == "optimal":
+                        return rep
                 if r > 10.0 * s:
                     rho *= 2.0
                     Uv /= 2.0
                 elif s > 10.0 * r:
                     rho /= 2.0
                     Uv *= 2.0
+        return self._report(Y, Uv, rho, tau, tol, it)
+
+    def _report(self, Y: np.ndarray, Uv: np.ndarray, rho: float, tau: float, tol: float, it: int) -> SolveReport:
+        """The feasible point of ADMM iterate (Y, Uv, rho) and its certificate."""
         G_out = self._project_affine(Y)
         # The affine projection can leave the ball by the ADMM residual; blend
         # toward G_part (the minimum-norm feasible point, of norm floor) so the
@@ -657,13 +646,13 @@ class CoupledCausalProblem:
             G_out = theta * G_out + (1.0 - theta) * self.G_part
         objective = self._objective(G_out)
         bound, cut = self._dual_bound(rho * Uv, tau)
+        gap = float(max(objective**2 - bound, 0.0) / objective**2) if objective > 0 else 0.0
         return SolveReport(
             solution=G_out,
             objective=objective,
-            status=status,
+            status="optimal" if gap <= tol else "max-iter",
             iterations=it,
-            gap=float(max(objective**2 - bound, 0.0) / objective**2) if objective > 0 else 0.0,
-            slope=-rho * float(np.linalg.svd(Uv, compute_uv=False).sum()),
+            gap=gap,
             tau=tau,
             state=(Y, Uv, rho),
             cut=cut,
@@ -750,12 +739,13 @@ def gamma_search(
     gamma = 0.
 
     The search scans ``grid_points`` radii between the feasibility floor and
-    the radius where the ball stops binding, skipping those whose h cannot
-    beat the incumbent, and brackets the minimum between the grid neighbours
-    of the best scanned point.  It then bisects the bracket down to
-    ``gamma_tol`` on the sign of h', which is the sign of
-    slope * (1 - gamma) + 2 sqrt(L) eps f^2 with slope = d(f^2)/d tau from
-    the inner solve, nondecreasing in gamma.  These exploration solves run
+    the radius where the ball stops binding, skipping those whose h the cuts
+    (below) already bound at or above the incumbent, and brackets the
+    minimum between the grid neighbours of the best scanned point.  It then
+    bisects the bracket down to ``gamma_tol`` on the sign of h', which is
+    the sign of F' (1 - gamma) + 2 sqrt(L) eps f^2 with F' = c1 + 2 c2 tau,
+    the derivative of the solve's own cut at its radius (an infeasible
+    solve lies left of the minimum).  These exploration solves run
     at (max(tol, 1e-4), min(max_iter, 1200)): radii near the floor converge
     very slowly and never win.  The evaluated gamma with the least h, where
     values within the exploration tolerance of it tie and the final
@@ -768,10 +758,13 @@ def gamma_search(
     closed form (its squared value at every radius).  f^2 is nonincreasing
     in the radius, so on every piece [a, b] of a subgrid of the evaluated
     gammas h >= sqrt(max cut at b) / (1 - a), and the least of these, LB,
-    bounds min h over [gamma_lo, hi] (beyond hi, h only grows).  Bisection also
-    stops once (h - LB) / h <= ``gamma_tol`` for the best h so far, when
+    bounds min h over [gamma_lo, hi] (beyond hi, h only grows); the same
+    bound at a single gamma is what prunes the scan.  Bisection also stops
+    once (h - LB) / h <= ``gamma_tol`` for the best h so far, when
     ``gamma_tol`` > 0.  ``search_gap`` is that relative gap at the returned
-    objective, clipped at zero.
+    objective, clipped at zero, and it is the search's certificate:
+    ``gamma_tol`` is not, since a stop on bracket width can leave
+    ``search_gap`` above it when capped solves leave loose cuts.
     """
     if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
@@ -810,14 +803,20 @@ def gamma_search(
         return rep
 
     def rises(gamma: float, rep: SolveReport) -> bool:
-        """Whether h'(gamma) >= 0; an infeasible radius lies left of the minimum."""
-        return rep.slope is not None and rep.slope * (1.0 - gamma) + 2.0 * scale * rep.objective**2 >= 0.0
+        """Whether h'(gamma) >= 0; an infeasible radius (no cut) lies left of the minimum."""
+        if rep.cut is None:
+            return False
+        _, c1, c2 = rep.cut
+        return (c1 + 2.0 * c2 * rep.tau) * (1.0 - gamma) + 2.0 * scale * rep.objective**2 >= 0.0
+
+    def cuts() -> np.ndarray:
+        """The closed form's cut and the cut of every feasible solve so far."""
+        return np.array([problem.unconstrained().cut] + [r.cut for _, r in solved if r.cut is not None])
 
     def search_gap(h_best: float) -> float:
         """(h_best - LB) / h_best, LB a lower bound on min h over [gamma_lo, hi] from every cut."""
-        cuts = np.array([problem.unconstrained().cut] + [r.cut for _, r in solved if r.cut is not None])
         knots = np.array(sorted({gamma_lo, hi, *(g for g, _ in solved)}))
-        return 1.0 - _search_bound(cuts, knots, scale) / h_best if h_best > 0 else 0.0
+        return 1.0 - _search_bound(cuts(), knots, scale) / h_best if h_best > 0 else 0.0
 
     def certified() -> bool:
         """Whether the cuts put the incumbent within gamma_tol of min h.
@@ -828,19 +827,17 @@ def gamma_search(
         return gamma_tol > 0 and search_gap(min(map(h, solved))) <= gamma_tol
 
     explore = (max(tol, 1e-4), min(max_iter, 1200))
-    # f never drops below the unconstrained optimum, so any gamma whose
-    # h lower bound already exceeds the incumbent cannot win.
-    f_floor = problem.unconstrained().objective
     grid = np.linspace(gamma_lo, hi, grid_points)
     for g in grid:
-        if solved and f_floor / (1.0 - g) >= min(map(h, solved)):
+        # A gamma whose h the cuts bound at or above the incumbent cannot win.
+        if solved and _search_bound(cuts(), np.array([g]), scale) >= min(map(h, solved)):
             continue
         evaluate(g, *explore)
     best = min(solved, key=h)
     if not np.isfinite(h(best)):
         raise InfeasibleEpsilon("epsilon too large for data: no feasible gamma found")
     # The minimum lies between the best point's grid neighbours, on the side
-    # its slope points to.
+    # its h' points to.
     i = int(np.searchsorted(grid, best[0]))
     lo_b, hi_b = grid[np.clip([i - 1, i] if rises(*best) else [i, i + 1], 0, len(grid) - 1)]
     while hi_b - lo_b > gamma_tol and not certified():
@@ -853,7 +850,7 @@ def gamma_search(
             lo_b = mid
     # Exploration values of h are only as exact as their tolerance: values
     # within it of the least count as ties, won by the ends of the bracket
-    # the slopes narrowed down.
+    # the signs of h' narrowed down.
     h_min = min(map(h, solved))
     near = [e for e in solved if h(e) <= h_min * (1.0 + explore[0])]
     inside = [e for e in near if lo_b <= e[0] <= hi_b]

@@ -259,15 +259,18 @@ def synth_robust(
     as None); this reproduces the unregularized fit.
 
     gamma comes from ``solver.gamma_search``, the same search for both
-    structures: a scan of ``grid_points`` radii brackets the minimum, and
-    bisection on the sign of the objective's slope, which every inner solve
-    reports, shrinks the bracket to ``gamma_tol``, or stops sooner once the
-    dual cuts of the solves certify the best objective within a relative
+    structures, steered by the dual cut every inner solve reports: a scan
+    of ``grid_points`` radii, skipping those the cuts rule out, brackets the
+    minimum, and bisection on the sign of the objective's derivative, read
+    from each solve's cut, shrinks the bracket to ``gamma_tol``, or stops
+    sooner once the cuts certify the best objective within a relative
     ``gamma_tol``.  Exploration solves run at (max(tol, 1e-4),
     min(max_iter, 1200)), each from the nearest gamma solved so far; the
     returned gamma's report is resumed at ``(tol, max_iter)`` and that
-    solve's status, gap and added iterations are in ``search``, with the
-    search's own certificate ``search.search_gap``.
+    solve's status ("optimal" iff its duality gap is within ``tol``), gap
+    and added iterations are in ``search``.  The search's certificate is
+    ``search.search_gap``, not ``gamma_tol``: a stop on bracket width can
+    leave it above ``gamma_tol``.
     """
     _require_excitation(data)
     for name, have, want in (

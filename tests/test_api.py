@@ -1,6 +1,7 @@
 """Every public name the package declares resolves, and the runtime needs numpy only."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -50,11 +51,13 @@ def test_names_the_benchmark_tracer_patches_stay_in_place():
     # class's own __dict__, and stacked_cost_map and assemble_responses as
     # attributes of ddsls.synth; moving any of them (into a base class, or
     # behind another name) would silently drop its spans from traced runs.
+    # Its solve spans read the iterations and status of each SolveReport.
     from ddsls import synth
-    from ddsls.solver import BlockDiagonalProblem, CoupledCausalProblem
+    from ddsls.solver import BlockDiagonalProblem, CoupledCausalProblem, SolveReport
 
     for cls in (BlockDiagonalProblem, CoupledCausalProblem):
         assert {"__init__", "solve"} <= set(vars(cls))
+    assert {"iterations", "status"} <= {f.name for f in dataclasses.fields(SolveReport)}
     for name in ("stacked_cost_map", "assemble_responses"):
         fn = vars(synth)[name]
         assert inspect.isfunction(fn) and fn.__module__ == "ddsls.synth"

@@ -295,8 +295,12 @@ class TestGammaSearch:
         scale = np.sqrt(3) * eps
         plain = gamma_search(self.build_problem(3)[0], eps, gamma_tol=0.0)
         recording = RecordingProblem(prob)
+        real_bound = solver._search_bound
 
         def overshoot(cuts, knots, scale_):
+            # The scan's pruning queries single gammas: those see the real bound.
+            if knots.size == 1:
+                return real_bound(cuts, knots, scale_)
             # A bound a rounding error above the best h solved so far.
             return min(rep.objective / (1.0 - tau * scale) for tau, _, rep in recording.calls) * (1.0 + 1e-15)
 
@@ -309,6 +313,29 @@ class TestGammaSearch:
         recording.calls.clear()
         stopped = gamma_search(recording, eps, gamma_tol=1e-3)
         assert len(recording.calls) == len(scan_only.grid) and stopped.search_gap == 0.0
+
+    @pytest.mark.parametrize("structure", ["blockdiag", "full"])
+    def test_scan_solves_only_gammas_the_cuts_leave_open(self, structure):
+        prob, data = self.build_problem(3, structure=structure)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        scale = np.sqrt(3) * eps
+        recording = RecordingProblem(prob)
+        gamma_search(recording, eps, grid_points=16)
+        # The scan's grid, as gamma_search lays it out; bisection midpoints lie off it.
+        lo = scale * prob.floor * (1.0 + 1e-3) + 1e-12
+        grid = np.linspace(lo, min(1.0 - 1e-9, max(scale * prob.unconstrained_norm(), lo)), 16)
+        gammas = [tau * scale for tau, _, _ in recording.calls]
+        scanned = 0
+        while scanned < len(gammas) and np.isclose(grid, gammas[scanned], rtol=1e-12, atol=0).any():
+            scanned += 1
+        assert 1 < scanned < 16
+        for i in range(1, scanned):
+            before = [rep for _, _, rep in recording.calls[:i]]
+            incumbent = min(rep.objective / (1.0 - rep.tau * scale) for rep in before)
+            tau = recording.calls[i][0]
+            # h(gamma) >= sqrt(F(tau)) / (1 - gamma), F bounded below by every cut.
+            F = max(cut_value(rep, tau) for rep in [prob.unconstrained(), *before] if rep.cut is not None)
+            assert np.sqrt(max(F, 0.0)) / (1.0 - gammas[i]) < incumbent, (i, gammas[i])
 
 
 class RecordingProblem:
@@ -351,6 +378,12 @@ def squared_objective_slope(prob, tau, tol, step=1e-4):
     up = prob.solve(tau * (1.0 + step), tol=tol, max_iter=50_000).objective ** 2
     down = prob.solve(tau * (1.0 - step), tol=tol, max_iter=50_000).objective ** 2
     return (up - down) / (2.0 * tau * step)
+
+
+def cut_slope(rep):
+    """The derivative of the report's cut at its own radius, its d(objective^2)/d tau."""
+    _, c1, c2 = rep.cut
+    return c1 + 2.0 * c2 * rep.tau
 
 
 def cut_value(rep, tau):
@@ -449,8 +482,8 @@ class TestBlockDiagonalProblem:
             tau = floor * (top / floor) ** frac
             rep = prob.solve(tau, tol=1e-10)
             assert rep.status == "optimal"
-            assert rep.slope == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-5)
-        assert prob.solve(1.1 * top, tol=1e-10).slope == 0.0
+            assert cut_slope(rep) == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-5)
+        assert cut_slope(prob.solve(1.1 * top, tol=1e-10)) == 0.0
 
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -590,7 +623,8 @@ class TestCoupledCausalProblem:
         ref = prob.unconstrained()
         for tau in (prob.unconstrained_norm(), 1.2 * prob.unconstrained_norm(), None):
             rep = prob.solve(tau, tol=1e-9)
-            assert (rep.status, rep.iterations, rep.gap, rep.slope) == ("optimal", 0, 0.0, 0.0)
+            # The cut's derivative is exactly zero at every radius.
+            assert (rep.status, rep.iterations, rep.gap, rep.cut[1:]) == ("optimal", 0, 0.0, (0.0, 0.0))
             np.testing.assert_array_equal(rep.solution, ref.solution)
 
     def test_identical_calls_give_identical_reports(self, horizon3):
@@ -617,8 +651,18 @@ class TestCoupledCausalProblem:
         tau = prob.floor + frac * (prob.unconstrained_norm() - prob.floor)
         rep = prob.solve(tau, tol=1e-10)
         assert rep.status == "optimal"
-        # Converged ADMM multipliers matched to 4.2e-9 on these radii.
-        assert rep.slope == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-6)
+        # The dual cut's derivative matched to 2.4e-8 on these radii.
+        assert cut_slope(rep) == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-6)
+
+    @pytest.mark.parametrize("frac", [0.5, 0.8])
+    def test_optimal_means_the_gap_is_within_tol(self, frac, bench_instance):
+        # The residual rule alone stopped these solves at gaps of 2.5e-4 and 1.3e-3.
+        prob, _, _ = bench_instance
+        tau = prob.floor + frac * (prob.unconstrained_norm() - prob.floor)
+        rep = prob.solve(tau, tol=1e-4)
+        assert rep.status == "optimal" and 0.0 <= rep.gap <= 1e-4
+        capped = prob.solve(tau, tol=1e-4, max_iter=rep.iterations - 10)
+        assert capped.status == "max-iter" and capped.gap > 1e-4
 
     @pytest.mark.parametrize("which", ["bench_instance", "small"])
     def test_unconstrained_matches_kkt_per_block_column(self, which, request):
