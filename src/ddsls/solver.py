@@ -19,8 +19,8 @@ d(objective^2)/d tau, which at an optimal dual point is the ball's Lagrange
 multiplier (Boyd & Vandenberghe, Convex Optimization, sec. 5.6).
 Independent blocks (``BlockDiagonalProblem``) are solved exactly through
 the Lagrange dual of the ball by a primal-dual Newton method.  The coupled
-causal variable (``CoupledCausalProblem``) is solved by ADMM, and its
-certificate is the Fenchel dual of the splitting at the ADMM multiplier.
+causal variable (``CoupledCausalProblem``) is solved by ADMM in nullspace
+coordinates, certified by the Fenchel dual of the splitting at its multiplier.
 
 ``gamma_search`` minimizes h(gamma) = f(gamma) / (1 - gamma) over one inner
 problem, where f(gamma) is the inner optimal value at radius
@@ -61,8 +61,8 @@ class SolveReport:
     ``cut`` = (c0, c1, c2) bounds the squared optimal value at every radius
     t from below by c0 + c1 t + c2 t^2, however capped the solve; its
     derivative c1 + 2 c2 ``tau`` is the d(objective^2)/d tau the gamma
-    search reads.  ``state`` is the iterate a ``start`` resumes.  An
-    infeasible solve has no gap or cut.
+    search reads.  ``state`` is the iterate a ``start`` resumes (full: in
+    its ADMM's nullspace coordinates).  An infeasible solve has no gap or cut.
     """
 
     solution: np.ndarray
@@ -71,7 +71,7 @@ class SolveReport:
     iterations: int = 0
     gap: float | None = None
     tau: float | None = None  # the ball radius solved at (None: no ball)
-    state: object = None  # blockdiag's Lam (L, n, n), full's (Y, Uv, rho)
+    state: object = None  # blockdiag's Lam (L, n, n), full's rotated (Y, Uv, rho)
     cut: tuple[float, float, float] | None = None
 
 
@@ -96,11 +96,12 @@ def _layout(cmap: np.ndarray, h1x: np.ndarray) -> tuple[int, int, int]:
 def _affine_set(A: np.ndarray):
     """The affine set {G : A G = I} through one SVD of A.
 
-    Returns the minimum-norm point G_part, an orthonormal nullspace basis N
-    of A (every feasible G is G_part + N Z), the feasibility floor and
-    whether the set is empty.  G_part has the least spectral norm on the
-    set, so its norm is the exact floor of any ball that meets it.  The set
-    is empty when G_part misses I by more than rounding.
+    Returns the minimum-norm point G_part, orthonormal bases N and R of the
+    nullspace and row space of A (every feasible G is G_part + N Z, and
+    G_part = R R^T G_part), the feasibility floor and whether the set is
+    empty.  G_part has the least spectral norm on the set, so its norm is
+    the exact floor of any ball that meets it.  The set is empty when
+    G_part misses I by more than rounding.
     """
     A = np.asarray(A, dtype=float)
     U, s, Vt = np.linalg.svd(A, full_matrices=True)
@@ -108,7 +109,7 @@ def _affine_set(A: np.ndarray):
     G_part = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
     infeasible = bool(np.abs(A @ G_part - np.eye(A.shape[0])).max(initial=0.0) > 1e-8)
     floor = float(np.linalg.svd(G_part, compute_uv=False)[0]) if G_part.size else 0.0
-    return G_part, Vt[rank:].T, floor, infeasible
+    return G_part, Vt[rank:].T, Vt[:rank].T, floor, infeasible
 
 
 def _sym_basis(n: int) -> np.ndarray:
@@ -165,7 +166,7 @@ class BlockDiagonalProblem:
         self.L = _layout(cmap, h1x)[0]
         self.C = np.stack(np.hsplit(cmap, self.L))  # (L, rows, cols)
         # G_part is shared by every block.
-        self.G_part, self.null_basis, self.floor, self._infeasible_constraint = _affine_set(h1x)
+        self.G_part, self.null_basis, _, self.floor, self._infeasible_constraint = _affine_set(h1x)
         CN = np.matmul(self.C, self.null_basis)  # (L, rows, d)
         CG = np.matmul(self.C, self.G_part)
         # The Gram eigenbasis from the SVD of C_k N: orthonormal at rounding
@@ -460,40 +461,44 @@ class CoupledCausalProblem:
     them, handled by ADMM: a quadratic step on the affine set alternating
     with a projection onto the ball.
 
-    The free part of every block lies in the nullspace of h1x, so the affine
-    projection is ``G_part + mask * (P V)`` with P = N N^T applied to each
-    block row.  For block column j with cost columns C_j (block rows j..L-1)
-    the quadratic step solves its reduced normal equations through the
-    Woodbury identity on K_j = C_j (I (x) P) C_j^T, a (rows x rows) matrix
-    eigendecomposed once at build; the step never forms the reduced basis.
+    The ADMM runs in nullspace coordinates: each block row G_i becomes
+    [N | R]^T G_i (N, R orthonormal bases of the nullspace and row space of
+    h1x; both norms are kept), the L d rows Z_i = N^T G_i first.  The affine
+    set is then free leading rows times the causal mask over fixed trailing
+    rows R^T G_part, a row slice.  With F_j = C (I (x) N) over block rows
+    j..L-1 and b = C G_part, block column j's quadratic step is Woodbury's
+    z_j = v_j - F_j^T (K_j + rho/2 I)^{-1} (b_j + F_j v_j), K_j = F_j F_j^T
+    (rows x rows); the inverse is formed once per rho from K_j's eigenbasis.
     """
 
     def __init__(self, cmap: np.ndarray, h1x: np.ndarray):
         self.C = np.asarray(cmap, dtype=float)
         L, cols, n = _layout(self.C, h1x)
-        self.L, self.cols, self.n = L, cols, n
+        self.L, self.n = L, n
         # Diagonal blocks map to the identity: the block-diagonal stack of the
         # minimum-norm block is the minimum-norm point, with the same norm.
-        part, self._null, self.floor, self._infeasible_constraint = _affine_set(h1x)
-        self._P = self._null @ self._null.T
-        # Block (i, j) of the variable is free iff i >= j.
-        self._mask = np.kron(np.tril(np.ones((L, L))), np.ones((cols, n)))
-
+        part, self._null, row_basis, self.floor, self._infeasible_constraint = _affine_set(h1x)
         self.G_part = np.kron(np.eye(L), part)
+        d = self._null.shape[1]
+        self._free = L * d  # the leading (nullspace) rows of a rotated point
+        # Block (i, j) of the free rows is free iff i >= j.
+        self._causal = np.kron(np.tril(np.ones((L, L))), np.ones((d, n)))
+        # The trailing rows of every rotated point of the affine set.
+        self._fixed = np.kron(np.eye(L), row_basis.T @ part)
 
         rows = self.C.shape[0]
-        CP = np.matmul(self.C.reshape(rows, L, cols), self._P).reshape(rows, L * cols)
-        self._CP, self._CG = CP, self.C @ self.G_part
-        # K_j = F_j F_j^T with F_j = CP[:, j*cols:]; accumulate the block terms
-        # C_i P C_i^T from the last block row up.
-        F3 = CP.reshape(rows, L, cols).transpose(1, 0, 2)
+        self._CN = np.matmul(self.C.reshape(rows, L, cols), self._null).reshape(rows, L * d)
+        self._CG = self.C @ self.G_part
+        # K_j = F_j F_j^T with F_j = CN[:, j*d:]; accumulate the block terms
+        # C_i N N^T C_i^T from the last block row up.
+        F3 = self._CN.reshape(rows, L, d).transpose(1, 0, 2)
         terms = np.matmul(F3, F3.transpose(0, 2, 1))
         _, self._eigvecs = np.linalg.eigh(np.cumsum(terms[::-1], axis=0)[::-1])
         # Eigenvalues as ||F_j^T u||^2: structurally zero ones then come out at
         # squared rounding level, far below the pseudo-inverse cutoff, where
         # eigh of K_j leaves them at rounding level, next to it.
         self._eigvals = np.stack(
-            [np.sum((CP[:, j * cols :].T @ self._eigvecs[j]) ** 2, axis=0) for j in range(L)]
+            [np.sum((self._CN[:, j * d :].T @ self._eigvecs[j]) ** 2, axis=0) for j in range(L)]
         )
         # The pseudo-inverse of each K_j in its eigenbasis.
         lam = self._eigvals
@@ -504,8 +509,8 @@ class CoupledCausalProblem:
         # that the pseudo-inverse keeps.  The closed form's own objective
         # can miss it by its solve error, which an ill-conditioned K_j
         # amplifies far beyond rounding.
-        b = self._by_column(self._CG)
-        self._least = float(np.sum((b - self._spectral(self._pinv > 0, b)) ** 2))
+        projected = self._step(self._pinv > 0, np.zeros(self._causal.shape), self._CG)[1]
+        self._least = float(np.sum((self._CG - projected) ** 2))
         self._unconstrained: SolveReport | None = None
         self._norm: float | None = None
 
@@ -516,35 +521,37 @@ class CoupledCausalProblem:
         """A (rows x L n) matrix as its L block columns, shape (L, rows, n)."""
         return M.reshape(M.shape[0], self.L, self.n).transpose(1, 0, 2)
 
-    def _spectral(self, weights: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """U_j diag(weights_j) U_j^T X_j for every block column j of X (L, rows, n)."""
-        U = self._eigvecs
-        return np.matmul(U, weights[:, :, None] * np.matmul(U.transpose(0, 2, 1), X))
+    def _resolvent(self, rho: float, out: np.ndarray | None = None) -> np.ndarray:
+        """(K_j + rho/2 I)^{-1} for every block column j, (L, rows, rows), written into ``out``."""
+        U, w = self._eigvecs, 1.0 / (self._eigvals + 0.5 * rho)
+        out = np.empty_like(U) if out is None else out
+        for j in range(self.L):  # one block column at a time: no (L, rows, rows) temporary
+            np.matmul(U[j] * w[j], U[j].T, out=out[j])
+        return out
 
-    def _apply_P(self, V: np.ndarray) -> np.ndarray:
-        """P applied to every block row of V (a new array)."""
-        L, cols, n = self.L, self.cols, self.n
-        return np.matmul(self._P, V.reshape(L, cols, L * n)).reshape(L * cols, L * n)
+    def _step(self, f: np.ndarray, Z: np.ndarray, b: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+        """Z - mask * (CN^T X) with X_j = f(K_j) (b + CN Z)_j, and X (rows x L n).
 
-    def _project_affine(self, Y: np.ndarray) -> np.ndarray:
-        W = self._apply_P(Y)
-        W *= self._mask
-        W += self.G_part
-        return W
-
-    def _solve_columns(self, V: np.ndarray, inv: np.ndarray) -> np.ndarray:
-        """Y - mask * P C_j^T f(K_j) C_j Y per block column j, Y the affine projection of V.
-
-        f(K_j) = U_j diag(inv_j) U_j^T.  The mask commutes with P and
-        P C_i^T = (C_i P)^T, so C Y = C G_part + CP (mask * V) and the
-        correction is mask * (CP^T X): P is applied once.
+        Z is a causal free part (L d x L n).  With f(K) = (K + rho/2 I)^{-1}
+        and b = C G_part this is the free part of argmin ||C G||^2 +
+        (rho/2) ||G - V||^2 over the causal affine set, Z the masked free
+        rows of V; with f(K) = K^+ and Z = 0 it is the closed form's.  f is
+        the matrices f(K_j) (``_resolvent``) or their eigenvalues (L, rows).
         """
-        X = self._spectral(inv, self._by_column(self._CG + self._CP @ (V * self._mask)))
-        W = self._apply_P(V)
-        W -= self._CP.T @ X.transpose(1, 0, 2).reshape(self.C.shape[0], -1)
-        W *= self._mask
-        W += self.G_part
-        return W
+        X, U = self._by_column(b + self._CN @ Z), self._eigvecs
+        X = np.matmul(f, X) if f.ndim == 3 else np.matmul(U, f[:, :, None] * np.matmul(U.transpose(0, 2, 1), X))
+        X = X.transpose(1, 0, 2).reshape(self.C.shape[0], -1)
+        step = self._CN.T @ X
+        step *= self._causal
+        return np.subtract(Z, step, out=step), X
+
+    def _original(self, Z: np.ndarray) -> np.ndarray:
+        """The point G_part + (I (x) N) Z of free part Z, in the original coordinates."""
+        return self.G_part + np.matmul(self._null, Z.reshape(self.L, -1, Z.shape[1])).reshape(self.G_part.shape)
+
+    def _closed_form(self) -> np.ndarray:
+        """The free part of the closed form (unconstrained minimizer)."""
+        return self._step(self._pinv, np.zeros(self._causal.shape), self._CG)[0]
 
     def _initial_rho(self) -> float:
         """Penalty matched to the curvature spread of block column 0 (else 1).
@@ -559,20 +566,12 @@ class CoupledCausalProblem:
         low = lam[lam.size - reduced] if reduced <= lam.size else 0.0
         return float(np.sqrt(max(low, 1e-8 * lam[-1]) * lam[-1]))
 
-    def _prox(self, V: np.ndarray, rho: float) -> np.ndarray:
-        """argmin ||C G||^2 + (rho/2)||G - V||^2 over the causal affine set.
-
-        With Y the affine projection of V, Woodbury on the reduced normal
-        equations of block column j gives Y - P C_j^T (K_j + rho/2 I)^{-1} C_j Y.
-        """
-        return self._solve_columns(V, 1.0 / (self._eigvals + 0.5 * rho))
-
     def unconstrained(self) -> SolveReport:
         if self._unconstrained is None:
             if self._infeasible_constraint:
                 self._unconstrained = _infeasible_report(self.G_part)
             else:
-                G = self._solve_columns(np.zeros_like(self.G_part), self._pinv)
+                G = self._original(self._closed_form())
                 self._unconstrained = _closed_form_report(G, self._objective(G), self._least)
         return self._unconstrained
 
@@ -586,8 +585,8 @@ class CoupledCausalProblem:
         """Solve with ball radius tau (None or inf means unconstrained).
 
         The result depends on the arguments only: the ADMM resumes from the
-        (Y, Uv, rho) ``start.state`` of an earlier report at any radius, else
-        starts from the ball projection of the closed form.
+        (Y, Uv, rho) ``start.state`` (nullspace coordinates) of an earlier
+        report at any radius, else from the ball projection of the closed form.
 
         Every 10 iterations (the rho-update cadence) at which the primal and
         dual residuals are within ``tol``, the gap of the point the solve
@@ -606,16 +605,21 @@ class CoupledCausalProblem:
         if start is not None and start.state is not None:
             Y, Uv, rho = start.state
         else:
-            Y = _ball_projection(base.solution, tau)
+            Y = _ball_projection(np.vstack([self._closed_form(), self._fixed]), tau)
             Uv, rho = np.zeros_like(Y), self._initial_rho()
-        relax = 1.7
+        free, relax, inv, inv_rho = self._free, 1.7, None, None
+        G = np.vstack([np.zeros_like(self._causal), self._fixed])  # its trailing rows never change
         it = 0
         for it in range(1, max_iter + 1):
-            G = self._prox(Y - Uv, rho)
-            G_rel = relax * G + (1.0 - relax) * Y
-            Y_prev = Y
-            Y = _ball_projection(G_rel + Uv, tau)
-            Uv = Uv + G_rel - Y
+            if rho != inv_rho:
+                inv, inv_rho = self._resolvent(rho, inv), rho
+            G[:free] = self._step(inv, (Y[:free] - Uv[:free]) * self._causal, self._CG)[0]
+            # Over-relaxed ball step: Q = relax G + (1 - relax) Y + Uv.
+            Q = relax * G
+            Q -= (relax - 1.0) * Y
+            Q += Uv
+            Y_prev, Y = Y, _ball_projection(Q, tau)
+            Uv = np.subtract(Q, Y, out=Q)
             if it % 10 == 0:
                 r = float(np.linalg.norm(G - Y))
                 s = rho * float(np.linalg.norm(Y - Y_prev))
@@ -625,25 +629,24 @@ class CoupledCausalProblem:
                     rep = self._report(Y, Uv, rho, tau, tol, it)
                     if rep.status == "optimal":
                         return rep
-                if r > 10.0 * s:
-                    rho *= 2.0
-                    Uv /= 2.0
-                elif s > 10.0 * r:
-                    rho /= 2.0
-                    Uv *= 2.0
+                if r > 10.0 * s or s > 10.0 * r:
+                    factor = 2.0 if r > s else 0.5
+                    rho *= factor
+                    Uv /= factor
+        G = Y_prev = inv = None  # the loop's arrays: freed before the report makes its own
         return self._report(Y, Uv, rho, tau, tol, it)
 
     def _report(self, Y: np.ndarray, Uv: np.ndarray, rho: float, tau: float, tol: float, it: int) -> SolveReport:
         """The feasible point of ADMM iterate (Y, Uv, rho) and its certificate."""
-        G_out = self._project_affine(Y)
-        # The affine projection can leave the ball by the ADMM residual; blend
-        # toward G_part (the minimum-norm feasible point, of norm floor) so the
-        # returned point is in the ball exactly: its norm is at most
+        Z = Y[: self._free] * self._causal  # the affine projection of Y
+        # It can leave the ball by the ADMM residual; blend it toward G_part
+        # (the minimum-norm feasible point, of norm floor, free part zero) so
+        # the returned point is in the ball exactly: its norm is at most
         # theta * norm + (1 - theta) * floor = tau.
-        norm = float(np.linalg.svd(G_out, compute_uv=False)[0])
+        norm = float(np.linalg.svd(np.vstack([Z, self._fixed]), compute_uv=False)[0])
         if norm > tau:
-            theta = (tau - self.floor) / (norm - self.floor) if tau > self.floor else 0.0
-            G_out = theta * G_out + (1.0 - theta) * self.G_part
+            Z *= (tau - self.floor) / (norm - self.floor) if tau > self.floor else 0.0
+        G_out = self._original(Z)
         objective = self._objective(G_out)
         bound, cut = self._dual_bound(rho * Uv, tau)
         gap = float(max(objective**2 - bound, 0.0) / objective**2) if objective > 0 else 0.0
@@ -664,21 +667,18 @@ class CoupledCausalProblem:
         The Fenchel dual of the splitting (G on the causal affine set, Y in
         the ball) is g(lam) = min_G ||C G||^2 + <lam, G> - tau ||lam||_*,
         finite when the free part of lam lies in the range of (C_j B_j)^T
-        on every block column j.  The free part mask * (P lam) is replaced
-        by its projection mask * (CP^T y), y_j = K_j^+ (CP (mask * lam))_j;
-        then, with b = C G_part, the dual at s lam' is
+        on every block column j.  That free part, mask * lam_free on the
+        leading rows, is replaced by its projection mask * (CN^T y),
+        y_j = K_j^+ (CN (mask * lam_free))_j; with b = C G_part, the dual at s lam' is
         g(s) = least + s (<lam', G_part> - <y, b> - tau ||lam'||_*) - s^2 ||y||^2 / 4,
         maximized in s >= 0.  Returns that g and the cut
         g - (t - tau) s ||lam'||_* on the squared value at radius t.
         """
-        y = self._spectral(self._pinv, self._by_column(self._CP @ (lam * self._mask)))
-        y = y.transpose(1, 0, 2).reshape(self.C.shape[0], -1)
-        free = self._CP.T @ y
-        free -= self._apply_P(lam)
-        free *= self._mask
-        lam = lam + free  # lam'
+        free = self._free
+        step, y = self._step(self._pinv, lam[:free] * self._causal, 0.0)
+        lam = np.vstack([lam[:free] - step, lam[free:]])  # lam'
         nuclear = float(np.linalg.svd(lam, compute_uv=False).sum())
-        lin = float(np.vdot(lam, self.G_part) - np.vdot(y, self._CG)) - tau * nuclear
+        lin = float(np.vdot(lam[free:], self._fixed) - np.vdot(y, self._CG)) - tau * nuclear
         quad = 0.25 * float(np.vdot(y, y))
         s = max(lin, 0.0) / (2.0 * quad) if quad > 0 else 0.0
         bound = self._least + s * lin - s * s * quad
@@ -771,14 +771,14 @@ def gamma_search(
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     scale = np.sqrt(problem.L) * eps
+    closed = problem.unconstrained()
+    if closed.status == "infeasible":
+        raise InfeasibleEpsilon("affine constraints are infeasible")
 
     if eps == 0.0:
-        rep = problem.unconstrained()
-        if rep.status == "infeasible":
-            raise InfeasibleEpsilon("affine constraints are infeasible")
-        f = rep.objective
+        f = closed.objective
         return GammaSearchResult(
-            gamma=0.0, objective=f, f_value=f, solution=rep.solution, grid=[(0.0, f, f)], status="optimal"
+            gamma=0.0, objective=f, f_value=f, solution=closed.solution, grid=[(0.0, f, f)], status="optimal"
         )
 
     gamma_min = scale * problem.floor
@@ -792,14 +792,18 @@ def gamma_search(
     hi = min(gamma_hi, max(gamma_relax, gamma_lo))
 
     solved: list[tuple[float, SolveReport]] = []
+    cuts = np.array([closed.cut])  # the closed form's, then every feasible solve's
 
     def h(entry: tuple[float, SolveReport]) -> float:  # an infeasible solve's objective is inf
         return entry[1].objective / (1.0 - entry[0])
 
     def evaluate(gamma: float, solve_tol: float, iters: int) -> SolveReport:
+        nonlocal cuts
         start = min(reversed(solved), key=lambda e: abs(e[0] - gamma))[1] if solved else None
         rep = problem.solve(gamma / scale, tol=solve_tol, max_iter=iters, start=start)
         solved.append((gamma, rep))
+        if rep.cut is not None:
+            cuts = np.vstack([cuts, rep.cut])
         return rep
 
     def rises(gamma: float, rep: SolveReport) -> bool:
@@ -809,14 +813,10 @@ def gamma_search(
         _, c1, c2 = rep.cut
         return (c1 + 2.0 * c2 * rep.tau) * (1.0 - gamma) + 2.0 * scale * rep.objective**2 >= 0.0
 
-    def cuts() -> np.ndarray:
-        """The closed form's cut and the cut of every feasible solve so far."""
-        return np.array([problem.unconstrained().cut] + [r.cut for _, r in solved if r.cut is not None])
-
     def search_gap(h_best: float) -> float:
         """(h_best - LB) / h_best, LB a lower bound on min h over [gamma_lo, hi] from every cut."""
         knots = np.array(sorted({gamma_lo, hi, *(g for g, _ in solved)}))
-        return 1.0 - _search_bound(cuts(), knots, scale) / h_best if h_best > 0 else 0.0
+        return 1.0 - _search_bound(cuts, knots, scale) / h_best if h_best > 0 else 0.0
 
     def certified() -> bool:
         """Whether the cuts put the incumbent within gamma_tol of min h.
@@ -830,7 +830,7 @@ def gamma_search(
     grid = np.linspace(gamma_lo, hi, grid_points)
     for g in grid:
         # A gamma whose h the cuts bound at or above the incumbent cannot win.
-        if solved and _search_bound(cuts(), np.array([g]), scale) >= min(map(h, solved)):
+        if solved and _search_bound(cuts, np.array([g]), scale) >= min(map(h, solved)):
             continue
         evaluate(g, *explore)
     best = min(solved, key=h)

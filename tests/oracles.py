@@ -112,32 +112,59 @@ def projected_gradient_spectral(
     return best, best_obj
 
 
+def _affine_basis(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solution of A G = B and an orthonormal nullspace basis of A."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0]))
+    return (Vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ B), Vt[rank:].T
+
+
 def barrier_spectral(
     C: np.ndarray,
     A: np.ndarray,
     B: np.ndarray,
     tau: float,
     rel_gap: float = 1e-12,
+    L: int = 1,
 ) -> tuple[np.ndarray, float]:
-    """Interior-point reference solve of min ||C G||_F s.t. A G = B, ||G||_2 <= tau.
+    """Interior-point reference solve of min ||C G||_F s.t. ||G||_2 <= tau on an affine set.
 
-    Log-barrier path following with damped Newton steps in the null-space
-    coordinates G = G_p + N Z: minimise t ||C G||_F^2 - log det(tau^2 I - G'G)
-    for growing t.  Every iterate lies strictly inside the ball and on the
-    affine set, so the returned objective bounds the optimum from above,
-    and it exceeds the optimal squared objective by at most ncols / t.
-    Needs room between the feasibility floor and the radius, since it
-    starts from the minimum-norm feasible point.
+    With ``L`` = 1 the set is A G = B.  With ``L`` > 1, G is the causal
+    L x L grid of (cols x k) blocks of the coupled problem, B being
+    (n x k): block (i, i) meets A G = B, blocks below the diagonal meet
+    A G = 0 and blocks above it are zero.  Either way G = G_p + M(z), G_p
+    the block-diagonal stack of the minimum-norm block and M an isometry
+    onto the free blocks' nullspace parts (N e_a e_c^T placed in each block
+    on or below the diagonal).
+
+    Log-barrier path following with damped Newton steps in z: minimise
+    t ||C G||_F^2 - log det(tau^2 I - G'G) for growing t.  Every iterate
+    lies strictly inside the ball and on the affine set, so the returned
+    objective bounds the optimum from above, and it exceeds the optimal
+    squared objective by at most (G's column count) / t.  Needs room
+    between the feasibility floor and the radius, since it starts from G_p.
     """
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0]))
-    Gp = (Vt[:rank].T / s[:rank]) @ (U[:, :rank].T @ B)
-    N = Vt[rank:].T
-    d, ncols = N.shape[1], B.shape[1]
+    block, N = _affine_basis(A, B)
+    Gp = np.kron(np.eye(L), block)
+    (cols, d), k = N.shape, block.shape[1]
+    ncols = Gp.shape[1]
     if float(np.linalg.svd(Gp, compute_uv=False)[0]) >= tau:
         raise ValueError("radius at or below the feasibility floor")
-    CN = C @ N
-    Q = CN.T @ CN
+    # Column q of M is vec(G) (row-major) of the q-th free coordinate.
+    units = []
+    for i in range(L):
+        for j in range(i + 1):
+            for a in range(d):
+                for c in range(k):
+                    E = np.zeros_like(Gp)
+                    E[i * cols : (i + 1) * cols, j * k + c] = N[:, a]
+                    units.append(E.ravel())
+    M = np.array(units).T
+    CtC = C.T @ C
+    quad = np.kron(CtC, np.eye(ncols))
+
+    def point(z):
+        return Gp + (M @ z).reshape(Gp.shape)
 
     def slack_factor(G):
         """Cholesky factor of tau^2 I - G'G, or None outside the open ball."""
@@ -146,51 +173,49 @@ def barrier_spectral(
         except np.linalg.LinAlgError:
             return None
 
-    def merit(Z, t):
-        G = Gp + N @ Z
+    def merit(z, t):
+        G = point(z)
         Lc = slack_factor(G)
         if Lc is None:
             return np.inf
         return t * float(np.linalg.norm(C @ G)) ** 2 - 2.0 * float(np.log(np.diag(Lc)).sum())
 
-    Z = np.zeros((d, ncols))
+    z = np.zeros(M.shape[1])
     f0 = float(np.linalg.norm(C @ Gp)) ** 2
     t = ncols / max(f0, 1e-12)
     for _ in range(40):
         for _ in range(200):
-            G = Gp + N @ Z
+            G = point(z)
             Li = np.linalg.inv(slack_factor(G))
             Si = Li.T @ Li
-            GSi = G @ Si
-            P = N.T @ GSi
-            grad = t * 2.0 * (N.T @ (C.T @ (C @ G))) + 2.0 * P
-            # Hessian on row-major vec(Z): the quadratic gives t Q (x) I and
-            # the barrier's second derivative along dG = N E is
-            # 2 dG S^-1 + 2 G S^-1 (dG'G + G'dG) S^-1, projected by N'.
-            R = P @ (G.T @ N)
-            hess = 2.0 * (
-                t * np.kron(Q, np.eye(ncols))
-                + np.kron(np.eye(d) + R, Si)
-                + np.einsum("cb,ae->ceab", P, P).reshape(d * ncols, d * ncols)
+            P = G @ Si
+            grad = M.T @ (2.0 * (t * (CtC @ G) + P)).ravel()
+            # Hessian on row-major vec(G): the quadratic gives t C'C (x) I and
+            # the barrier's second derivative along dG is
+            # 2 dG S^-1 + 2 G S^-1 (dG'G + G'dG) S^-1.
+            hess_G = 2.0 * (
+                t * quad
+                + np.kron(np.eye(len(G)) + P @ G.T, Si)
+                + np.einsum("ia,bk->ikba", P, P).reshape(G.size, G.size)
             )
-            step = -np.linalg.lstsq(hess, grad.ravel(), rcond=None)[0].reshape(d, ncols)
-            decrement = -float(np.sum(grad * step))
+            step = -np.linalg.lstsq(M.T @ hess_G @ M, grad, rcond=None)[0]
+            decrement = -float(grad @ step)
             if decrement <= 1e-14:
                 break
             # Backtrack until the merit drops enough and the point stays inside.
-            current, alpha = merit(Z, t), 1.0
-            while merit(Z + alpha * step, t) > current - 0.25 * alpha * decrement:
+            current, alpha = merit(z, t), 1.0
+            while merit(z + alpha * step, t) > current - 0.25 * alpha * decrement:
                 alpha *= 0.5
                 if alpha < 1e-12:
                     break
             if alpha < 1e-12:
                 break
-            Z = Z + alpha * step
-        f = float(np.linalg.norm(C @ (Gp + N @ Z))) ** 2
+            z = z + alpha * step
+        f = float(np.linalg.norm(C @ point(z))) ** 2
         if ncols / t <= rel_gap * max(f, 1e-300):
             break
         t *= 10.0
-    G = Gp + N @ Z
+    G = point(z)
     return G, float(np.linalg.norm(C @ G))
 
 
@@ -204,11 +229,7 @@ def coupled_quad_step(
     eigendecomposition of the reduced Gram.  ``V=None`` gives the
     minimum-norm unconstrained minimizer (pseudo-inverse of the Gram).
     """
-    U, s, Vt = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > max(A.shape) * np.finfo(float).eps * s[0]))
-    pinv = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-    null = Vt[rank:].T
-    d = null.shape[1]
+    pinv, null = _affine_basis(A, np.eye(A.shape[0]))
     G = np.zeros((cols * L, n * L))
     for jb in range(L):
         rows = slice(jb * cols, L * cols)
@@ -230,3 +251,42 @@ def coupled_quad_step(
             z = W @ (inv[:, None] * (W.T @ rhs))
         G[rows, csel] = part + basis @ z
     return G
+
+
+def coupled_admm(
+    C: np.ndarray, A: np.ndarray, L: int, cols: int, n: int, tau: float, rho: float, iters: int
+) -> tuple[np.ndarray, float]:
+    """The coupled solver's ADMM in the original coordinates, from ``coupled_quad_step``.
+
+    Starts at Y the ball projection of the closed form, U = 0, and runs
+    ``iters`` over-relaxed (1.7) iterations: G the reference step at
+    V = Y - U, Y the ball projection of 1.7 G - 0.7 Y + U, U the remainder.
+    Every 10 iterations rho doubles (U halves) when the primal residual
+    ||G - Y|| exceeds ten times the dual one rho ||Y - Y_prev||, and halves
+    (U doubles) in the opposite case.  Returns the affine projection of the
+    last Y, blended toward the minimum-norm point until it is in the ball,
+    and the last rho.
+    """
+    pinv, null = _affine_basis(A, np.eye(A.shape[0]))
+    G_part = np.kron(np.eye(L), pinv)
+    mask = np.kron(np.tril(np.ones((L, L))), np.ones((cols, n)))
+    projector = np.kron(np.eye(L), null @ null.T)
+    Y = _project_ball(coupled_quad_step(C, A, L, cols, n, None, rho), tau)
+    U = np.zeros_like(Y)
+    for it in range(1, iters + 1):
+        G = coupled_quad_step(C, A, L, cols, n, Y - U, rho)
+        Q = 1.7 * G - 0.7 * Y + U
+        Y_prev, Y = Y, _project_ball(Q, tau)
+        U = Q - Y
+        if it % 10 == 0:
+            r, s = np.linalg.norm(G - Y), rho * np.linalg.norm(Y - Y_prev)
+            if r > 10.0 * s:
+                rho, U = 2.0 * rho, U / 2.0
+            elif s > 10.0 * r:
+                rho, U = rho / 2.0, 2.0 * U
+    G = G_part + mask * (projector @ Y)
+    norm, floor = np.linalg.norm(G, 2), np.linalg.norm(G_part, 2)
+    if norm > tau:
+        theta = (tau - floor) / (norm - floor)
+        G = theta * G + (1.0 - theta) * G_part
+    return G, rho

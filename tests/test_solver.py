@@ -12,12 +12,19 @@ from ddsls.solver import (
     BlockDiagonalProblem,
     CoupledCausalProblem,
     InfeasibleEpsilon,
+    SolveReport,
     _ball_projection,
     gamma_search,
 )
 from ddsls.synth import DataHankels, _build_problem, stacked_cost_map
 from tests.conftest import SIGMA2, T_BENCH
-from tests.oracles import barrier_spectral, coupled_quad_step, kkt_equality_ls, projected_gradient_spectral
+from tests.oracles import (
+    barrier_spectral,
+    coupled_admm,
+    coupled_quad_step,
+    kkt_equality_ls,
+    projected_gradient_spectral,
+)
 
 
 def active_radius(solver):
@@ -560,8 +567,9 @@ def test_rank_deficient_constraint_is_infeasible_in_both_classes():
     for prob in (block, coupled):
         assert prob.unconstrained().status == "infeasible"
         assert prob.solve(10.0 * prob.floor).status == "infeasible"
-        with pytest.raises(InfeasibleEpsilon):
-            gamma_search(prob, 0.0)
+        for eps in (0.0, 0.01):
+            with pytest.raises(InfeasibleEpsilon, match="affine constraints are infeasible"):
+                gamma_search(prob, eps)
 
 
 @pytest.mark.parametrize("cls", [BlockDiagonalProblem, CoupledCausalProblem], ids=["blockdiag", "full"])
@@ -688,14 +696,54 @@ class TestCoupledCausalProblem:
     def test_step_matches_reduced_basis_reference(self, which, factor, request):
         prob, cmap, data = request.getfixturevalue(which)
         rho = factor * prob._initial_rho()
-        V = np.random.default_rng(5).standard_normal(prob.G_part.shape)
-        ref = coupled_quad_step(cmap, data.h1x, data.L, data.cols, data.n, V, rho)
-        got = prob._prox(V, rho)
+        # V = G_part + (I (x) N) Z: its nullspace coordinates are Z.
+        Z = np.random.default_rng(5).standard_normal(prob._causal.shape)
+        ref = coupled_quad_step(cmap, data.h1x, data.L, data.cols, data.n, prob._original(Z), rho)
+        inv = prob._resolvent(rho)
+        got = prob._original(prob._step(inv, Z * prob._causal, prob._CG)[0])
         # Both solve the same shifted system, whose condition number bounds
         # how far two backward-stable evaluations may drift apart.
         cond = (prob._eigvals.max() + 0.5 * rho) / (0.5 * rho)
         atol = 64 * np.finfo(float).eps * cond * np.abs(ref).max()
         np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("which", ["horizon3", "bench_instance"])
+    @pytest.mark.parametrize("factor", [1.0, 1e3])
+    def test_admm_matches_the_reference_loop(self, which, factor, request):
+        # 40 iterations of the same ADMM in the original coordinates, built
+        # from the reduced-basis step and an SVD ball projection.  The cold
+        # start's rho only ever doubles on these instances; a start at 1e3
+        # times it halves rho too.
+        prob, cmap, data = request.getfixturevalue(which)
+        tau = prob.floor + 0.3 * (prob.unconstrained_norm() - prob.floor)
+        rho = factor * prob._initial_rho()
+        start = None
+        if factor != 1.0:
+            # The cold start, in nullspace coordinates.
+            Y = _ball_projection(np.vstack([prob._closed_form(), prob._fixed]), tau)
+            start = SolveReport(solution=Y, objective=np.inf, status="max-iter", state=(Y, np.zeros_like(Y), rho))
+        rep = prob.solve(tau, tol=1e-15, max_iter=40, start=start)
+        ref, rho = coupled_admm(cmap, data.h1x, data.L, data.cols, data.n, tau, rho, 40)
+        assert (rep.status, rep.iterations, rep.state[2]) == ("max-iter", 40, rho)
+        np.testing.assert_allclose(rep.solution, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+        assert rep.objective == pytest.approx(np.linalg.norm(cmap @ ref), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "seed, n, m, L, radius, frac", [(0, 2, 1, 3, 0.5, 0.3), (11, 2, 2, 3, 1.05, 0.6), (5, 1, 1, 2, 1.3, 0.4)]
+    )
+    def test_optimal_solve_agrees_with_the_barrier_oracle(self, seed, n, m, L, radius, frac):
+        w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
+        T = L + n + m * L + 8
+        prob, cmap, data = coupled_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
+        tau = prob.floor + frac * (prob.unconstrained_norm() - prob.floor)
+        tol = 1e-7
+        rep = prob.solve(tau, tol=tol, max_iter=50_000)
+        assert rep.status == "optimal"
+        # The oracle's point is feasible and within 1e-12 of the optimum.
+        F = barrier_spectral(cmap, data.h1x, np.eye(n), tau, L=L)[1] ** 2
+        f2 = rep.objective**2
+        assert -1e-9 * F <= f2 - F <= tol * f2
+        assert cut_value(rep, tau) <= F * (1.0 + 1e-12)
 
     def test_initial_rho_reads_the_reduced_gram(self):
         # Few data columns: the reduced Gram of block column 0 is square and
