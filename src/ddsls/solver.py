@@ -40,6 +40,7 @@ from .blockops import rank_tolerance
 
 __all__ = [
     "SolveReport",
+    "SearchPoint",
     "BlockDiagonalProblem",
     "CoupledCausalProblem",
     "GammaSearchResult",
@@ -231,8 +232,8 @@ class BlockDiagonalProblem:
     def unconstrained_norm(self) -> float:
         return float(self.unconstrained_norms().max())
 
-    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
-        """Solve with ball radius tau (None or inf means unconstrained).
+    def solve(self, tau: float, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
+        """Solve with ball radius tau.
 
         The result depends on the arguments only: the Newton iteration
         resumes from the multipliers ``start.state`` of an earlier report at
@@ -248,8 +249,6 @@ class BlockDiagonalProblem:
         objective^2 (1 - gap) - (t^2 - tau^2) sum_k tr Lam_k,
         whose derivative at tau is -2 tau sum_k tr Lam_k.
         """
-        if tau is None or np.isinf(tau):
-            return self.unconstrained()
         if self._infeasible_constraint or tau < self.floor * (1.0 - 1e-9):
             return _infeasible_report(self._stacked(self.G_part), tau)
         base = self.unconstrained()
@@ -581,8 +580,8 @@ class CoupledCausalProblem:
             self._norm = float(np.linalg.svd(self.unconstrained().solution, compute_uv=False)[0])
         return self._norm
 
-    def solve(self, tau: float | None, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
-        """Solve with ball radius tau (None or inf means unconstrained).
+    def solve(self, tau: float, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
+        """Solve with ball radius tau.
 
         The result depends on the arguments only: the ADMM resumes from the
         (Y, Uv, rho) ``start.state`` (nullspace coordinates) of an earlier
@@ -594,8 +593,6 @@ class CoupledCausalProblem:
         ``gap`` and ``cut`` come from ``_dual_bound`` at the multiplier
         rho U, capped solves included, and "optimal" means gap <= tol.
         """
-        if tau is None or np.isinf(tau):
-            return self.unconstrained()
         if self._infeasible_constraint or tau < self.floor * (1.0 - 1e-9):
             return _infeasible_report(self.G_part, tau)
         base = self.unconstrained()
@@ -685,17 +682,32 @@ class CoupledCausalProblem:
         return bound, (bound + tau * s * nuclear, -s * nuclear, 0.0)
 
 
-@dataclass
-class GammaSearchResult:
+@dataclass(frozen=True)
+class SearchPoint:
+    """One solve of the gamma search; an infeasible one has h = f = inf and no gap or cut."""
+
     gamma: float
-    objective: float  # f(gamma) / (1 - gamma)
+    objective: float  # h = f(gamma) / (1 - gamma)
     f_value: float
-    solution: np.ndarray  # the inner solution at the returned gamma
-    grid: list[tuple[float, float, float]]  # (gamma, f, h) at evaluated points
-    status: str  # inner status at the returned gamma
-    iterations: int = 0  # inner steps the final solve adds to the returned gamma's exploration report
-    gap: float = 0.0  # its relative duality gap
-    search_gap: float = 0.0  # (objective - a lower bound on min h) / objective, at least 0
+    status: str
+    iterations: int  # inner steps this solve added to the report it resumed
+    gap: float | None  # the relative duality gap of its squared objective
+    cut: tuple[float, float, float] | None  # SolveReport.cut
+
+
+@dataclass(frozen=True)
+class GammaSearchResult(SearchPoint):
+    """The final solve at the returned gamma, its solution and the search's trace."""
+
+    solution: np.ndarray
+    grid: tuple[SearchPoint, ...]  # every solve in evaluation order, the final one last
+    search_gap: float  # (objective - a lower bound on min h) / objective, at least 0
+
+
+def _point(gamma: float, rep: SolveReport) -> SearchPoint:
+    cut = None if rep.cut is None else tuple(map(float, rep.cut))
+    h = float(rep.objective / (1.0 - gamma))
+    return SearchPoint(float(gamma), h, float(rep.objective), rep.status, rep.iterations, rep.gap, cut)
 
 
 _SUBGRID = np.linspace(0.0, 1.0, 33)  # the pieces of each interval between evaluated gammas
@@ -733,38 +745,35 @@ def gamma_search(
 
     ``problem`` is the inner problem (``BlockDiagonalProblem`` or
     ``CoupledCausalProblem``); the ball radius at gamma is
-    tau = gamma / (sqrt(L) * eps), with L = ``problem.L``.  f is convex and nonincreasing in gamma
-    because larger radii only relax the ball, so h is quasi-convex.  With
-    eps = 0 the ball is vacuous and the closed-form solution is returned at
-    gamma = 0.
+    tau = gamma / (sqrt(L) * eps), with L = ``problem.L``.  f is convex and
+    nonincreasing in gamma because larger radii only relax the ball, so h is
+    quasi-convex.  With eps = 0 the closed form is returned at gamma = 0.
 
     The search scans ``grid_points`` radii between the feasibility floor and
     the radius where the ball stops binding, skipping those whose h the cuts
     (below) already bound at or above the incumbent, and brackets the
     minimum between the grid neighbours of the best scanned point.  It then
-    bisects the bracket down to ``gamma_tol`` on the sign of h', which is
-    the sign of F' (1 - gamma) + 2 sqrt(L) eps f^2 with F' = c1 + 2 c2 tau,
-    the derivative of the solve's own cut at its radius (an infeasible
-    solve lies left of the minimum).  These exploration solves run
-    at (max(tol, 1e-4), min(max_iter, 1200)): radii near the floor converge
-    very slowly and never win.  The evaluated gamma with the least h, where
-    values within the exploration tolerance of it tie and the final
-    bracket's ends win ties, is solved again at ``(tol, max_iter)`` and
-    returned.  Each solve starts from the report of the nearest gamma solved
-    so far (the latest on ties): the final one resumes its gamma's own.
+    bisects the bracket down to ``gamma_tol`` on the sign of h', that of
+    F' (1 - gamma) + 2 sqrt(L) eps f^2 with F' = c1 + 2 c2 tau the derivative
+    of the solve's cut at its radius (no cut: infeasible, left of the
+    minimum).  These exploration solves run at (max(tol, 1e-4),
+    min(max_iter, 1200)): radii near the floor converge very slowly and
+    never win.  The evaluated gamma with the least h, values within the
+    exploration tolerance of it tying and the final bracket's ends winning
+    ties, is solved again at ``(tol, max_iter)`` and returned.
+    Each solve resumes the report of the nearest gamma solved so far (the
+    latest on ties); once the bracket is set, only reports a later solve
+    can resume are kept, and none keeps its solution.
 
-    Every feasible report carries a cut, a lower bound on f^2 at every
-    radius, valid however loose or capped its solve was; so does the
-    closed form (its squared value at every radius).  f^2 is nonincreasing
-    in the radius, so on every piece [a, b] of a subgrid of the evaluated
-    gammas h >= sqrt(max cut at b) / (1 - a), and the least of these, LB,
-    bounds min h over [gamma_lo, hi] (beyond hi, h only grows); the same
-    bound at a single gamma is what prunes the scan.  Bisection also stops
-    once (h - LB) / h <= ``gamma_tol`` for the best h so far, when
-    ``gamma_tol`` > 0.  ``search_gap`` is that relative gap at the returned
-    objective, clipped at zero, and it is the search's certificate:
-    ``gamma_tol`` is not, since a stop on bracket width can leave
-    ``search_gap`` above it when capped solves leave loose cuts.
+    Every cut, the closed form's too, bounds f^2 from below at every radius,
+    however capped its solve.  f^2 is nonincreasing in the radius, so on
+    every piece [a, b] of a subgrid of the evaluated gammas
+    h >= sqrt(max cut at b) / (1 - a), and the least of these, LB, bounds
+    min h over [gamma_lo, hi].  Bisection also stops once (h - LB) / h <=
+    ``gamma_tol`` > 0 for the best h so far.
+    ``search_gap`` is that gap at the returned objective, clipped at zero:
+    the search's certificate, which a stop on bracket width can leave above
+    ``gamma_tol``.
     """
     if not eps >= 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
@@ -776,94 +785,85 @@ def gamma_search(
         raise InfeasibleEpsilon("affine constraints are infeasible")
 
     if eps == 0.0:
-        f = closed.objective
-        return GammaSearchResult(
-            gamma=0.0, objective=f, f_value=f, solution=closed.solution, grid=[(0.0, f, f)], status="optimal"
-        )
+        point = _point(0.0, closed)
+        return GammaSearchResult(**vars(point), solution=closed.solution, grid=(point,), search_gap=0.0)
 
-    gamma_min = scale * problem.floor
-    gamma_hi = 1.0 - 1e-9
+    gamma_min, gamma_hi = scale * problem.floor, 1.0 - 1e-9
     if gamma_min >= gamma_hi:
         raise InfeasibleEpsilon(f"epsilon too large for data: feasibility needs gamma >= {gamma_min:.6g}")
     gamma_lo = gamma_min * (1.0 + 1e-3) + 1e-12
-    # The ball stops binding once it contains the unconstrained solution;
-    # beyond that point h(gamma) only grows.
-    gamma_relax = scale * problem.unconstrained_norm()
-    hi = min(gamma_hi, max(gamma_relax, gamma_lo))
+    # Beyond the radius where the ball contains the closed form, h only grows.
+    hi = min(gamma_hi, max(scale * problem.unconstrained_norm(), gamma_lo))
 
-    solved: list[tuple[float, SolveReport]] = []
-    cuts = np.array([closed.cut])  # the closed form's, then every feasible solve's
+    points: list[SearchPoint] = []
+    reports: dict[float, SolveReport] = {}  # the solved gammas a later solve may resume, without solutions
 
-    def h(entry: tuple[float, SolveReport]) -> float:  # an infeasible solve's objective is inf
-        return entry[1].objective / (1.0 - entry[0])
-
-    def evaluate(gamma: float, solve_tol: float, iters: int) -> SolveReport:
-        nonlocal cuts
-        start = min(reversed(solved), key=lambda e: abs(e[0] - gamma))[1] if solved else None
+    def evaluate(gamma: float, solve_tol: float, iters: int) -> np.ndarray:
+        start = min(reversed(reports.items()), key=lambda e: abs(e[0] - gamma))[1] if reports else None
         rep = problem.solve(gamma / scale, tol=solve_tol, max_iter=iters, start=start)
-        solved.append((gamma, rep))
-        if rep.cut is not None:
-            cuts = np.vstack([cuts, rep.cut])
-        return rep
+        reports[float(gamma)] = replace(rep, solution=None)
+        points.append(_point(gamma, rep))
+        return rep.solution
 
-    def rises(gamma: float, rep: SolveReport) -> bool:
+    def least() -> SearchPoint:  # the first with the least h
+        return min(points, key=lambda p: p.objective)
+
+    def prune() -> None:
+        """Keep the nearest report outside each bracket end (none lies inside) and the least h's."""
+        keep = {max((g for g in reports if g <= lo_b), default=None), least().gamma}
+        keep.add(min((g for g in reports if g >= hi_b), default=None))
+        for g in [g for g in reports if g not in keep]:
+            del reports[g]
+
+    def rises(p: SearchPoint) -> bool:
         """Whether h'(gamma) >= 0; an infeasible radius (no cut) lies left of the minimum."""
-        if rep.cut is None:
+        if p.cut is None:
             return False
-        _, c1, c2 = rep.cut
-        return (c1 + 2.0 * c2 * rep.tau) * (1.0 - gamma) + 2.0 * scale * rep.objective**2 >= 0.0
+        slope = p.cut[1] + 2.0 * p.cut[2] * (p.gamma / scale)  # F' at its radius
+        return slope * (1.0 - p.gamma) + 2.0 * scale * p.f_value**2 >= 0.0
+
+    def bound(knots: np.ndarray) -> float:
+        """A lower bound on min h over the knots' range from the closed form's and every solve's cut."""
+        cuts = np.array([closed.cut, *(p.cut for p in points if p.cut is not None)])
+        return _search_bound(cuts, knots, scale)
 
     def search_gap(h_best: float) -> float:
-        """(h_best - LB) / h_best, LB a lower bound on min h over [gamma_lo, hi] from every cut."""
-        knots = np.array(sorted({gamma_lo, hi, *(g for g, _ in solved)}))
-        return 1.0 - _search_bound(cuts, knots, scale) / h_best if h_best > 0 else 0.0
+        """(h_best - LB) / h_best, LB a lower bound on min h over [gamma_lo, hi]."""
+        knots = np.array(sorted({gamma_lo, hi, *(p.gamma for p in points)}))
+        return 1.0 - bound(knots) / h_best if h_best > 0 else 0.0
 
     def certified() -> bool:
-        """Whether the cuts put the incumbent within gamma_tol of min h.
-
-        A gap at rounding level certifies nothing more, so gamma_tol = 0
-        bisects down to float resolution.
-        """
-        return gamma_tol > 0 and search_gap(min(map(h, solved))) <= gamma_tol
+        """Whether the cuts put the incumbent within gamma_tol > 0 of min h (0 bisects to float resolution)."""
+        return gamma_tol > 0 and search_gap(least().objective) <= gamma_tol
 
     explore = (max(tol, 1e-4), min(max_iter, 1200))
     grid = np.linspace(gamma_lo, hi, grid_points)
     for g in grid:
         # A gamma whose h the cuts bound at or above the incumbent cannot win.
-        if solved and _search_bound(cuts, np.array([g]), scale) >= min(map(h, solved)):
+        if points and bound(np.array([g])) >= least().objective:
             continue
         evaluate(g, *explore)
-    best = min(solved, key=h)
-    if not np.isfinite(h(best)):
+    best = least()
+    if not np.isfinite(best.objective):
         raise InfeasibleEpsilon("epsilon too large for data: no feasible gamma found")
-    # The minimum lies between the best point's grid neighbours, on the side
-    # its h' points to.
-    i = int(np.searchsorted(grid, best[0]))
-    lo_b, hi_b = grid[np.clip([i - 1, i] if rises(*best) else [i, i + 1], 0, len(grid) - 1)]
+    # The minimum lies between the best point's grid neighbours, on the side its h' points to.
+    i = int(np.searchsorted(grid, best.gamma))
+    lo_b, hi_b = grid[np.clip([i - 1, i] if rises(best) else [i, i + 1], 0, len(grid) - 1)]
+    prune()
     while hi_b - lo_b > gamma_tol and not certified():
         mid = 0.5 * (lo_b + hi_b)
         if mid in (lo_b, hi_b):  # the bracket is down to adjacent floats
             break
-        if rises(mid, evaluate(mid, *explore)):
+        evaluate(mid, *explore)
+        if rises(points[-1]):
             hi_b = mid
         else:
             lo_b = mid
-    # Exploration values of h are only as exact as their tolerance: values
-    # within it of the least count as ties, won by the ends of the bracket
-    # the signs of h' narrowed down.
-    h_min = min(map(h, solved))
-    near = [e for e in solved if h(e) <= h_min * (1.0 + explore[0])]
-    inside = [e for e in near if lo_b <= e[0] <= hi_b]
-    g_star = min(inside or near, key=h)[0]
-    rep = evaluate(g_star, tol, max_iter)
-    return GammaSearchResult(
-        gamma=float(g_star),
-        objective=float(h(solved[-1])),
-        f_value=float(rep.objective),
-        solution=rep.solution,
-        grid=sorted((g, r.objective, h((g, r))) for g, r in solved),
-        status=rep.status,
-        iterations=rep.iterations,
-        gap=rep.gap,
-        search_gap=max(search_gap(h(solved[-1])), 0.0),
-    )
+        prune()
+    # Exploration values of h are only as exact as their tolerance: values within it of the
+    # least count as ties, won by the ends of the bracket the signs of h' narrowed down.
+    near = [p for p in points if p.objective <= least().objective * (1.0 + explore[0])]
+    inside = [p for p in near if lo_b <= p.gamma <= hi_b]
+    solution = evaluate(min(inside or near, key=lambda p: p.objective).gamma, tol, max_iter)
+    gap = max(search_gap(points[-1].objective), 0.0)
+    return GammaSearchResult(**vars(points[-1]), solution=solution, grid=tuple(points), search_gap=gap)

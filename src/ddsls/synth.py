@@ -20,7 +20,7 @@ lets through up to its tolerance, are set to zero before any product.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -121,6 +121,7 @@ class SynthesisResult:
             "iterations": self.search.iterations,
             "gap": self.search.gap,
             "search_gap": self.search.search_gap,
+            "search": [asdict(p) for p in self.search.grid],  # every inner solve, the final one last
             "timings": self.timings,
         }
 

@@ -51,13 +51,18 @@ def test_names_the_benchmark_tracer_patches_stay_in_place():
     # class's own __dict__, and stacked_cost_map and assemble_responses as
     # attributes of ddsls.synth; moving any of them (into a base class, or
     # behind another name) would silently drop its spans from traced runs.
-    # Its solve spans read the iterations and status of each SolveReport.
+    # Its solve spans read the iterations and status of each SolveReport,
+    # its search spans the status of each GammaSearchResult, and the
+    # workloads these fields of each SynthesisResult.
     from ddsls import synth
-    from ddsls.solver import BlockDiagonalProblem, CoupledCausalProblem, SolveReport
+    from ddsls.solver import BlockDiagonalProblem, CoupledCausalProblem, GammaSearchResult, SolveReport
 
     for cls in (BlockDiagonalProblem, CoupledCausalProblem):
         assert {"__init__", "solve"} <= set(vars(cls))
     assert {"iterations", "status"} <= {f.name for f in dataclasses.fields(SolveReport)}
+    assert "status" in {f.name for f in dataclasses.fields(GammaSearchResult)}
+    read = {"ghat", "gamma", "objective", "eps", "responses", "controller", "mode"}
+    assert read <= {f.name for f in dataclasses.fields(synth.SynthesisResult)}
     for name in ("stacked_cost_map", "assemble_responses"):
         fn = vars(synth)[name]
         assert inspect.isfunction(fn) and fn.__module__ == "ddsls.synth"

@@ -122,11 +122,16 @@ def test_synth_robust_and_naive_modes(tmp_path):
     assert 0.0 <= summary["gamma"] < 1.0
     # The blockdiag solve certifies its point: the gap is within the default tol.
     assert summary["status"] == "optimal" and 0.0 <= summary["gap"] <= 1e-7
+    # One record per inner solve of the gamma search, the final solve last.
+    assert len(summary["search"]) > 1
+    assert (summary["search"][-1]["gamma"], summary["search"][-1]["status"]) == (summary["gamma"], summary["status"])
 
     out2 = tmp_path / "naive"
     assert run(["synth", "--config", cfg, "--out", str(out2), "--mode", "naive"]) == 0
     summary2 = json.loads((out2 / "synthesis.json").read_text())
     assert summary2["gamma"] is None
+    # eps = 0: the closed form is the one solve.
+    assert [p["gamma"] for p in summary2["search"]] == [0.0]
 
 
 def test_bounds_outputs(tmp_path):

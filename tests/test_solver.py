@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -115,12 +116,6 @@ class TestBallProjection:
 
 
 class TestSpectralAdmm:
-    def test_unbounded_radius_matches_eq_ls(self):
-        C, A = small_instance(5)
-        rep = BlockDiagonalProblem(C, A).solve(None)
-        ref = closed_form(C, A)
-        assert rep.objective == pytest.approx(ref.objective, rel=1e-12)
-
     def test_inactive_ball_iterative_agrees_with_closed_form(self):
         C, A = small_instance(6)
         solver = BlockDiagonalProblem(C, A)
@@ -208,8 +203,8 @@ class TestGammaSearch:
         prob, data = self.build_problem(2)
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
         res = gamma_search(prob, eps)
-        gammas = [g for g, f, h in res.grid if np.isfinite(f)]
-        fs = [f for g, f, h in res.grid if np.isfinite(f)]
+        gammas = [p.gamma for p in res.grid if np.isfinite(p.f_value)]
+        fs = [p.f_value for p in res.grid if np.isfinite(p.f_value)]
         order = np.argsort(gammas)
         sorted_f = np.asarray(fs)[order]
         assert np.all(np.diff(sorted_f) <= 1e-4 * np.maximum(1.0, sorted_f[:-1]))
@@ -266,11 +261,12 @@ class TestGammaSearch:
             earlier = explore[:i]
             # A bisection midpoint ties its bracket ends up to rounding.
             assert abs(start.tau - tau) <= min(abs(t - tau) for t, _, _ in earlier) * (1.0 + 1e-9)
-            assert any(start is rep for _, _, rep in earlier)
+            # The search keeps the iterate it resumes, not the report.
+            assert any(start.tau == rep.tau and start.state is rep.state for _, _, rep in earlier)
         # The final solve resumes the returned gamma's own exploration report.
         assert tau_final == res.gamma / (np.sqrt(3) * eps)
         own = [rep for tau, _, rep in explore if tau == tau_final]
-        assert len(own) == 1 and own[0] is start_final
+        assert len(own) == 1 and own[0].tau == start_final.tau and own[0].state is start_final.state
 
     def test_status_is_worst_final_inner_status(self):
         prob, data = self.build_problem(4)
@@ -322,6 +318,35 @@ class TestGammaSearch:
         assert len(recording.calls) == len(scan_only.grid) and stopped.search_gap == 0.0
 
     @pytest.mark.parametrize("structure", ["blockdiag", "full"])
+    def test_search_keeps_no_exploration_solution_and_few_states(self, structure):
+        prob, data = self.build_problem(3, structure=structure)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        scale = np.sqrt(3) * eps
+        recording = WeakRecordingProblem(prob)
+        res = gamma_search(recording, eps, grid_points=16)
+        lo = scale * prob.floor * (1.0 + 1e-3) + 1e-12
+        grid = np.linspace(lo, min(1.0 - 1e-9, max(scale * prob.unconstrained_norm(), lo)), 16)
+        *explore, final = recording.live
+        assert final[0] == res.gamma / scale and len(recording.solutions) == len(res.grid)
+        # Every exploration solution is gone by the next solve.
+        assert all(solutions == 0 for _, solutions, _ in recording.live)
+        # Once the bracket is set, the search keeps only the states a later
+        # solve can resume: the nearest outside each bracket end and the best.
+        bisection = [states for tau, _, states in explore if not np.isclose(grid, tau * scale, rtol=1e-12).any()]
+        assert len(bisection) >= 2 and max(bisection) <= 3
+
+    @pytest.mark.parametrize("structure", ["blockdiag", "full"])
+    def test_search_scalars_are_builtin_floats(self, structure):
+        prob, data = self.build_problem(3, structure=structure)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        for res in (gamma_search(prob, eps), gamma_search(prob, 0.0)):
+            scalars = [res.search_gap]
+            for p in (res, *res.grid):
+                scalars += [p.gamma, p.objective, p.f_value, p.gap, *p.cut]
+            assert [type(x) for x in scalars] == [float] * len(scalars)
+            assert all(type(p.iterations) is int for p in res.grid)
+
+    @pytest.mark.parametrize("structure", ["blockdiag", "full"])
     def test_scan_solves_only_gammas_the_cuts_leave_open(self, structure):
         prob, data = self.build_problem(3, structure=structure)
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
@@ -357,6 +382,32 @@ class RecordingProblem:
     def solve(self, tau, tol, max_iter, start=None):
         rep = self.problem.solve(tau, tol=tol, max_iter=max_iter, start=start)
         self.calls.append((tau, start, rep))
+        return rep
+
+
+class WeakRecordingProblem:
+    """An inner problem that counts, at every solve, the earlier solutions and states still alive.
+
+    It holds weak references only, so it keeps nothing alive itself; the
+    closed form's solution and G_part, which the problem caches and
+    inactive or infeasible reports share, are not counted.
+    """
+
+    def __init__(self, problem):
+        self.problem, self.solutions, self.states, self.live = problem, [], [], []
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def solve(self, tau, tol, max_iter, start=None):
+        alive = [sum(ref() is not None for ref in refs) for refs in (self.solutions, self.states)]
+        self.live.append((tau, *alive))
+        rep = self.problem.solve(tau, tol=tol, max_iter=max_iter, start=start)
+        if not any(rep.solution is a for a in (self.problem.unconstrained().solution, self.problem.G_part)):
+            self.solutions.append(weakref.ref(rep.solution))
+        if rep.state is not None:
+            # A full report's state is (Y, Uv, rho), each array its own.
+            self.states.append(weakref.ref(rep.state if isinstance(rep.state, np.ndarray) else rep.state[0]))
         return rep
 
 
@@ -629,7 +680,7 @@ class TestCoupledCausalProblem:
     def test_inactive_ball_is_the_closed_form(self, horizon3):
         prob, _, _ = horizon3
         ref = prob.unconstrained()
-        for tau in (prob.unconstrained_norm(), 1.2 * prob.unconstrained_norm(), None):
+        for tau in (prob.unconstrained_norm(), 1.2 * prob.unconstrained_norm()):
             rep = prob.solve(tau, tol=1e-9)
             # The cut's derivative is exactly zero at every radius.
             assert (rep.status, rep.iterations, rep.gap, rep.cut[1:]) == ("optimal", 0, 0.0, (0.0, 0.0))
