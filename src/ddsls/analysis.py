@@ -186,7 +186,7 @@ def sample_complexity(
     N >= 2 sigma^2 n T log(2nT/delta) max{ 9 L g^2, 4 g^2 t^2 }.
 
     Inverting the matrix tail bound at this N produces a noise budget that
-    meets the eps precondition; that self-consistency is checked here.
+    meets the eps precondition; a miss of that self-consistency raises ``RuntimeError``.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -201,7 +201,8 @@ def sample_complexity(
     N = max(1, math.ceil(raw))
     if sigma2 > 0 and gstar_norm > 0:
         implied_eps = math.sqrt(2.0 * sigma2 * n * T * math.log(2.0 * n * T / delta) / N)
-        assert implied_eps <= eps_precondition(gstar_norm, L, toepnorm) * (1 + 1e-12)
+        if implied_eps > eps_precondition(gstar_norm, L, toepnorm) * (1 + 1e-12):
+            raise RuntimeError(f"sample size {N} implies eps {implied_eps:.6g} above the precondition")
     return N
 
 

@@ -40,6 +40,7 @@ DEFAULT_CONFIG = {
     "horizons": {"L": 10, "T": 45, "H": 1000},
     "sampling": {"N": 100, "N_list": [8, 32, 128], "trials": 10, "seed": 0},
     "synthesis": {"mode": "robust", "eps": "bootstrap", "structure": "blockdiag"},
+    "bounds": {"delta": 0.05},
     "output_dir": "ddsls_out",
 }
 
@@ -77,7 +78,7 @@ def _weights(cfg: dict, sys_: LtiSystem) -> CostWeights:
     w = cfg["weights"]
     Q = np.asarray(w["Q"], dtype=float)
     R = np.asarray(w["R"], dtype=float)
-    terminal = w.get("terminal", "dare")
+    terminal = w["terminal"]
     if isinstance(terminal, str):
         if terminal == "dare":
             QF = lqg.dare(sys_, Q, R)
@@ -125,7 +126,7 @@ def cmd_synth(cfg: dict) -> dict:
     L, T = cfg["horizons"]["L"], cfg["horizons"]["T"]
     N, seed = cfg["sampling"]["N"], cfg["sampling"]["seed"]
     mode = cfg["synthesis"]["mode"]
-    structure = cfg["synthesis"].get("structure", "blockdiag")
+    structure = cfg["synthesis"]["structure"]
 
     ens = generate_ensemble(sys_, T, N, seed)
     avg = average(ens)
@@ -172,7 +173,7 @@ def cmd_bounds(cfg: dict) -> dict:
     eps_max = analysis.eps_precondition(gstar.norm, L, toep)
 
     sigma2 = cfg["system"]["sigma2"]
-    delta = cfg.get("bounds", {}).get("delta", 0.05)
+    delta = cfg["bounds"]["delta"]
     nmin = analysis.sample_complexity(delta, gstar.norm, L, toep, n, T, sigma2)
 
     eps_grid = [0.0] + [eps_max * f for f in (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0)]

@@ -8,8 +8,9 @@ classes are built from the same two inputs, the (rows x L cols) cost map C
 and the (n x cols) top block row h1x of the state Hankel: n and cols are
 h1x's shape and L is the number of column blocks of C.  They share one
 construction of the affine set {G_k : h1x G_k = I} (SVD of h1x: minimum-norm
-point, orthonormal nullspace basis, feasibility floor), and without the ball
-both are solved in closed form on the nullspace.
+point, orthonormal nullspace basis, feasibility floor; an empty set raises
+``InfeasibleEpsilon``, as a radius below the floor does), and each is solved
+without the ball, in closed form on the nullspace, when it is built.
 
 Every solve carries one certificate: the relative duality gap of its
 squared objective ("optimal" means gap <= ``tol``, for both classes) and
@@ -50,7 +51,7 @@ __all__ = [
 
 
 class InfeasibleEpsilon(RuntimeError):
-    """No gamma in [0, 1) admits a feasible inner problem."""
+    """No feasible inner problem: an empty affine set, a radius below the floor, or too large an eps."""
 
 
 @dataclass
@@ -63,21 +64,17 @@ class SolveReport:
     t from below by c0 + c1 t + c2 t^2, however capped the solve; its
     derivative c1 + 2 c2 ``tau`` is the d(objective^2)/d tau the gamma
     search reads.  ``state`` is the iterate a ``start`` resumes (full: in
-    its ADMM's nullspace coordinates).  An infeasible solve has no gap or cut.
+    its ADMM's nullspace coordinates).
     """
 
     solution: np.ndarray
     objective: float
-    status: str  # "optimal" | "max-iter" | "infeasible"
+    status: str  # "optimal" | "max-iter"
+    gap: float
+    cut: tuple[float, float, float]
     iterations: int = 0
-    gap: float | None = None
     tau: float | None = None  # the ball radius solved at (None: no ball)
     state: object = None  # blockdiag's Lam (L, n, n), full's rotated (Y, Uv, rho)
-    cut: tuple[float, float, float] | None = None
-
-
-def _infeasible_report(solution: np.ndarray, tau: float | None = None) -> SolveReport:
-    return SolveReport(solution=solution, objective=np.inf, status="infeasible", tau=tau)
 
 
 def _closed_form_report(G: np.ndarray, objective: float, least: float) -> SolveReport:
@@ -99,18 +96,19 @@ def _affine_set(A: np.ndarray):
 
     Returns the minimum-norm point G_part, orthonormal bases N and R of the
     nullspace and row space of A (every feasible G is G_part + N Z, and
-    G_part = R R^T G_part), the feasibility floor and whether the set is
-    empty.  G_part has the least spectral norm on the set, so its norm is
-    the exact floor of any ball that meets it.  The set is empty when
-    G_part misses I by more than rounding.
+    G_part = R R^T G_part) and the feasibility floor.  G_part has the least
+    spectral norm on the set, so its norm is the exact floor of any ball
+    that meets it.  The set is empty, which raises ``InfeasibleEpsilon``,
+    when G_part misses I by more than rounding.
     """
     A = np.asarray(A, dtype=float)
     U, s, Vt = np.linalg.svd(A, full_matrices=True)
     rank = int(np.sum(s > rank_tolerance(s, A.shape)))
     G_part = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
-    infeasible = bool(np.abs(A @ G_part - np.eye(A.shape[0])).max(initial=0.0) > 1e-8)
+    if np.abs(A @ G_part - np.eye(A.shape[0])).max(initial=0.0) > 1e-8:
+        raise InfeasibleEpsilon("affine constraints are infeasible")
     floor = float(np.linalg.svd(G_part, compute_uv=False)[0]) if G_part.size else 0.0
-    return G_part, Vt[rank:].T, Vt[:rank].T, floor, infeasible
+    return G_part, Vt[rank:].T, Vt[:rank].T, floor
 
 
 def _sym_basis(n: int) -> np.ndarray:
@@ -167,7 +165,7 @@ class BlockDiagonalProblem:
         self.L = _layout(cmap, h1x)[0]
         self.C = np.stack(np.hsplit(cmap, self.L))  # (L, rows, cols)
         # G_part is shared by every block.
-        self.G_part, self.null_basis, _, self.floor, self._infeasible_constraint = _affine_set(h1x)
+        self.G_part, self.null_basis, _, self.floor = _affine_set(h1x)
         CN = np.matmul(self.C, self.null_basis)  # (L, rows, d)
         CG = np.matmul(self.C, self.G_part)
         # The Gram eigenbasis from the SVD of C_k N: orthonormal at rounding
@@ -195,42 +193,20 @@ class BlockDiagonalProblem:
         # <E_a, sym(E_b X)> for the Newton system's slack term, as a map of vec(X).
         products = np.einsum("aij,bjk->abik", E, E).reshape(-1, n, n)
         self._basis_products = _symmetrize(products).reshape(-1, n * n)
-        self._unconstrained: SolveReport | None = None
-        self._norms: np.ndarray | None = None
-
-    def _objectives(self, G: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(np.matmul(self.C, G), axis=(1, 2))
+        # The closed form: exact stationarity on the nullspace, without the ball.
+        inv = np.divide(1.0, self._sig, out=np.zeros_like(self._sig), where=~self._flat)
+        G = self._to_blocks(-inv[:, :, None] * self._lin, slice(None))
+        objective = self._combined(G)
+        self.unconstrained = _closed_form_report(G, objective, objective**2)
+        self.unconstrained_norms = np.linalg.svd(G, compute_uv=False)[:, 0]  # of each block
+        self.unconstrained_norm = float(self.unconstrained_norms.max())
 
     def _combined(self, G: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(self._objectives(G) ** 2)))
-
-    def _stacked(self, M: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(M, (self.L, *M.shape)).copy()
+        return float(np.sqrt(np.sum(np.linalg.norm(np.matmul(self.C, G), axis=(1, 2)) ** 2)))
 
     def _to_blocks(self, Z: np.ndarray, k) -> np.ndarray:
         """G_part + N U_k Z for Z in the Gram eigenbasis of blocks k."""
         return self.G_part[None] + np.matmul(self.null_basis[None], np.matmul(self._eigvecs[k], Z))
-
-    def unconstrained(self) -> SolveReport:
-        """KKT solution without the ball: exact stationarity on the nullspace."""
-        if self._unconstrained is None:
-            if self._infeasible_constraint:
-                self._unconstrained = _infeasible_report(self._stacked(self.G_part))
-            else:
-                inv = np.divide(1.0, self._sig, out=np.zeros_like(self._sig), where=~self._flat)
-                G = self._to_blocks(-inv[:, :, None] * self._lin, slice(None))
-                objective = self._combined(G)
-                self._unconstrained = _closed_form_report(G, objective, objective**2)
-        return self._unconstrained
-
-    def unconstrained_norms(self) -> np.ndarray:
-        """Spectral norm of each block of the closed form (computed once)."""
-        if self._norms is None:
-            self._norms = np.linalg.svd(self.unconstrained().solution, compute_uv=False)[:, 0]
-        return self._norms
-
-    def unconstrained_norm(self) -> float:
-        return float(self.unconstrained_norms().max())
 
     def solve(self, tau: float, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
         """Solve with ball radius tau.
@@ -249,15 +225,14 @@ class BlockDiagonalProblem:
         objective^2 (1 - gap) - (t^2 - tau^2) sum_k tr Lam_k,
         whose derivative at tau is -2 tau sum_k tr Lam_k.
         """
-        if self._infeasible_constraint or tau < self.floor * (1.0 - 1e-9):
-            return _infeasible_report(self._stacked(self.G_part), tau)
-        base = self.unconstrained()
-        active = self.unconstrained_norms() > tau * (1.0 + 1e-12)
+        if tau < self.floor * (1.0 - 1e-9):
+            raise InfeasibleEpsilon(f"ball radius {tau:.6g} is below the feasibility floor {self.floor:.6g}")
+        active = self.unconstrained_norms > tau * (1.0 + 1e-12)
         if not active.any():
-            return replace(base, tau=tau)
+            return replace(self.unconstrained, tau=tau)
         k = np.flatnonzero(active)
         Z, gap, iterations, Lam = self._dual_newton(k, tau, tol, max_iter, start)
-        G = base.solution.copy()
+        G = self.unconstrained.solution.copy()
         G[k] = self._to_blocks(Z, k)
         state = np.zeros((self.L, *Lam.shape[1:]))
         state[k] = Lam
@@ -476,7 +451,7 @@ class CoupledCausalProblem:
         self.L, self.n = L, n
         # Diagonal blocks map to the identity: the block-diagonal stack of the
         # minimum-norm block is the minimum-norm point, with the same norm.
-        part, self._null, row_basis, self.floor, self._infeasible_constraint = _affine_set(h1x)
+        part, self._null, row_basis, self.floor = _affine_set(h1x)
         self.G_part = np.kron(np.eye(L), part)
         d = self._null.shape[1]
         self._free = L * d  # the leading (nullspace) rows of a rotated point
@@ -510,8 +485,11 @@ class CoupledCausalProblem:
         # amplifies far beyond rounding.
         projected = self._step(self._pinv > 0, np.zeros(self._causal.shape), self._CG)[1]
         self._least = float(np.sum((self._CG - projected) ** 2))
-        self._unconstrained: SolveReport | None = None
-        self._norm: float | None = None
+        # The closed form in rotated coordinates, which a cold start projects onto the ball.
+        self._closed = np.vstack([self._step(self._pinv, np.zeros(self._causal.shape), self._CG)[0], self._fixed])
+        G = self._original(self._closed[: self._free])
+        self.unconstrained = _closed_form_report(G, self._objective(G), self._least)
+        self.unconstrained_norm = float(np.linalg.svd(G, compute_uv=False)[0])
 
     def _objective(self, G: np.ndarray) -> float:
         return float(np.linalg.norm(self.C @ G))
@@ -548,10 +526,6 @@ class CoupledCausalProblem:
         """The point G_part + (I (x) N) Z of free part Z, in the original coordinates."""
         return self.G_part + np.matmul(self._null, Z.reshape(self.L, -1, Z.shape[1])).reshape(self.G_part.shape)
 
-    def _closed_form(self) -> np.ndarray:
-        """The free part of the closed form (unconstrained minimizer)."""
-        return self._step(self._pinv, np.zeros(self._causal.shape), self._CG)[0]
-
     def _initial_rho(self) -> float:
         """Penalty matched to the curvature spread of block column 0 (else 1).
 
@@ -564,21 +538,6 @@ class CoupledCausalProblem:
             return 1.0
         low = lam[lam.size - reduced] if reduced <= lam.size else 0.0
         return float(np.sqrt(max(low, 1e-8 * lam[-1]) * lam[-1]))
-
-    def unconstrained(self) -> SolveReport:
-        if self._unconstrained is None:
-            if self._infeasible_constraint:
-                self._unconstrained = _infeasible_report(self.G_part)
-            else:
-                G = self._original(self._closed_form())
-                self._unconstrained = _closed_form_report(G, self._objective(G), self._least)
-        return self._unconstrained
-
-    def unconstrained_norm(self) -> float:
-        """Spectral norm of the closed form (computed once)."""
-        if self._norm is None:
-            self._norm = float(np.linalg.svd(self.unconstrained().solution, compute_uv=False)[0])
-        return self._norm
 
     def solve(self, tau: float, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
         """Solve with ball radius tau.
@@ -593,16 +552,15 @@ class CoupledCausalProblem:
         ``gap`` and ``cut`` come from ``_dual_bound`` at the multiplier
         rho U, capped solves included, and "optimal" means gap <= tol.
         """
-        if self._infeasible_constraint or tau < self.floor * (1.0 - 1e-9):
-            return _infeasible_report(self.G_part, tau)
-        base = self.unconstrained()
-        if self.unconstrained_norm() <= tau * (1.0 + 1e-12):
-            return replace(base, tau=tau)
+        if tau < self.floor * (1.0 - 1e-9):
+            raise InfeasibleEpsilon(f"ball radius {tau:.6g} is below the feasibility floor {self.floor:.6g}")
+        if self.unconstrained_norm <= tau * (1.0 + 1e-12):
+            return replace(self.unconstrained, tau=tau)
 
         if start is not None and start.state is not None:
             Y, Uv, rho = start.state
         else:
-            Y = _ball_projection(np.vstack([self._closed_form(), self._fixed]), tau)
+            Y = _ball_projection(self._closed, tau)
             Uv, rho = np.zeros_like(Y), self._initial_rho()
         free, relax, inv, inv_rho = self._free, 1.7, None, None
         G = np.vstack([np.zeros_like(self._causal), self._fixed])  # its trailing rows never change
@@ -684,15 +642,15 @@ class CoupledCausalProblem:
 
 @dataclass(frozen=True)
 class SearchPoint:
-    """One solve of the gamma search; an infeasible one has h = f = inf and no gap or cut."""
+    """One solve of the gamma search."""
 
     gamma: float
     objective: float  # h = f(gamma) / (1 - gamma)
     f_value: float
     status: str
     iterations: int  # inner steps this solve added to the report it resumed
-    gap: float | None  # the relative duality gap of its squared objective
-    cut: tuple[float, float, float] | None  # SolveReport.cut
+    gap: float  # the relative duality gap of its squared objective
+    cut: tuple[float, float, float]  # SolveReport.cut
 
 
 @dataclass(frozen=True)
@@ -705,7 +663,7 @@ class GammaSearchResult(SearchPoint):
 
 
 def _point(gamma: float, rep: SolveReport) -> SearchPoint:
-    cut = None if rep.cut is None else tuple(map(float, rep.cut))
+    cut = tuple(map(float, rep.cut))
     h = float(rep.objective / (1.0 - gamma))
     return SearchPoint(float(gamma), h, float(rep.objective), rep.status, rep.iterations, rep.gap, cut)
 
@@ -737,7 +695,7 @@ def gamma_search(
     problem,
     eps: float,
     grid_points: int = 16,
-    gamma_tol: float = 1e-3,
+    gamma_tol: float = 1e-4,
     tol: float = 1e-7,
     max_iter: int = 10_000,
 ) -> GammaSearchResult:
@@ -748,6 +706,8 @@ def gamma_search(
     tau = gamma / (sqrt(L) * eps), with L = ``problem.L``.  f is convex and
     nonincreasing in gamma because larger radii only relax the ball, so h is
     quasi-convex.  With eps = 0 the closed form is returned at gamma = 0.
+    Every radius solved is above the floor: the least gamma searched is
+    1.001 sqrt(L) eps floor + 1e-12, and one not below 1 raises ``InfeasibleEpsilon``.
 
     The search scans ``grid_points`` radii between the feasibility floor and
     the radius where the ball stops binding, skipping those whose h the cuts
@@ -755,10 +715,9 @@ def gamma_search(
     minimum between the grid neighbours of the best scanned point.  It then
     bisects the bracket down to ``gamma_tol`` on the sign of h', that of
     F' (1 - gamma) + 2 sqrt(L) eps f^2 with F' = c1 + 2 c2 tau the derivative
-    of the solve's cut at its radius (no cut: infeasible, left of the
-    minimum).  These exploration solves run at (max(tol, 1e-4),
-    min(max_iter, 1200)): radii near the floor converge very slowly and
-    never win.  The evaluated gamma with the least h, values within the
+    of the solve's cut at its radius.  These exploration solves run at
+    (max(tol, 1e-4), min(max_iter, 1200)): radii near the floor converge
+    very slowly and never win.  The evaluated gamma with the least h, values within the
     exploration tolerance of it tying and the final bracket's ends winning
     ties, is solved again at ``(tol, max_iter)`` and returned.
     Each solve resumes the report of the nearest gamma solved so far (the
@@ -780,20 +739,17 @@ def gamma_search(
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
     scale = np.sqrt(problem.L) * eps
-    closed = problem.unconstrained()
-    if closed.status == "infeasible":
-        raise InfeasibleEpsilon("affine constraints are infeasible")
-
+    closed = problem.unconstrained
     if eps == 0.0:
         point = _point(0.0, closed)
         return GammaSearchResult(**vars(point), solution=closed.solution, grid=(point,), search_gap=0.0)
 
     gamma_min, gamma_hi = scale * problem.floor, 1.0 - 1e-9
-    if gamma_min >= gamma_hi:
+    gamma_lo = gamma_min * (1.0 + 1e-3) + 1e-12  # the least gamma searched
+    if gamma_lo >= gamma_hi:
         raise InfeasibleEpsilon(f"epsilon too large for data: feasibility needs gamma >= {gamma_min:.6g}")
-    gamma_lo = gamma_min * (1.0 + 1e-3) + 1e-12
     # Beyond the radius where the ball contains the closed form, h only grows.
-    hi = min(gamma_hi, max(scale * problem.unconstrained_norm(), gamma_lo))
+    hi = min(gamma_hi, max(scale * problem.unconstrained_norm, gamma_lo))
 
     points: list[SearchPoint] = []
     reports: dict[float, SolveReport] = {}  # the solved gammas a later solve may resume, without solutions
@@ -816,15 +772,13 @@ def gamma_search(
             del reports[g]
 
     def rises(p: SearchPoint) -> bool:
-        """Whether h'(gamma) >= 0; an infeasible radius (no cut) lies left of the minimum."""
-        if p.cut is None:
-            return False
+        """Whether h'(gamma) >= 0."""
         slope = p.cut[1] + 2.0 * p.cut[2] * (p.gamma / scale)  # F' at its radius
         return slope * (1.0 - p.gamma) + 2.0 * scale * p.f_value**2 >= 0.0
 
     def bound(knots: np.ndarray) -> float:
         """A lower bound on min h over the knots' range from the closed form's and every solve's cut."""
-        cuts = np.array([closed.cut, *(p.cut for p in points if p.cut is not None)])
+        cuts = np.array([closed.cut, *(p.cut for p in points)])
         return _search_bound(cuts, knots, scale)
 
     def search_gap(h_best: float) -> float:
@@ -844,8 +798,6 @@ def gamma_search(
             continue
         evaluate(g, *explore)
     best = least()
-    if not np.isfinite(best.objective):
-        raise InfeasibleEpsilon("epsilon too large for data: no feasible gamma found")
     # The minimum lies between the best point's grid neighbours, on the side its h' points to.
     i = int(np.searchsorted(grid, best.gamma))
     lo_b, hi_b = grid[np.clip([i - 1, i] if rises(best) else [i, i + 1], 0, len(grid) - 1)]

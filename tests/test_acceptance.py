@@ -159,7 +159,7 @@ def test_criterion_05_solver_against_oracles():
     for seed in range(20):
         C, A = oracle_friendly_instance(seed + 500)
         solver = BlockDiagonalProblem(C, A)
-        ref = solver.solve(1.5 * solver.unconstrained_norm())  # ball inactive
+        ref = solver.solve(1.5 * solver.unconstrained_norm)  # ball inactive
         _, obj_kkt = kkt_equality_ls(C, A, np.eye(len(A)))
         worst_kkt = max(worst_kkt, abs(ref.objective - obj_kkt) / max(obj_kkt, 1e-12))
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ddsls import analysis
 from ddsls.analysis import (
     BoundInputs,
     TailParams,
@@ -146,6 +147,12 @@ class TestSampleComplexity:
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             sample_complexity(1.5, 1.0, 5, 1.0, 2, 20, 0.1)
+
+    def test_inconsistent_precondition_raises(self, monkeypatch):
+        # The check survives python -O, which strips asserts.
+        monkeypatch.setattr(analysis, "eps_precondition", lambda *args: 1e-12)
+        with pytest.raises(RuntimeError, match="above the precondition"):
+            sample_complexity(0.05, 2.0, 10, 40.0, 3, 45, 0.1)
 
 
 class TestBootstrapEpsilon:

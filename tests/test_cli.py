@@ -125,6 +125,9 @@ def test_synth_robust_and_naive_modes(tmp_path):
     # One record per inner solve of the gamma search, the final solve last.
     assert len(summary["search"]) > 1
     assert (summary["search"][-1]["gamma"], summary["search"][-1]["status"]) == (summary["gamma"], summary["status"])
+    # Every solve is feasible and certified: a float gap and a cut of three floats.
+    for p in summary["search"]:
+        assert type(p["gap"]) is float and [type(c) for c in p["cut"]] == [float] * 3
 
     out2 = tmp_path / "naive"
     assert run(["synth", "--config", cfg, "--out", str(out2), "--mode", "naive"]) == 0
@@ -157,6 +160,18 @@ def test_bounds_outputs(tmp_path):
     for col in (1, 2):
         vals = [r[col] for r in tail_data]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+def test_bounds_delta_sets_the_sample_size(tmp_path):
+    nmin = {}
+    for delta in (0.05, 0.001):
+        cfg = write_config(tmp_path, {"horizons": {"L": 10, "T": 45}, "bounds": {"delta": delta}})
+        out = tmp_path / f"bounds_{delta}"
+        assert run(["bounds", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "bounds.json").read_text())["sample_complexity"]
+        assert summary["delta"] == delta
+        nmin[delta] = summary["N_min"]
+    assert nmin[0.001] > nmin[0.05]
 
 
 def test_mpc_outputs(tmp_path):

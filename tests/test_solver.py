@@ -13,7 +13,6 @@ from ddsls.solver import (
     BlockDiagonalProblem,
     CoupledCausalProblem,
     InfeasibleEpsilon,
-    SolveReport,
     _ball_projection,
     gamma_search,
 )
@@ -30,7 +29,7 @@ from tests.oracles import (
 
 def active_radius(solver):
     """A ball radius that binds without hugging the feasibility floor."""
-    floor, norm = solver.floor, solver.unconstrained_norm()
+    floor, norm = solver.floor, solver.unconstrained_norm
     return max(0.6 * norm, np.sqrt(floor * norm))
 
 
@@ -44,7 +43,7 @@ def oracle_friendly_instance(seed, slack=1.6):
     for j in range(64):
         C, A = small_instance(seed + 7919 * j)
         probe = BlockDiagonalProblem(C, A)
-        if probe.unconstrained_norm() >= slack * probe.floor:
+        if probe.unconstrained_norm >= slack * probe.floor:
             return C, A
     raise RuntimeError("no well-separated instance found")
 
@@ -67,7 +66,7 @@ def small_instance(seed, n=2, m=1, L=3, T=15):
 
 def closed_form(C, A):
     """Equality-constrained least squares A G = I without the ball (one block)."""
-    return BlockDiagonalProblem(C, A).unconstrained()
+    return BlockDiagonalProblem(C, A).unconstrained
 
 
 class TestEqLs:
@@ -119,13 +118,13 @@ class TestSpectralAdmm:
     def test_inactive_ball_iterative_agrees_with_closed_form(self):
         C, A = small_instance(6)
         solver = BlockDiagonalProblem(C, A)
-        ref = solver.unconstrained()
-        inactive = solver.solve(1.2 * solver.unconstrained_norm(), tol=1e-9)
+        ref = solver.unconstrained
+        inactive = solver.solve(1.2 * solver.unconstrained_norm, tol=1e-9)
         assert (inactive.status, inactive.iterations, inactive.gap) == ("optimal", 0, 0.0)
         np.testing.assert_array_equal(inactive.solution, ref.solution)
         # Just inside the closed-form norm the ball binds: the dual Newton
         # iterates and lands on (nearly) the closed-form point.
-        rep = solver.solve((1.0 - 1e-6) * solver.unconstrained_norm(), tol=1e-9)
+        rep = solver.solve((1.0 - 1e-6) * solver.unconstrained_norm, tol=1e-9)
         assert rep.status == "optimal" and rep.iterations > 0 and rep.gap <= 1e-9
         assert rep.objective == pytest.approx(ref.objective, rel=1e-6, abs=1e-8)
 
@@ -166,9 +165,9 @@ class TestSpectralAdmm:
 
     def test_below_floor_infeasible(self):
         C, A = small_instance(8)
-        solver = BlockDiagonalProblem(C, A)
-        rep = solver.solve(0.5 * solver.floor)
-        assert rep.status == "infeasible"
+        for solver in (BlockDiagonalProblem(C, A), CoupledCausalProblem(np.hstack([C, C]), A)):
+            with pytest.raises(InfeasibleEpsilon, match="below the feasibility floor"):
+                solver.solve(0.5 * solver.floor)
 
     def test_floor_equals_min_norm_solution_norm(self):
         C, A = small_instance(9)
@@ -192,19 +191,45 @@ class TestGammaSearch:
         prob, _ = self.build_problem(0)
         res = gamma_search(prob, 0.0)
         assert res.gamma == 0.0
-        assert res.objective == pytest.approx(prob.unconstrained().objective)
+        assert res.objective == pytest.approx(prob.unconstrained.objective)
 
     def test_huge_eps_infeasible(self):
         prob, _ = self.build_problem(1)
         with pytest.raises(InfeasibleEpsilon):
             gamma_search(prob, 1e9)
 
+    @pytest.mark.parametrize("structure", ["blockdiag", "full"])
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        L=st.integers(2, 4),
+        frac=st.floats(0.01, 0.9999),
+    )
+    # gamma_min = 0.9995: the search's least gamma, 1.001 gamma_min, lies beyond 1.
+    @example(seed=3, n=2, m=1, L=3, frac=0.9995)
+    def test_every_solve_is_above_the_floor_on_random_plants(self, structure, seed, n, m, L, frac):
+        w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
+        ens = generate_ensemble(random_plant(seed, n, m, 1.05), L + n + m * L + 8, 4, seed=seed)
+        prob = _build_problem(DataHankels.from_trajectory(average(ens), L), w, structure)
+        # eps puts the floor at gamma_min = frac.
+        eps = frac / (np.sqrt(L) * prob.floor)
+        recording = RecordingProblem(prob)
+        try:
+            res = gamma_search(recording, eps, max_iter=300)
+        except InfeasibleEpsilon:
+            assert frac * (1.0 + 1e-3) >= 1.0 - 1e-9 - 1e-12
+            return
+        assert recording.calls and all(tau > prob.floor for tau, _, _ in recording.calls)
+        assert frac < res.gamma < 1.0 and res.objective > 0.0
+
     def test_f_monotone_on_grid(self):
         prob, data = self.build_problem(2)
         eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
         res = gamma_search(prob, eps)
-        gammas = [p.gamma for p in res.grid if np.isfinite(p.f_value)]
-        fs = [p.f_value for p in res.grid if np.isfinite(p.f_value)]
+        gammas = [p.gamma for p in res.grid]
+        fs = [p.f_value for p in res.grid]
         order = np.argsort(gammas)
         sorted_f = np.asarray(fs)[order]
         assert np.all(np.diff(sorted_f) <= 1e-4 * np.maximum(1.0, sorted_f[:-1]))
@@ -228,8 +253,6 @@ class TestGammaSearch:
         best = np.inf
         for g in np.linspace(lo, 0.999, points):
             rep = prob.solve(g / scale, tol=1e-7, max_iter=scan_iters)
-            if rep.status == "infeasible":
-                continue
             best = min(best, rep.objective / (1.0 - g))
         assert res.objective <= best * (1.0 + 1e-3)
 
@@ -325,7 +348,7 @@ class TestGammaSearch:
         recording = WeakRecordingProblem(prob)
         res = gamma_search(recording, eps, grid_points=16)
         lo = scale * prob.floor * (1.0 + 1e-3) + 1e-12
-        grid = np.linspace(lo, min(1.0 - 1e-9, max(scale * prob.unconstrained_norm(), lo)), 16)
+        grid = np.linspace(lo, min(1.0 - 1e-9, max(scale * prob.unconstrained_norm, lo)), 16)
         *explore, final = recording.live
         assert final[0] == res.gamma / scale and len(recording.solutions) == len(res.grid)
         # Every exploration solution is gone by the next solve.
@@ -355,7 +378,7 @@ class TestGammaSearch:
         gamma_search(recording, eps, grid_points=16)
         # The scan's grid, as gamma_search lays it out; bisection midpoints lie off it.
         lo = scale * prob.floor * (1.0 + 1e-3) + 1e-12
-        grid = np.linspace(lo, min(1.0 - 1e-9, max(scale * prob.unconstrained_norm(), lo)), 16)
+        grid = np.linspace(lo, min(1.0 - 1e-9, max(scale * prob.unconstrained_norm, lo)), 16)
         gammas = [tau * scale for tau, _, _ in recording.calls]
         scanned = 0
         while scanned < len(gammas) and np.isclose(grid, gammas[scanned], rtol=1e-12, atol=0).any():
@@ -366,7 +389,7 @@ class TestGammaSearch:
             incumbent = min(rep.objective / (1.0 - rep.tau * scale) for rep in before)
             tau = recording.calls[i][0]
             # h(gamma) >= sqrt(F(tau)) / (1 - gamma), F bounded below by every cut.
-            F = max(cut_value(rep, tau) for rep in [prob.unconstrained(), *before] if rep.cut is not None)
+            F = max(cut_value(rep, tau) for rep in [prob.unconstrained, *before])
             assert np.sqrt(max(F, 0.0)) / (1.0 - gammas[i]) < incumbent, (i, gammas[i])
 
 
@@ -389,8 +412,8 @@ class WeakRecordingProblem:
     """An inner problem that counts, at every solve, the earlier solutions and states still alive.
 
     It holds weak references only, so it keeps nothing alive itself; the
-    closed form's solution and G_part, which the problem caches and
-    inactive or infeasible reports share, are not counted.
+    closed form's solution, which the problem keeps and inactive reports
+    share, is not counted.
     """
 
     def __init__(self, problem):
@@ -403,7 +426,7 @@ class WeakRecordingProblem:
         alive = [sum(ref() is not None for ref in refs) for refs in (self.solutions, self.states)]
         self.live.append((tau, *alive))
         rep = self.problem.solve(tau, tol=tol, max_iter=max_iter, start=start)
-        if not any(rep.solution is a for a in (self.problem.unconstrained().solution, self.problem.G_part)):
+        if rep.solution is not self.problem.unconstrained.solution:
             self.solutions.append(weakref.ref(rep.solution))
         if rep.state is not None:
             # A full report's state is (Y, Uv, rho), each array its own.
@@ -456,7 +479,7 @@ def assert_cuts_below_tight_values(prob, fracs, caps, rel=1e-9):
     A tight solve's objective is attained by a feasible point, so its square
     bounds the optimum from above: a valid cut stays below it up to rounding.
     """
-    floor, top = prob.floor, prob.unconstrained_norm()
+    floor, top = prob.floor, prob.unconstrained_norm
     taus = floor + np.asarray(fracs) * (top - floor)
     tight = [prob.solve(tau, tol=1e-11, max_iter=50_000) for tau in taus]
     assert all(rep.status == "optimal" and rep.gap <= 1e-6 for rep in tight)
@@ -485,12 +508,12 @@ class TestBlockDiagonalProblem:
         d = prob.null_basis.shape[1]
         ranks = [np.linalg.matrix_rank(C @ prob.null_basis) for C in prob.C]
         assert ranks[-1] < d and ranks[0] == d
-        tau = np.sqrt(prob.floor * prob.unconstrained_norm())
+        tau = np.sqrt(prob.floor * prob.unconstrained_norm)
         rep = prob.solve(tau, tol=1e-9)
         assert_blocks_certified(rep, prob, data, tau, 1e-9)
         # The singular blocks bind too: their closed-form points leave the ball.
         singular = [k for k, r in enumerate(ranks) if r < d]
-        assert (prob.unconstrained_norms()[singular] > tau).any()
+        assert (prob.unconstrained_norms[singular] > tau).any()
 
     def test_near_floor_converges_within_default_cap(self, bench_problem):
         prob, data = bench_problem
@@ -535,7 +558,7 @@ class TestBlockDiagonalProblem:
             w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
             plant = random_plant(source, n, m, 1.1)
             prob, _ = blockdiag_instance(plant, w, L + n + m * L + 8, 4, seed=source)
-        floor, top = prob.floor, prob.unconstrained_norm()
+        floor, top = prob.floor, prob.unconstrained_norm
         for frac in (0.2, 0.5, 0.9):
             tau = floor * (top / floor) ** frac
             rep = prob.solve(tau, tol=1e-10)
@@ -558,7 +581,7 @@ class TestBlockDiagonalProblem:
         w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
         T = L + n + m * L + 8
         prob, data = blockdiag_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
-        floor, top = prob.floor, prob.unconstrained_norm()
+        floor, top = prob.floor, prob.unconstrained_norm
         assume(top > 1.001 * floor)
         tau = 1.001 * floor * (top / (1.001 * floor)) ** frac
         rep = prob.solve(tau, tol=1e-8)
@@ -568,8 +591,8 @@ class TestBlockDiagonalProblem:
         # strongly bound block (a block the ball does not bind is the closed
         # form, checked against KKT by TestEqLs).  The first-order oracle
         # stalled 2.7% above the certified optimum on the second pinned draw.
-        k = int(np.argmax(prob.unconstrained_norms()))
-        if tau >= 1.6 * floor and prob.unconstrained_norms()[k] > tau:
+        k = int(np.argmax(prob.unconstrained_norms))
+        if tau >= 1.6 * floor and prob.unconstrained_norms[k] > tau:
             _, obj_ref = barrier_spectral(prob.C[k], data.h1x, np.eye(n), tau)
             obj = np.linalg.norm(prob.C[k] @ rep.solution[k])
             assert obj == pytest.approx(obj_ref, rel=1e-4)
@@ -585,7 +608,7 @@ class TestBlockDiagonalProblem:
         A = rng.standard_normal((2, 9))
         Cs = [rng.standard_normal((5, 9)) for _ in range(4)]
         batch = BlockDiagonalProblem(np.hstack(Cs), A)
-        rep = batch.unconstrained()
+        rep = batch.unconstrained
         total = 0.0
         for k, C in enumerate(Cs):
             ref = closed_form(C, A)
@@ -598,7 +621,7 @@ class TestBlockDiagonalProblem:
         A = rng.standard_normal((2, 9))
         Cs = [rng.standard_normal((5, 9)) for _ in range(3)]
         batch = BlockDiagonalProblem(np.hstack(Cs), A)
-        tau = max(1.05 * batch.floor, 0.5 * batch.unconstrained_norm())
+        tau = max(1.05 * batch.floor, 0.5 * batch.unconstrained_norm)
         rep = batch.solve(tau, tol=1e-9)
         for k, C in enumerate(Cs):
             single = BlockDiagonalProblem(C, A).solve(tau, tol=1e-9)
@@ -607,20 +630,15 @@ class TestBlockDiagonalProblem:
 
 
 def test_rank_deficient_constraint_is_infeasible_in_both_classes():
-    # Both classes share one affine-set construction and infeasibility rule.
+    # Both classes share one affine-set construction: neither is built on an empty set.
     rng = np.random.default_rng(12)
     n, cols, L = 2, 9, 3
     row = rng.standard_normal((1, cols))
     A = np.vstack([row, 2.0 * row])  # rank 1: A G = I has no solution
     C = rng.standard_normal((5 * L, cols * L))
-    block = BlockDiagonalProblem(C, A)
-    coupled = CoupledCausalProblem(C, A)
-    for prob in (block, coupled):
-        assert prob.unconstrained().status == "infeasible"
-        assert prob.solve(10.0 * prob.floor).status == "infeasible"
-        for eps in (0.0, 0.01):
-            with pytest.raises(InfeasibleEpsilon, match="affine constraints are infeasible"):
-                gamma_search(prob, eps)
+    for cls in (BlockDiagonalProblem, CoupledCausalProblem):
+        with pytest.raises(InfeasibleEpsilon, match="affine constraints are infeasible"):
+            cls(C, A)
 
 
 @pytest.mark.parametrize("cls", [BlockDiagonalProblem, CoupledCausalProblem], ids=["blockdiag", "full"])
@@ -679,8 +697,8 @@ class TestCoupledCausalProblem:
 
     def test_inactive_ball_is_the_closed_form(self, horizon3):
         prob, _, _ = horizon3
-        ref = prob.unconstrained()
-        for tau in (prob.unconstrained_norm(), 1.2 * prob.unconstrained_norm()):
+        ref = prob.unconstrained
+        for tau in (prob.unconstrained_norm, 1.2 * prob.unconstrained_norm):
             rep = prob.solve(tau, tol=1e-9)
             # The cut's derivative is exactly zero at every radius.
             assert (rep.status, rep.iterations, rep.gap, rep.cut[1:]) == ("optimal", 0, 0.0, (0.0, 0.0))
@@ -688,14 +706,14 @@ class TestCoupledCausalProblem:
 
     def test_identical_calls_give_identical_reports(self, horizon3):
         prob, _, _ = horizon3
-        tau = prob.floor + 0.2 * (prob.unconstrained_norm() - prob.floor)
+        tau = prob.floor + 0.2 * (prob.unconstrained_norm - prob.floor)
         first = prob.solve(tau, max_iter=200)
         assert first.iterations > 0
         assert_same_report(prob.solve(tau, max_iter=200), first)
 
     def test_resumed_solve_continues_exactly(self, horizon3):
         prob, _, _ = horizon3
-        tau = prob.floor + 0.2 * (prob.unconstrained_norm() - prob.floor)
+        tau = prob.floor + 0.2 * (prob.unconstrained_norm - prob.floor)
         # A tol out of reach: both solves stop at their caps.
         half = prob.solve(tau, tol=1e-15, max_iter=20)
         assert (half.status, half.iterations) == ("max-iter", 20)
@@ -707,7 +725,7 @@ class TestCoupledCausalProblem:
     @pytest.mark.parametrize("frac", [0.05, 0.2, 0.8])
     def test_slope_matches_finite_difference(self, frac, horizon3):
         prob, _, _ = horizon3
-        tau = prob.floor + frac * (prob.unconstrained_norm() - prob.floor)
+        tau = prob.floor + frac * (prob.unconstrained_norm - prob.floor)
         rep = prob.solve(tau, tol=1e-10)
         assert rep.status == "optimal"
         # The dual cut's derivative matched to 2.4e-8 on these radii.
@@ -717,7 +735,7 @@ class TestCoupledCausalProblem:
     def test_optimal_means_the_gap_is_within_tol(self, frac, bench_instance):
         # The residual rule alone stopped these solves at gaps of 2.5e-4 and 1.3e-3.
         prob, _, _ = bench_instance
-        tau = prob.floor + frac * (prob.unconstrained_norm() - prob.floor)
+        tau = prob.floor + frac * (prob.unconstrained_norm - prob.floor)
         rep = prob.solve(tau, tol=1e-4)
         assert rep.status == "optimal" and 0.0 <= rep.gap <= 1e-4
         capped = prob.solve(tau, tol=1e-4, max_iter=rep.iterations - 10)
@@ -726,7 +744,7 @@ class TestCoupledCausalProblem:
     @pytest.mark.parametrize("which", ["bench_instance", "small"])
     def test_unconstrained_matches_kkt_per_block_column(self, which, request):
         prob, cmap, data = request.getfixturevalue(which)
-        G = prob.unconstrained().solution
+        G = prob.unconstrained.solution
         L, cols, n = data.L, data.cols, data.n
         assert_causal_and_feasible(G, data, 1e-10)
         total = 0.0
@@ -740,7 +758,7 @@ class TestCoupledCausalProblem:
             # Minimizers differ along the nullspace of C_j; the residual is unique.
             np.testing.assert_allclose(Cj @ Gj, Cj @ G_ref, rtol=0, atol=1e-9 * max(1.0, obj_ref))
             total += obj_ref**2
-        assert prob.unconstrained().objective == pytest.approx(np.sqrt(total), rel=1e-9)
+        assert prob.unconstrained.objective == pytest.approx(np.sqrt(total), rel=1e-9)
 
     @pytest.mark.parametrize("which", ["bench_instance", "small"])
     @pytest.mark.parametrize("factor", [1e-3, 1.0, 1e3])
@@ -766,13 +784,13 @@ class TestCoupledCausalProblem:
         # start's rho only ever doubles on these instances; a start at 1e3
         # times it halves rho too.
         prob, cmap, data = request.getfixturevalue(which)
-        tau = prob.floor + 0.3 * (prob.unconstrained_norm() - prob.floor)
+        tau = prob.floor + 0.3 * (prob.unconstrained_norm - prob.floor)
         rho = factor * prob._initial_rho()
         start = None
         if factor != 1.0:
-            # The cold start, in nullspace coordinates.
-            Y = _ball_projection(np.vstack([prob._closed_form(), prob._fixed]), tau)
-            start = SolveReport(solution=Y, objective=np.inf, status="max-iter", state=(Y, np.zeros_like(Y), rho))
+            # The cold start, in nullspace coordinates: a full solve resumes only a report's state.
+            Y = _ball_projection(prob._closed, tau)
+            start = replace(prob.unconstrained, state=(Y, np.zeros_like(Y), rho))
         rep = prob.solve(tau, tol=1e-15, max_iter=40, start=start)
         ref, rho = coupled_admm(cmap, data.h1x, data.L, data.cols, data.n, tau, rho, 40)
         assert (rep.status, rep.iterations, rep.state[2]) == ("max-iter", 40, rho)
@@ -786,7 +804,7 @@ class TestCoupledCausalProblem:
         w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
         T = L + n + m * L + 8
         prob, cmap, data = coupled_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
-        tau = prob.floor + frac * (prob.unconstrained_norm() - prob.floor)
+        tau = prob.floor + frac * (prob.unconstrained_norm - prob.floor)
         tol = 1e-7
         rep = prob.solve(tau, tol=tol, max_iter=50_000)
         assert rep.status == "optimal"
@@ -830,7 +848,7 @@ class TestCoupledCausalProblem:
         w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
         T = L + n + m * L + 8
         prob, _, data = coupled_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
-        floor, top = prob.floor, prob.unconstrained_norm()
+        floor, top = prob.floor, prob.unconstrained_norm
         tau = floor + frac * (top - floor)
         rep = prob.solve(tau, tol=1e-12, max_iter=20)
         assert rep.status in ("optimal", "max-iter")
@@ -864,7 +882,7 @@ class TestCoupledCausalProblem:
         w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
         T = L + n + m * L + 8
         prob, _, _ = coupled_instance(random_plant(seed, n, m, radius), w, T, 4, seed=seed)
-        floor, top = prob.floor, prob.unconstrained_norm()
+        floor, top = prob.floor, prob.unconstrained_norm
         tau = floor + frac * (top - floor)
         rep = prob.solve(tau, tol=1e-12, max_iter=cap)
         f2 = rep.objective**2
