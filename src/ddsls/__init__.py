@@ -1,4 +1,10 @@
-"""Data-driven finite-horizon controller synthesis from trajectory libraries."""
+"""Data-driven finite-horizon controller synthesis from trajectory libraries.
+
+The package logs to the ``ddsls`` logger, silent unless the application
+configures logging: ``gamma_search`` writes one debug line per inner solve.
+"""
+
+import logging
 
 from .blockops import (
     CostWeights,
@@ -65,3 +71,5 @@ from .analysis import (
 from .experiments import MpcConfig, RunStats, compare_controllers, mpc_run
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import CostWeights, LtvOperator, matrix_rank, spectral_norm
+from .blockops import CostWeights, LtvOperator, rank_tolerance, spectral_norm
 from .hankel import NotPersistentlyExciting
 from .lti import LtiSystem
 from .sls import SystemResponsePair, responses_from_controller, sls_cost
@@ -131,7 +131,9 @@ def recover_gstar(hx: np.ndarray, hu: np.ndarray, responses: SystemResponsePair)
     for k in range(L):
         keep = L - k
         stack = np.vstack([hx[: n * keep], hu[: m * keep]])
-        rank = matrix_rank(stack)
+        # One SVD gives the rank and the pseudo-inverse, with np.linalg.pinv's cutoff and arithmetic.
+        u, s, vt = np.linalg.svd(stack, full_matrices=False)
+        rank = int(np.sum(s > rank_tolerance(s, stack.shape)))
         if rank < n + m * keep:
             raise NotPersistentlyExciting(
                 f"data supports rank {rank} < {n + m * keep} "
@@ -139,5 +141,7 @@ def recover_gstar(hx: np.ndarray, hu: np.ndarray, responses: SystemResponsePair)
             )
         target_x = responses.phi_x.dense[k * n :, k * n : (k + 1) * n]
         target_u = responses.phi_u.dense[k * m :, k * n : (k + 1) * n]
-        blocks.append(np.linalg.pinv(stack) @ np.vstack([target_x, target_u]))
+        large = s > 1e-15 * s[0]
+        inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
+        blocks.append(np.matmul(vt.T, inv[:, None] * u.T) @ np.vstack([target_x, target_u]))
     return GStar(blocks=blocks)

@@ -28,11 +28,16 @@ problem, where f(gamma) is the inner optimal value at radius
 gamma / (sqrt(L) eps), with the same code for both classes.  It reads the
 cuts alone: a grid scan skips the gammas they rule out, bisection follows
 the sign of h' from each solve's cut, and the cuts of all solves bound
-min h from below, which stops the bisection and gives ``search_gap``.
+min h from below, exactly for the cuts (``_CutModel``), which stops the
+bisection and gives ``search_gap``.  While every solve is certified the
+bisection steps go to the minimizer of that bound inside the bracket
+(Kelley's cutting-plane rule, J. SIAM 1960), else to the midpoint.  One
+debug line per solve goes to the ``ddsls.solver`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +53,8 @@ __all__ = [
     "gamma_search",
     "InfeasibleEpsilon",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 class InfeasibleEpsilon(RuntimeError):
@@ -668,27 +675,63 @@ def _point(gamma: float, rep: SolveReport) -> SearchPoint:
     return SearchPoint(float(gamma), h, float(rep.objective), rep.status, rep.iterations, rep.gap, cut)
 
 
-_SUBGRID = np.linspace(0.0, 1.0, 33)  # the pieces of each interval between evaluated gammas
-_POWERS = np.arange(3)[:, None, None]
+_POWERS = np.arange(3)[:, None]
+_MODEL_CLIP = 0.2  # a model-placed step keeps this share of the bracket's width from either end
 
 
-def _search_bound(cuts: np.ndarray, knots: np.ndarray, scale: float) -> float:
-    """A lower bound on min h(gamma) = f / (1 - gamma) over [knots[0], knots[-1]].
+class _CutModel:
+    """The cuts' model of f^2 and the exact least lower bound it puts on h.
 
-    Each row (c0, c1, c2) of ``cuts`` bounds F = f^2 from below at every
-    radius tau = gamma / scale, and F is nonincreasing in tau, so on any
-    [a, b] h >= sqrt(max_cuts cut(tau_b)) / (1 - a).  The bound is the least
-    of these over a subgrid that splits every interval between consecutive
-    knots into ``_SUBGRID.size - 1`` equal pieces; a single knot is a
-    range of one point.
+    Every cut (c0, c1, c2) bounds F = f^2 from below at every radius, so
+    M(tau) = max_k cut_k(tau) does too, and h_LB(gamma) =
+    sqrt(max(M(gamma / scale), 0)) / (1 - gamma) bounds h pointwise: its
+    minimum over [a, b] bounds min h there.  Where cut k is the max,
+    cut_k(tau) / (1 - scale tau)^2 has the one stationary point
+    tau* = -(c1 + 2 scale c0) / (2 c2 + scale c1), so the minimum lies at an
+    end of [a, b], at a crossing of two cuts or at some cut's tau*.  Every
+    cut is nonincreasing in tau >= 0 (c1, c2 <= 0), so M is too, and a
+    stretch where M < 0 reaches the right end.
+
+    The model keeps candidates in the knots' range, as gammas, with h_LB at
+    each: the knots, every gamma a cut is added at, the crossings of every
+    two cuts and every cut's tau*.  Cuts are only ever added: each new one
+    adds its candidates and lifts M at the earlier ones where it is higher.
     """
-    if knots.size == 1:
-        knots = np.repeat(knots, 2)
-    grid = knots[:-1, None] + np.diff(knots)[:, None] * _SUBGRID
-    powers = (grid[:, 1:] / scale) ** _POWERS  # 1, tau, tau^2 at the right ends
-    model = np.max(cuts @ powers.reshape(3, -1), axis=0).reshape(grid.shape[0], -1)
-    # A piece where the model is negative bounds h by zero.
-    return float(np.sqrt(max(np.min(model * (1.0 - grid[:, :-1]) ** -2), 0.0)))
+
+    def __init__(self, cut: tuple[float, float, float], scale: float, knots: np.ndarray):
+        self.scale, self.lo, self.hi = scale, float(knots.min()), float(knots.max())
+        self.cuts = np.empty((0, 3))
+        self.gammas = np.empty(0)
+        self._powers = np.empty((3, 0))  # 1, tau, tau^2 at the gammas
+        self._values = np.empty(0)  # M at the gammas
+        self.add(cut, knots)
+
+    def add(self, cut: tuple[float, float, float], gammas) -> None:
+        """Fold in a cut, and the gammas (those of its solve) as candidates."""
+        c, s = np.asarray(cut, dtype=float), self.scale
+        d0, d1, d2 = (self.cuts - c).T  # d0 + d1 tau + d2 tau^2 = 0 where cut k crosses c
+        with np.errstate(all="ignore"):  # no crossing or no stationary point: nan or inf, dropped below
+            # The two roots as q / d2 and d0 / q, free of cancellation.
+            q = -0.5 * (d1 + np.copysign(np.sqrt(d1 * d1 - 4.0 * d2 * d0), d1))
+            stationary = -(c[1] + 2.0 * s * c[0]) / (2.0 * c[2] + s * c[1])
+            new = np.concatenate([q / d2 * s, d0 / q * s, [stationary * s], np.atleast_1d(gammas)])
+        new = new[(new >= self.lo) & (new <= self.hi)]
+        powers = (new / s) ** _POWERS
+        self._values = np.maximum(self._values, c @ self._powers)
+        self.cuts = np.concatenate([self.cuts, c[None]])
+        self._values = np.concatenate([self._values, (self.cuts @ powers).max(axis=0)])
+        self._powers = np.concatenate([self._powers, powers], axis=1)
+        self.gammas = np.concatenate([self.gammas, new])
+        self._h = np.sqrt(np.maximum(self._values, 0.0)) / (1.0 - self.gammas)
+
+    def minimum(self, a: float, b: float) -> tuple[float, float]:
+        """The least h_LB over [a, b], a lower bound on min h there, and a gamma attaining it.
+
+        a and b must be candidates: knots or gammas cuts were added at.
+        """
+        h = np.where((self.gammas >= a) & (self.gammas <= b), self._h, np.inf)
+        i = h.argmin()
+        return float(h[i]), float(self.gammas[i])
 
 
 def gamma_search(
@@ -715,21 +758,26 @@ def gamma_search(
     minimum between the grid neighbours of the best scanned point.  It then
     bisects the bracket down to ``gamma_tol`` on the sign of h', that of
     F' (1 - gamma) + 2 sqrt(L) eps f^2 with F' = c1 + 2 c2 tau the derivative
-    of the solve's cut at its radius.  These exploration solves run at
-    (max(tol, 1e-4), min(max_iter, 1200)): radii near the floor converge
-    very slowly and never win.  The evaluated gamma with the least h, values within the
-    exploration tolerance of it tying and the final bracket's ends winning
-    ties, is solved again at ``(tol, max_iter)`` and returned.
+    of the solve's cut at its radius.  While every solve so far is
+    "optimal", each step goes to the minimizer of h_LB (below) over the
+    bracket, kept ``_MODEL_CLIP`` of the bracket's width inside either end;
+    once any is "max-iter", whose cut can sit far below f^2, to the midpoint.
+    These exploration solves run at (max(tol, 1e-4), min(max_iter, 1200)):
+    radii near the floor converge very slowly and never win.  The evaluated
+    gamma with the least h, values within the exploration tolerance of it
+    tying and the final bracket's ends winning ties, is solved again at
+    ``(tol, max_iter)`` and returned.
     Each solve resumes the report of the nearest gamma solved so far (the
     latest on ties); once the bracket is set, only reports a later solve
-    can resume are kept, and none keeps its solution.
+    can resume are kept, and none keeps its solution.  Each solve writes one
+    debug line to the ``ddsls.solver`` logger.
 
     Every cut, the closed form's too, bounds f^2 from below at every radius,
-    however capped its solve.  f^2 is nonincreasing in the radius, so on
-    every piece [a, b] of a subgrid of the evaluated gammas
-    h >= sqrt(max cut at b) / (1 - a), and the least of these, LB, bounds
-    min h over [gamma_lo, hi].  Bisection also stops once (h - LB) / h <=
-    ``gamma_tol`` > 0 for the best h so far.
+    however capped its solve, and so does their max M.  Hence
+    h_LB(gamma) = sqrt(max(M(tau), 0)) / (1 - gamma) <= h(gamma) at its radius tau,
+    and LB, the least h_LB over [gamma_lo, hi], bounds min h; ``_CutModel``
+    finds it exactly among finitely many candidates.  Bisection also stops
+    once (h - LB) / h <= ``gamma_tol`` > 0 for the best h so far.
     ``search_gap`` is that gap at the returned objective, clipped at zero:
     the search's certificate, which a stop on bracket width can leave above
     ``gamma_tol``.
@@ -754,11 +802,16 @@ def gamma_search(
     points: list[SearchPoint] = []
     reports: dict[float, SolveReport] = {}  # the solved gammas a later solve may resume, without solutions
 
-    def evaluate(gamma: float, solve_tol: float, iters: int) -> np.ndarray:
+    def evaluate(gamma: float, solve_tol: float, iters: int, kind: str) -> np.ndarray:
         start = min(reversed(reports.items()), key=lambda e: abs(e[0] - gamma))[1] if reports else None
         rep = problem.solve(gamma / scale, tol=solve_tol, max_iter=iters, start=start)
+        _log.debug(
+            "%s solve at gamma %.9g (tau %.9g): %s, %d iterations, gap %.3g",
+            kind, gamma, gamma / scale, rep.status, rep.iterations, rep.gap,
+        )
         reports[float(gamma)] = replace(rep, solution=None)
         points.append(_point(gamma, rep))
+        model.add(points[-1].cut, points[-1].gamma)
         return rep.solution
 
     def least() -> SearchPoint:  # the first with the least h
@@ -776,15 +829,9 @@ def gamma_search(
         slope = p.cut[1] + 2.0 * p.cut[2] * (p.gamma / scale)  # F' at its radius
         return slope * (1.0 - p.gamma) + 2.0 * scale * p.f_value**2 >= 0.0
 
-    def bound(knots: np.ndarray) -> float:
-        """A lower bound on min h over the knots' range from the closed form's and every solve's cut."""
-        cuts = np.array([closed.cut, *(p.cut for p in points)])
-        return _search_bound(cuts, knots, scale)
-
     def search_gap(h_best: float) -> float:
-        """(h_best - LB) / h_best, LB a lower bound on min h over [gamma_lo, hi]."""
-        knots = np.array(sorted({gamma_lo, hi, *(p.gamma for p in points)}))
-        return 1.0 - bound(knots) / h_best if h_best > 0 else 0.0
+        """(h_best - LB) / h_best, LB the least h_LB over [gamma_lo, hi]."""
+        return 1.0 - model.minimum(gamma_lo, hi)[0] / h_best if h_best > 0 else 0.0
 
     def certified() -> bool:
         """Whether the cuts put the incumbent within gamma_tol > 0 of min h (0 bisects to float resolution)."""
@@ -792,30 +839,36 @@ def gamma_search(
 
     explore = (max(tol, 1e-4), min(max_iter, 1200))
     grid = np.linspace(gamma_lo, hi, grid_points)
+    model = _CutModel(closed.cut, scale, np.append(grid, hi))
     for g in grid:
         # A gamma whose h the cuts bound at or above the incumbent cannot win.
-        if points and bound(np.array([g])) >= least().objective:
+        if points and model.minimum(g, g)[0] >= least().objective:
             continue
-        evaluate(g, *explore)
+        evaluate(g, *explore, "scan")
     best = least()
     # The minimum lies between the best point's grid neighbours, on the side its h' points to.
     i = int(np.searchsorted(grid, best.gamma))
     lo_b, hi_b = grid[np.clip([i - 1, i] if rises(best) else [i, i + 1], 0, len(grid) - 1)]
     prune()
     while hi_b - lo_b > gamma_tol and not certified():
-        mid = 0.5 * (lo_b + hi_b)
-        if mid in (lo_b, hi_b):  # the bracket is down to adjacent floats
-            break
-        evaluate(mid, *explore)
-        if rises(points[-1]):
-            hi_b = mid
+        # A capped solve's cut can sit far below f^2: only certified cuts place the step.
+        if all(p.status == "optimal" for p in points):
+            margin = _MODEL_CLIP * (hi_b - lo_b)
+            step, kind = min(max(model.minimum(lo_b, hi_b)[1], lo_b + margin), hi_b - margin), "model"
         else:
-            lo_b = mid
+            step, kind = 0.5 * (lo_b + hi_b), "midpoint"
+        if step in (lo_b, hi_b):  # the bracket is down to adjacent floats
+            break
+        evaluate(step, *explore, kind)
+        if rises(points[-1]):
+            hi_b = step
+        else:
+            lo_b = step
         prune()
     # Exploration values of h are only as exact as their tolerance: values within it of the
     # least count as ties, won by the ends of the bracket the signs of h' narrowed down.
     near = [p for p in points if p.objective <= least().objective * (1.0 + explore[0])]
     inside = [p for p in near if lo_b <= p.gamma <= hi_b]
-    solution = evaluate(min(inside or near, key=lambda p: p.objective).gamma, tol, max_iter)
+    solution = evaluate(min(inside or near, key=lambda p: p.objective).gamma, tol, max_iter, "final")
     gap = max(search_gap(points[-1].objective), 0.0)
     return GammaSearchResult(**vars(points[-1]), solution=solution, grid=tuple(points), search_gap=gap)

@@ -265,7 +265,11 @@ def synth_robust(
     minimum, and bisection on the sign of the objective's derivative, read
     from each solve's cut, shrinks the bracket to ``gamma_tol``, or stops
     sooner once the cuts certify the best objective within a relative
-    ``gamma_tol``.  Exploration solves run at (max(tol, 1e-4),
+    ``gamma_tol``.  That certificate is the exact least of the lower bound
+    the cuts put on the objective; while every solve is "optimal", each
+    bisection step goes to that bound's minimizer in the bracket, kept 0.2
+    of its width from either end, and otherwise to the midpoint.
+    Exploration solves run at (max(tol, 1e-4),
     min(max_iter, 1200)), each from the nearest gamma solved so far; the
     returned gamma's report is resumed at ``(tol, max_iter)`` and that
     solve's status ("optimal" iff its duality gap is within ``tol``), gap

@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from ddsls.analysis import (
     TailParams,
@@ -152,6 +153,7 @@ def test_criterion_04_perturbed_closed_loop_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_solver_against_oracles():
     start = time.perf_counter()
     worst_kkt = 0.0
@@ -254,6 +256,7 @@ def test_criterion_08_averaging_law():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_bootstrap_coverage():
     start = time.perf_counter()
     seeds = [int(s) for s in np.random.SeedSequence(909).generate_state(1000, dtype=np.uint64)]
@@ -268,6 +271,7 @@ def test_criterion_09_bootstrap_coverage():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_mpc_qualitative_reproduction():
     from ddsls.experiments import compare_controllers
 

@@ -147,3 +147,26 @@ class TestRecoverGstar:
             recover_gstar(
                 build_hankel(traj.x, L_BENCH), build_hankel(traj.u, L_BENCH), resp_star
             )
+
+    def test_blocks_are_the_pinv_solutions(self, plant, bench_weights, noiseless_data):
+        resp_star, _ = optimal_responses(plant, bench_weights)
+        hx = build_hankel(noiseless_data.x, L_BENCH)
+        hu = build_hankel(noiseless_data.u, L_BENCH)
+        gstar = recover_gstar(hx, hu, resp_star)
+        n = m = 3
+        for k, blk in enumerate(gstar.blocks):
+            keep = L_BENCH - k
+            stack = np.vstack([hx[: n * keep], hu[: m * keep]])
+            target_x = resp_star.phi_x.dense[k * n :, k * n : (k + 1) * n]
+            target_u = resp_star.phi_u.dense[k * m :, k * n : (k + 1) * n]
+            target = np.vstack([target_x, target_u])
+            np.testing.assert_array_equal(blk, np.linalg.pinv(stack) @ target)
+
+    def test_repeated_input_channel_raises(self, plant, bench_weights):
+        # Two equal input channels: every stack loses rank, though no row is zero.
+        resp_star, _ = optimal_responses(plant, bench_weights)
+        u = np.random.default_rng(14).standard_normal((T_BENCH, 3))
+        u[:, 2] = u[:, 1]
+        traj = simulate(plant, np.zeros(3), u)
+        with pytest.raises(NotPersistentlyExciting, match="block 0"):
+            recover_gstar(build_hankel(traj.x, L_BENCH), build_hankel(traj.u, L_BENCH), resp_star)

@@ -1,3 +1,4 @@
+import logging
 import weakref
 from dataclasses import replace
 
@@ -7,7 +8,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddsls import solver
-from ddsls.blockops import CostWeights, spectral_norm
+from ddsls.analysis import sample_complexity
+from ddsls.blockops import CostWeights, spectral_norm, toeplitz_stack
+from ddsls.hankel import build_hankel
+from ddsls.lqg import optimal_responses, recover_gstar
 from ddsls.lti import LtiSystem, average, generate_ensemble, simulate
 from ddsls.solver import (
     BlockDiagonalProblem,
@@ -17,7 +21,7 @@ from ddsls.solver import (
     gamma_search,
 )
 from ddsls.synth import DataHankels, _build_problem, stacked_cost_map
-from tests.conftest import SIGMA2, T_BENCH
+from tests.conftest import L_BENCH, SIGMA2, T_BENCH
 from tests.oracles import (
     barrier_spectral,
     coupled_admm,
@@ -321,16 +325,18 @@ class TestGammaSearch:
         scale = np.sqrt(3) * eps
         plain = gamma_search(self.build_problem(3)[0], eps, gamma_tol=0.0)
         recording = RecordingProblem(prob)
-        real_bound = solver._search_bound
+        real_minimum = solver._CutModel.minimum
 
-        def overshoot(cuts, knots, scale_):
+        def overshoot(model, a, b):
             # The scan's pruning queries single gammas: those see the real bound.
-            if knots.size == 1:
-                return real_bound(cuts, knots, scale_)
-            # A bound a rounding error above the best h solved so far.
-            return min(rep.objective / (1.0 - tau * scale) for tau, _, rep in recording.calls) * (1.0 + 1e-15)
+            if a == b:
+                return real_minimum(model, a, b)
+            # A bound a rounding error above the best h solved so far, at the
+            # real minimizer, so that the model places the same steps.
+            best = min(rep.objective / (1.0 - tau * scale) for tau, _, rep in recording.calls)
+            return best * (1.0 + 1e-15), real_minimum(model, a, b)[1]
 
-        monkeypatch.setattr(solver, "_search_bound", overshoot)
+        monkeypatch.setattr(solver._CutModel, "minimum", overshoot)
         res = gamma_search(recording, eps, gamma_tol=0.0)
         assert res.grid == plain.grid and res.gamma == plain.gamma
         # With a positive tolerance the same gap ends the search right after
@@ -392,6 +398,116 @@ class TestGammaSearch:
             F = max(cut_value(rep, tau) for rep in [prob.unconstrained, *before])
             assert np.sqrt(max(F, 0.0)) / (1.0 - gammas[i]) < incumbent, (i, gammas[i])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_certify_searches_stop_on_their_certificate(self, seed, plant, bench_weights):
+        # The certified pipeline of acceptance criterion 06 on the bench plant.
+        resp_star, _ = optimal_responses(plant, bench_weights)
+        toep = spectral_norm(toeplitz_stack(plant.A, np.eye(3), T_BENCH - L_BENCH + 1))
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((T_BENCH, 3))
+        clean = simulate(plant, np.zeros(3), u)
+        gstar = recover_gstar(build_hankel(clean.x, L_BENCH), build_hankel(clean.u, L_BENCH), resp_star)
+        N = sample_complexity(0.05, gstar.norm, L_BENCH, toep, 3, T_BENCH, SIGMA2)
+        noise = np.sqrt(SIGMA2 / N) * rng.standard_normal((T_BENCH - 1, 3))
+        data = DataHankels.from_trajectory(simulate(plant, np.zeros(3), u, noise=noise), L_BENCH)
+        prob = _build_problem(data, bench_weights, "blockdiag")
+        res = gamma_search(prob, spectral_norm(data.hw), grid_points=5, gamma_tol=1e-2, tol=1e-4, max_iter=1200)
+        # Every solve is certified, so the model places the steps and its bound ends the search.
+        assert all(p.status == "optimal" for p in res.grid)
+        assert res.search_gap <= 1e-2 and len(res.grid) <= 6
+
+    @pytest.mark.parametrize(
+        "structure, forced", [("blockdiag", None), ("blockdiag", 3), ("full", None)], ids=["model", "forced", "full"]
+    )
+    def test_steps_leave_the_model_once_a_solve_is_capped(self, structure, forced):
+        prob, data = self.build_problem(3, structure=structure)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        scale = np.sqrt(3) * eps
+        recording = CappingProblem(prob, forced)
+        res = gamma_search(recording, eps, grid_points=16)
+        lo = scale * prob.floor * (1.0 + 1e-3) + 1e-12
+        grid = np.linspace(lo, min(1.0 - 1e-9, max(scale * prob.unconstrained_norm, lo)), 16)
+        known, capped, steps = set(grid.tolist()), False, 0
+        for p in res.grid[:-1]:
+            if p.gamma not in known:
+                # No solved or grid gamma lies inside the bracket: its ends are the nearest known gammas.
+                lo_b, hi_b = max(g for g in known if g < p.gamma), min(g for g in known if g > p.gamma)
+                margin = solver._MODEL_CLIP * (hi_b - lo_b)
+                if capped:
+                    assert p.gamma == 0.5 * (lo_b + hi_b)
+                else:
+                    assert lo_b + margin * (1.0 - 1e-9) <= p.gamma <= hi_b - margin * (1.0 - 1e-9)
+                    assert p.gamma != 0.5 * (lo_b + hi_b)  # placed by the model, not bisected
+                steps += 1
+            known.add(p.gamma)
+            capped = capped or p.status != "optimal"
+        assert steps >= 3
+        assert capped == (structure == "full" or forced is not None)
+
+    def test_debug_log_has_one_line_per_solve(self, caplog):
+        prob, data = self.build_problem(3)
+        eps = min(spectral_norm(data.hw), 0.5 / (np.sqrt(3) * prob.floor))
+        with caplog.at_level(logging.DEBUG, logger="ddsls"):
+            res = gamma_search(prob, eps)
+        lines = [r for r in caplog.records if r.name == "ddsls.solver"]
+        assert len(lines) == len(res.grid)
+        steps = [r.getMessage().split()[0] for r in lines]
+        assert steps[0] == "scan" and steps[-1] == "final" and "model" in steps
+        for r, p in zip(lines, res.grid):
+            assert r.levelno == logging.DEBUG
+            message = r.getMessage()
+            assert f"gamma {p.gamma:.9g} " in message and f"{p.status}, {p.iterations} iterations" in message
+        # The package's own handler discards every record: logging stays the application's choice.
+        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("ddsls").handlers)
+
+
+def search_bound_32(cuts, knots, scale):
+    """The bound the exact one replaced, over 32 pieces between consecutive knots.
+
+    F = f^2 is nonincreasing, so on each piece [a, b] h >= sqrt(max cut at b) / (1 - a).
+    """
+    if knots.size == 1:
+        knots = np.repeat(knots, 2)
+    grid = knots[:-1, None] + np.diff(knots)[:, None] * np.linspace(0.0, 1.0, 33)
+    powers = (grid[:, 1:] / scale) ** np.arange(3)[:, None, None]
+    model = np.max(cuts @ powers.reshape(3, -1), axis=0).reshape(grid.shape[0], -1)
+    return float(np.sqrt(max(np.min(model * (1.0 - grid[:, :-1]) ** -2), 0.0)))
+
+
+class TestCutModel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Each cut is c0 + c1 tau + c2 tau^2 with c1, c2 <= 0, blockdiag's (c1 = 0) and full's (c2 = 0)
+        # among them.  h = sqrt(M) / (1 - gamma) turns M's rounding near 0 into a large
+        # relative error in h, so entries are 0 or at least 1e-3 in size, as f^2-sized cuts are.
+        cuts=st.lists(
+            st.tuples(
+                st.floats(1e-3, 10.0) | st.floats(-1.0, -1e-3),
+                st.just(0.0) | st.floats(-5.0, -1e-3),
+                st.just(0.0) | st.floats(-5.0, -1e-3),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        knots=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=8, unique=True),
+        scale=st.floats(0.05, 20.0),
+    )
+    def test_exact_bound_lies_between_the_32_pieces_and_a_dense_scan(self, cuts, knots, scale):
+        knots = np.sort(knots)
+        model = solver._CutModel(cuts[0], scale, knots)
+        for cut in cuts[1:]:
+            model.add(cut, ())
+        exact, at = model.minimum(knots[0], knots[-1])
+        C = np.array(cuts)
+        assert exact >= search_bound_32(C, knots, scale) * (1.0 - 1e-12)
+        dense = np.linspace(knots[0], knots[-1], 4096)
+        h = np.sqrt(np.maximum(np.max(C @ (dense / scale) ** np.arange(3)[:, None], axis=0), 0.0)) / (1.0 - dense)
+        assert exact <= h.min() * (1.0 + 1e-12)
+        # The minimizer is in range and attains the bound, up to the rounding of M there.
+        assert knots[0] <= at <= knots[-1]
+        rounding = 1e-14 * np.abs(C).max() / (1.0 - at) ** 2
+        assert model.minimum(at, at)[0] ** 2 == pytest.approx(exact**2, rel=1e-12, abs=rounding)
+
 
 class RecordingProblem:
     """An inner problem that records the radius, start and report of every solve."""
@@ -406,6 +522,18 @@ class RecordingProblem:
         rep = self.problem.solve(tau, tol=tol, max_iter=max_iter, start=start)
         self.calls.append((tau, start, rep))
         return rep
+
+
+class CappingProblem(RecordingProblem):
+    """A recording problem whose solve number ``forced`` (from 0) reports "max-iter", its point unchanged."""
+
+    def __init__(self, problem, forced=None):
+        super().__init__(problem)
+        self.forced = forced
+
+    def solve(self, tau, tol, max_iter, start=None):
+        rep = super().solve(tau, tol, max_iter, start)
+        return replace(rep, status="max-iter") if len(self.calls) - 1 == self.forced else rep
 
 
 class WeakRecordingProblem:
@@ -566,6 +694,7 @@ class TestBlockDiagonalProblem:
             assert cut_slope(rep) == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-5)
         assert cut_slope(prob.solve(1.1 * top, tol=1e-10)) == 0.0
 
+    @pytest.mark.slow
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -798,7 +927,12 @@ class TestCoupledCausalProblem:
         assert rep.objective == pytest.approx(np.linalg.norm(cmap @ ref), rel=1e-9)
 
     @pytest.mark.parametrize(
-        "seed, n, m, L, radius, frac", [(0, 2, 1, 3, 0.5, 0.3), (11, 2, 2, 3, 1.05, 0.6), (5, 1, 1, 2, 1.3, 0.4)]
+        "seed, n, m, L, radius, frac",
+        [
+            pytest.param(0, 2, 1, 3, 0.5, 0.3, marks=pytest.mark.slow),
+            pytest.param(11, 2, 2, 3, 1.05, 0.6, marks=pytest.mark.slow),
+            (5, 1, 1, 2, 1.3, 0.4),
+        ],
     )
     def test_optimal_solve_agrees_with_the_barrier_oracle(self, seed, n, m, L, radius, frac):
         w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
