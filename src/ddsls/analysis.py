@@ -190,17 +190,11 @@ def sample_complexity(
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    raw = (
-        2.0
-        * sigma2
-        * n
-        * T
-        * math.log(2.0 * n * T / delta)
-        * max(9.0 * L * gstar_norm**2, 4.0 * (gstar_norm * toepnorm) ** 2)
-    )
-    N = max(1, math.ceil(raw))
+    # By the matrix tail bound, the noise Hankel norm exceeds sqrt(quantile / N) with probability <= delta.
+    quantile = 2.0 * sigma2 * n * T * math.log(2.0 * n * T / delta)
+    N = max(1, math.ceil(quantile * max(9.0 * L * gstar_norm**2, 4.0 * (gstar_norm * toepnorm) ** 2)))
     if sigma2 > 0 and gstar_norm > 0:
-        implied_eps = math.sqrt(2.0 * sigma2 * n * T * math.log(2.0 * n * T / delta) / N)
+        implied_eps = math.sqrt(quantile / N)
         if implied_eps > eps_precondition(gstar_norm, L, toepnorm) * (1 + 1e-12):
             raise RuntimeError(f"sample size {N} implies eps {implied_eps:.6g} above the precondition")
     return N

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import analysis, lqg, synth
 from .blockops import CostWeights, spectral_norm
-from .experiments import TrialRecord, compare_controllers
+from .experiments import TrialRecord, _bootstrap_budget, _record, compare_controllers
 from .hankel import build_hankel
-from .lti import LtiSystem, _write_csv, _write_json, average, generate_ensemble, save_ensemble, simulate
+from .lti import LtiSystem, _write_csv, _write_json, generate_ensemble, save_ensemble, simulate
 
 DEFAULT_CONFIG = {
     "system": {
@@ -108,13 +108,16 @@ def cmd_simulate(cfg: dict) -> dict:
     return {"output_dir": out, "N": N, "T": T, "seed": seed}
 
 
+def _configured_record(cfg: dict, sys_: LtiSystem):
+    """The configured ensemble and the Hankels of its average."""
+    horizons, sampling = cfg["horizons"], cfg["sampling"]
+    return _record(sys_, horizons["T"], sampling["N"], sampling["seed"], horizons["L"])
+
+
 def _resolve_eps(cfg: dict, ens, data) -> float:
     spec = cfg["synthesis"]["eps"]
-    L = cfg["horizons"]["L"]
     if spec == "bootstrap":
-        return analysis.bootstrap_epsilon(
-            ens, L, statistic="noise", seed=cfg["sampling"]["seed"] + 1
-        )
+        return _bootstrap_budget(ens, data.L)
     if spec == "true":
         return float(spectral_norm(data.hw))
     return float(spec)
@@ -123,17 +126,13 @@ def _resolve_eps(cfg: dict, ens, data) -> float:
 def cmd_synth(cfg: dict) -> dict:
     sys_ = _system(cfg)
     weights = _weights(cfg, sys_)
-    L, T = cfg["horizons"]["L"], cfg["horizons"]["T"]
-    N, seed = cfg["sampling"]["N"], cfg["sampling"]["seed"]
     mode = cfg["synthesis"]["mode"]
     structure = cfg["synthesis"]["structure"]
 
-    ens = generate_ensemble(sys_, T, N, seed)
-    avg = average(ens)
-    data = synth.DataHankels.from_trajectory(avg, L)
+    ens, data = _configured_record(cfg, sys_)
     if mode == "noiseless":
-        noiseless = simulate(sys_, np.zeros(sys_.state_dim), avg.u)
-        data = synth.DataHankels.from_trajectory(noiseless, L)
+        noiseless = simulate(sys_, np.zeros(sys_.state_dim), ens.u)
+        data = synth.DataHankels.from_trajectory(noiseless, data.L)
         result = synth.synth_robust(data, weights, 0.0, structure=structure)
     elif mode == "robust":
         result = synth.synth_robust(data, weights, _resolve_eps(cfg, ens, data), structure=structure)
@@ -155,6 +154,19 @@ def cmd_synth(cfg: dict) -> dict:
         dense = op.dense
         _write_csv(os.path.join(out, f"{name}.csv"), [f"c{j}" for j in range(dense.shape[1])], dense.tolist())
     return summary
+
+
+def _write_tail_table(path: str, params: analysis.TailParams, tgrid, norms=None) -> None:
+    """Both tail bounds at every threshold t of ``tgrid``, after the empirical tail of ``norms`` if given."""
+    header, rows = ["t", "matrix_bound", "lipschitz_bound"], []
+    if norms is not None:
+        header.insert(1, "empirical_tail")
+    for t in map(float, tgrid):
+        row = [t, analysis.tail_bound_matrix(t, params), analysis.tail_bound_lipschitz_at(t, params)]
+        if norms is not None:
+            row.insert(1, float(np.mean(norms >= t)))
+        rows.append(row)
+    _write_csv(path, header, rows)
 
 
 def cmd_bounds(cfg: dict) -> dict:
@@ -186,15 +198,7 @@ def cmd_bounds(cfg: dict) -> dict:
 
     params = analysis.TailParams(n=n, T=T, N=cfg["sampling"]["N"], sigma2=sigma2)
     tmax = 3.0 * analysis.lipschitz_shift(params) if sigma2 > 0 else 1.0
-    tail_rows = [
-        [t, analysis.tail_bound_matrix(float(t), params), analysis.tail_bound_lipschitz_at(float(t), params)]
-        for t in np.linspace(0.0, tmax, 20)
-    ]
-    _write_csv(
-        os.path.join(out, "tail_bounds.csv"),
-        ["t", "matrix_bound", "lipschitz_bound"],
-        tail_rows,
-    )
+    _write_tail_table(os.path.join(out, "tail_bounds.csv"), params, np.linspace(0.0, tmax, 20))
 
     summary = {
         "gstar_norm": gstar.norm,
@@ -247,44 +251,22 @@ def cmd_concentration(cfg: dict) -> dict:
 
     seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     draws = np.stack([np.random.default_rng(int(s)).standard_normal((T, n)) for s in seeds])
+    draws[:, -1, :] = 0.0  # as in Trajectory.w_process: no transition leaves the last recorded state
     norms = analysis.hankel_norms_of_signals(math.sqrt(sigma2 / N) * draws, L)
-    tgrid = np.linspace(0.0, float(norms.max()) * 1.5, 10)
-    rows = []
-    for t in tgrid:
-        empirical = float(np.mean(norms >= t))
-        rows.append(
-            [
-                t,
-                empirical,
-                analysis.tail_bound_matrix(float(t), params),
-                analysis.tail_bound_lipschitz_at(float(t), params),
-            ]
-        )
     out = _out_dir(cfg)
-    _write_csv(
-        os.path.join(out, "concentration.csv"),
-        ["t", "empirical_tail", "matrix_bound", "lipschitz_bound"],
-        rows,
-    )
+    tgrid = np.linspace(0.0, float(norms.max()) * 1.5, 10)
+    _write_tail_table(os.path.join(out, "concentration.csv"), params, tgrid, norms)
     summary = {"trials": trials, "N": N, "mean_norm": float(norms.mean()), "max_norm": float(norms.max())}
     _write_json(os.path.join(out, "concentration.json"), summary)
     return summary
 
 
 def cmd_bootstrap(cfg: dict) -> dict:
-    sys_ = _system(cfg)
-    T = cfg["horizons"]["T"]
-    L = cfg["horizons"]["L"]
-    N = cfg["sampling"]["N"]
-    seed = cfg["sampling"]["seed"]
-    ens = generate_ensemble(sys_, T, N, seed)
-    data = synth.DataHankels.from_trajectory(average(ens), L)
-    eps_boot = analysis.bootstrap_epsilon(ens, L, statistic="noise", seed=seed + 1)
-    eps_dev = analysis.bootstrap_epsilon(ens, L, statistic="deviation", seed=seed + 1)
+    ens, data = _configured_record(cfg, _system(cfg))
     summary = {
-        "N": N,
-        "eps_bootstrap_noise": eps_boot,
-        "eps_bootstrap_deviation": eps_dev,
+        "N": len(ens),
+        "eps_bootstrap_noise": _bootstrap_budget(ens, data.L),
+        "eps_bootstrap_deviation": _bootstrap_budget(ens, data.L, statistic="deviation"),
         "eps_realized": float(spectral_norm(data.hw)),
     }
     _write_json(os.path.join(_out_dir(cfg), "bootstrap.json"), summary)

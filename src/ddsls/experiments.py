@@ -20,7 +20,7 @@ from .analysis import BoundInputs, _plant_terms, bootstrap_epsilon, suboptimalit
 from .blockops import CostWeights, LtvOperator, spectral_norm
 from .hankel import NotPersistentlyExciting, build_hankel
 from .lqg import recover_gstar, riccati_finite
-from .lti import LtiSystem, average, generate_ensemble, simulate
+from .lti import Ensemble, LtiSystem, average, generate_ensemble, simulate
 from .sls import responses_from_controller, sls_cost
 from .solver import InfeasibleEpsilon
 from .synth import DataHankels, synth_robust
@@ -67,6 +67,9 @@ class RunStats:
     diverged: bool
 
 
+_DIVERGED = RunStats(cost=math.inf, state_norm=math.inf, input_norm=math.inf, diverged=True)
+
+
 def mpc_run(cfg: MpcConfig) -> RunStats:
     """Receding-horizon loop applying the controller's first-step gain.
 
@@ -86,7 +89,7 @@ def mpc_run(cfg: MpcConfig) -> RunStats:
     for t in range(H):
         # The negated test also flags NaN and inf states.
         if not x @ x <= limit:
-            return RunStats(cost=math.inf, state_norm=math.inf, input_norm=math.inf, diverged=True)
+            return _DIVERGED
         xs[t] = x
         x = sys.A @ x + sys.B @ (gain @ x) + noise[t]
     us = xs @ gain.T
@@ -154,7 +157,15 @@ class ComparisonResults:
         self.summary = _summarize(self.records)
 
 
-_INFEASIBLE = RunStats(cost=math.inf, state_norm=math.inf, input_norm=math.inf, diverged=True)
+def _record(sys: LtiSystem, T: int, N: int, seed: int, L: int) -> tuple[Ensemble, DataHankels]:
+    """N rollouts under one shared input, and the order-L Hankels of their average."""
+    ens = generate_ensemble(sys, T, N, seed)
+    return ens, DataHankels.from_trajectory(average(ens), L)
+
+
+def _bootstrap_budget(ens: Ensemble, L: int, statistic: str = "noise", resamples: int = 1000) -> float:
+    """``bootstrap_epsilon`` of a generated record, seeded by the record's seed + 1."""
+    return bootstrap_epsilon(ens, L, resamples=resamples, statistic=statistic, seed=ens.seed + 1)
 
 
 def compare_controllers(
@@ -188,16 +199,12 @@ def compare_controllers(
 
     records: list[TrialRecord] = []
     for (N, trial), (data_seed, mpc_seed) in zip(jobs, seeds.reshape(-1, 2)):
-        ens = generate_ensemble(sys, T, N, int(data_seed))
-        avg = average(ens)
-        data = DataHankels.from_trajectory(avg, L)
+        ens, data = _record(sys, T, N, int(data_seed), L)
         eps_true = spectral_norm(data.hw)
-        eps_boot = bootstrap_epsilon(
-            ens, L, resamples=bootstrap_resamples, statistic="noise", seed=int(data_seed) + 1
-        )
+        eps_boot = _bootstrap_budget(ens, L, resamples=bootstrap_resamples)
 
         # Certification inputs come from the noiseless twin of this record.
-        noiseless = simulate(sys, np.zeros(sys.state_dim), avg.u)
+        noiseless = simulate(sys, np.zeros(sys.state_dim), ens.u)
         try:
             gstar_norm = recover_gstar(
                 build_hankel(noiseless.x, L), build_hankel(noiseless.u, L), responses_star
@@ -236,7 +243,7 @@ def compare_controllers(
             runs.append((name, res.controller, extra))
 
         for name, controller, extra in runs:
-            stats = _INFEASIBLE
+            stats = _DIVERGED
             if controller is not None:
                 cfg = MpcConfig(mpc_horizon, sys, controller, weights.q_state, weights.r_input, int(mpc_seed))
                 stats = mpc_run(cfg)

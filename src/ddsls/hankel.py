@@ -28,11 +28,12 @@ class NotPersistentlyExciting(RuntimeError):
     """Raised when data lacks the rank needed for reconstruction/synthesis."""
 
 
-def _as_signal(sig, name: str = "signal") -> np.ndarray:
+def _as_signal(sig, name: str = "signal", batch: bool = False) -> np.ndarray:
+    """``sig`` as a float (T, p) array, a 1-D signal as one column; with ``batch``, (..., T, p) too."""
     s = np.asarray(sig, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
-    if s.ndim != 2:
+    if s.ndim < 2 or (s.ndim > 2 and not batch):
         raise ValueError(f"{name} must be (T, p), got shape {s.shape}")
     return s
 
@@ -44,9 +45,7 @@ def build_hankel(signal: np.ndarray, L: int) -> np.ndarray:
     (..., pL, T - L + 1) stack.  Raises ValueError when L exceeds the
     signal horizon.
     """
-    s = np.asarray(signal, dtype=float)
-    if s.ndim == 1:
-        s = s[:, None]
+    s = _as_signal(signal, batch=True)
     *batch, T, p = s.shape
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -57,16 +56,12 @@ def build_hankel(signal: np.ndarray, L: int) -> np.ndarray:
 
 
 def first_block_row(signal: np.ndarray, L: int) -> np.ndarray:
-    """Order-1 Hankel truncated to T - L + 1 columns.
+    """The top block row of the order-L Hankel: the signal's first T - L + 1 samples as columns.
 
-    Matches the top block row of the order-L Hankel so that identity
-    constraints on it align column-for-column with the order-L matrix.
+    Identity constraints on it align column-for-column with the order-L matrix.
     """
     s = _as_signal(signal)
-    T = s.shape[0]
-    if L < 1 or L > T:
-        raise ValueError("L must satisfy 1 <= L <= T")
-    return s[: T - L + 1].T.copy()
+    return build_hankel(s, L)[: s.shape[1]]
 
 
 @dataclass(frozen=True)
@@ -92,14 +87,15 @@ def is_pe(signal: np.ndarray, order: int) -> PeReport:
     """
     s = _as_signal(signal)
     T, p = s.shape
-    required = p * order
     if order < 1:
         raise ValueError("order must be >= 1")
-    if T < (p + 1) * order - 1 or order > T:
-        rank = matrix_rank(build_hankel(s, order)) if order <= T else 0
-        return PeReport(excited=False, rank=rank, required_rank=required, horizon_feasible=False)
-    rank = matrix_rank(build_hankel(s, order))
-    return PeReport(excited=(rank == required), rank=rank, required_rank=required, horizon_feasible=True)
+    required = p * order
+    rank = matrix_rank(build_hankel(s, order)) if order <= T else 0
+    feasible = order <= T and T >= (p + 1) * order - 1
+    # An infeasible horizon leaves fewer columns than rows; only a signal of no coordinates is full rank there.
+    return PeReport(
+        excited=feasible and rank == required, rank=rank, required_rank=required, horizon_feasible=feasible
+    )
 
 
 def stacked_rank(x: np.ndarray, u: np.ndarray, L: int) -> tuple[int, bool]:
@@ -143,15 +139,15 @@ def reconstruct(
     u_target = np.asarray(u_target, dtype=float).reshape(L, m)
     x0 = np.asarray(x0, dtype=float).reshape(n)
 
-    h1x, hu = first_block_row(xs, L), build_hankel(us, L)
-    rank, full = _data_rank(h1x, hu)
+    hx, hu = build_hankel(xs, L), build_hankel(us, L)
+    rank, full = _data_rank(hx[:n], hu)
     if not full:
         raise NotPersistentlyExciting(
             f"stacked data matrix has rank {rank} < {n + m * L}; data is not persistently exciting"
         )
-    stack = np.vstack([h1x, hu])
+    stack = np.vstack([hx[:n], hu])
     rhs = np.concatenate([x0, u_target.reshape(-1)])
     g = np.linalg.pinv(stack) @ rhs
-    x_traj = (build_hankel(xs, L) @ g).reshape(L, n)
+    x_traj = (hx @ g).reshape(L, n)
     u_traj = (hu @ g).reshape(L, m)
     return g, x_traj, u_traj

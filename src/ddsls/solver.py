@@ -89,6 +89,16 @@ def _closed_form_report(G: np.ndarray, objective: float, least: float) -> SolveR
     return SolveReport(solution=G, objective=objective, status="optimal", gap=0.0, cut=(least, 0.0, 0.0))
 
 
+_BINDS = 1.0 + 1e-12  # the ball binds a closed form of norm above tau times this
+
+
+def _closed_form_at(problem, tau: float) -> SolveReport | None:
+    """The closed form at radius tau if the ball leaves it feasible, else None; below the floor, raise."""
+    if tau < problem.floor * (1.0 - 1e-9):
+        raise InfeasibleEpsilon(f"ball radius {tau:.6g} is below the feasibility floor {problem.floor:.6g}")
+    return replace(problem.unconstrained, tau=tau) if problem.unconstrained_norm <= tau * _BINDS else None
+
+
 def _layout(cmap: np.ndarray, h1x: np.ndarray) -> tuple[int, int, int]:
     """(L, cols, n) of a cost map over L column blocks of h1x's width."""
     n, cols = h1x.shape
@@ -232,12 +242,9 @@ class BlockDiagonalProblem:
         objective^2 (1 - gap) - (t^2 - tau^2) sum_k tr Lam_k,
         whose derivative at tau is -2 tau sum_k tr Lam_k.
         """
-        if tau < self.floor * (1.0 - 1e-9):
-            raise InfeasibleEpsilon(f"ball radius {tau:.6g} is below the feasibility floor {self.floor:.6g}")
-        active = self.unconstrained_norms > tau * (1.0 + 1e-12)
-        if not active.any():
-            return replace(self.unconstrained, tau=tau)
-        k = np.flatnonzero(active)
+        if (closed := _closed_form_at(self, tau)) is not None:
+            return closed
+        k = np.flatnonzero(self.unconstrained_norms > tau * _BINDS)
         Z, gap, iterations, Lam = self._dual_newton(k, tau, tol, max_iter, start)
         G = self.unconstrained.solution.copy()
         G[k] = self._to_blocks(Z, k)
@@ -559,11 +566,8 @@ class CoupledCausalProblem:
         ``gap`` and ``cut`` come from ``_dual_bound`` at the multiplier
         rho U, capped solves included, and "optimal" means gap <= tol.
         """
-        if tau < self.floor * (1.0 - 1e-9):
-            raise InfeasibleEpsilon(f"ball radius {tau:.6g} is below the feasibility floor {self.floor:.6g}")
-        if self.unconstrained_norm <= tau * (1.0 + 1e-12):
-            return replace(self.unconstrained, tau=tau)
-
+        if (closed := _closed_form_at(self, tau)) is not None:
+            return closed
         if start is not None and start.state is not None:
             Y, Uv, rho = start.state
         else:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .blockops import CostWeights, LtvOperator, block_diag, spectral_norm
-from .hankel import NotPersistentlyExciting, _data_rank, build_hankel, first_block_row
+from .hankel import NotPersistentlyExciting, _data_rank, build_hankel
 from .lti import Trajectory
 from .sls import _STRUCT_TOL, Perturbation, SystemResponsePair, recover_controller
 from .solver import (
@@ -50,14 +50,14 @@ __all__ = [
 class DataHankels:
     """Order-L Hankel views of one trajectory record.
 
-    ``hw`` is the Hankel of the process-noise signal aligned to injection
-    time; it exists for verification and for oracle noise bounds, never as
-    a synthesis input.
+    ``h1x``, the top block row of ``hx``, is a view of it, not a second
+    build.  ``hw`` is the Hankel of the process-noise signal aligned to
+    injection time; it exists for verification and for oracle noise bounds,
+    never as a synthesis input.
     """
 
     hx: np.ndarray
     hu: np.ndarray
-    h1x: np.ndarray
     L: int
     n: int
     m: int
@@ -68,20 +68,21 @@ class DataHankels:
             raise ValueError("Hankel heights disagree with (n, m, L)")
         if self.hx.shape[1] != self.hu.shape[1]:
             raise ValueError("state and input Hankels must share column count")
-        if self.h1x.shape != (self.n, self.hx.shape[1]):
-            raise ValueError("h1x must be the top block row of hx")
 
     @classmethod
     def from_trajectory(cls, traj: Trajectory, L: int) -> "DataHankels":
         return cls(
             hx=build_hankel(traj.x, L),
             hu=build_hankel(traj.u, L),
-            h1x=first_block_row(traj.x, L),
             L=L,
             n=traj.state_dim,
             m=traj.input_dim,
             hw=build_hankel(traj.w_process, L),
         )
+
+    @property
+    def h1x(self) -> np.ndarray:
+        return self.hx[: self.n]
 
     @property
     def cols(self) -> int:
@@ -259,23 +260,19 @@ def synth_robust(
     entirely, i.e. solves at eps = 0 whatever ``eps`` is (gamma is reported
     as None); this reproduces the unregularized fit.
 
-    gamma comes from ``solver.gamma_search``, the same search for both
-    structures, steered by the dual cut every inner solve reports: a scan
-    of ``grid_points`` radii, skipping those the cuts rule out, brackets the
-    minimum, and bisection on the sign of the objective's derivative, read
-    from each solve's cut, shrinks the bracket to ``gamma_tol``, or stops
-    sooner once the cuts certify the best objective within a relative
-    ``gamma_tol``.  That certificate is the exact least of the lower bound
-    the cuts put on the objective; while every solve is "optimal", each
-    bisection step goes to that bound's minimizer in the bracket, kept 0.2
-    of its width from either end, and otherwise to the midpoint.
-    Exploration solves run at (max(tol, 1e-4),
-    min(max_iter, 1200)), each from the nearest gamma solved so far; the
-    returned gamma's report is resumed at ``(tol, max_iter)`` and that
-    solve's status ("optimal" iff its duality gap is within ``tol``), gap
-    and added iterations are in ``search``.  The search's certificate is
-    ``search.search_gap``, not ``gamma_tol``: a stop on bracket width can
-    leave it above ``gamma_tol``.
+    gamma comes from ``solver.gamma_search`` over the inner problem of the
+    chosen ``structure``, the same search for both; its docstring holds the
+    scan, step and stopping rules, and ``grid_points``, ``gamma_tol``,
+    ``tol`` and ``max_iter`` are passed to it unchanged.  Its record is
+    ``search``; its certificate is ``search.search_gap``, not ``gamma_tol``.
+
+    Before the search, data that are not persistently exciting raise
+    ``NotPersistentlyExciting``, and weights that do not fit the data, a
+    NaN or negative ``eps``, or an unknown ``mode`` or ``structure`` raise
+    ``ValueError``.
+    After it, ``ghat`` is the search's solution, for blockdiag the block
+    diagonal of its blocks, and the responses and the controller are
+    assembled from it.
     """
     _require_excitation(data)
     for name, have, want in (

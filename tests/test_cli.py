@@ -1,6 +1,8 @@
 import json
 import os
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +200,29 @@ def test_concentration_outputs(tmp_path):
         t, emp, mb, lb = map(float, row.split(","))
         assert emp <= mb + 1e-12
         assert emp <= lb + 1e-12
+
+
+def test_concentration_noise_has_no_step_past_the_record(tmp_path, monkeypatch):
+    # As in Trajectory.w_process and DataHankels.hw, an averaged record carries
+    # no noise past its last step, so every drawn signal ends in a zero row.
+    real, seen = cli.analysis.hankel_norms_of_signals, []
+
+    def spy(signals, L):
+        seen.append(np.array(signals))
+        return real(signals, L)
+
+    monkeypatch.setattr(cli.analysis, "hankel_norms_of_signals", spy)
+    cfg = write_config(tmp_path, {"sampling": {"trials": 5}})
+    assert run(["concentration", "--config", cfg, "--out", str(tmp_path / "conc")]) == 0
+    assert seen and all(s.shape[1] == TINY["horizons"]["T"] and not s[:, -1].any() for s in seen)
+    assert all(s[:, :-1].all() for s in seen)
+
+
+def test_readme_example_config_is_the_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Example config[^\n]*\n+```json\n(.*?)```", readme, re.S)
+    assert block is not None
+    assert json.loads(block.group(1)) == cli.DEFAULT_CONFIG
 
 
 def test_bootstrap_outputs(tmp_path):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddsls.blockops import matrix_rank
 from ddsls.hankel import (
     NotPersistentlyExciting,
     build_hankel,
@@ -9,7 +12,8 @@ from ddsls.hankel import (
     reconstruct,
     stacked_rank,
 )
-from ddsls.lti import simulate
+from ddsls.lti import average, generate_ensemble, simulate
+from ddsls.synth import DataHankels
 from tests.conftest import L_BENCH, T_BENCH
 
 
@@ -71,7 +75,36 @@ def test_first_block_row_matches_top_of_hankel():
     np.testing.assert_array_equal(first_block_row(sig, 4), H[:2])
 
 
+def test_data_hankels_h1x_is_the_top_block_row_of_hx(plant):
+    traj = average(generate_ensemble(plant, T_BENCH, 8, seed=2))
+    data = DataHankels.from_trajectory(traj, L_BENCH)
+    np.testing.assert_array_equal(data.h1x, first_block_row(traj.x, L_BENCH))
+    assert np.shares_memory(data.h1x, data.hx) and data.h1x.flags.c_contiguous
+
+
 class TestIsPe:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        T=st.integers(1, 14),
+        p=st.integers(1, 3),
+        order=st.integers(1, 16),
+        rank=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_the_rank_of_the_hankel(self, T, p, order, rank, seed):
+        # Signals of at most ``rank`` independent coordinates make rank-deficient Hankels too.
+        rng = np.random.default_rng(seed)
+        sig = rng.standard_normal((T, rank)) @ rng.standard_normal((rank, p))
+        report = is_pe(sig, order)
+        want = matrix_rank(build_hankel(sig, order)) if order <= T else 0
+        assert report.rank == want
+        assert report.required_rank == p * order
+        assert report.horizon_feasible == (order <= T and T >= (p + 1) * order - 1)
+        # Full row rank alone decides: a horizon too short for the order leaves
+        # fewer columns than rows, so it never reaches full rank.
+        assert report.excited == (want == p * order)
+        assert not report.excited or report.horizon_feasible
+
     def test_constant_signal_not_pe_order_two(self):
         report = is_pe(np.ones((10, 1)), 2)
         assert not report
