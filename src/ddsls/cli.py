@@ -11,6 +11,7 @@ fields of ``TrialRecord`` after controller and N, which name the file.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -22,9 +23,8 @@ import numpy as np
 
 from . import analysis, lqg, synth
 from .blockops import CostWeights, spectral_norm
-from .experiments import TrialRecord, _bootstrap_budget, _record, compare_controllers
-from .hankel import build_hankel
-from .lti import LtiSystem, _write_csv, _write_json, generate_ensemble, save_ensemble, simulate
+from .experiments import TrialRecord, _bootstrap_budget, _noiseless_twin, _record, compare_controllers
+from .lti import LtiSystem, _write_csv, _write_json, generate_ensemble, save_ensemble
 
 DEFAULT_CONFIG = {
     "system": {
@@ -56,7 +56,7 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         with open(path) as fh:
             cfg = _merge(cfg, json.load(fh))
@@ -89,6 +89,13 @@ def _weights(cfg: dict, sys_: LtiSystem) -> CostWeights:
     else:
         QF = np.asarray(terminal, dtype=float)
     return CostWeights(q_state=Q, r_input=R, q_terminal=QF, horizon=cfg["horizons"]["L"])
+
+
+def _trials(cfg: dict) -> int:
+    trials = cfg["sampling"]["trials"]
+    if trials < 1:
+        raise ValueError(f"sampling.trials must be >= 1, got {trials}")
+    return trials
 
 
 def _out_dir(cfg: dict) -> str:
@@ -131,8 +138,7 @@ def cmd_synth(cfg: dict) -> dict:
 
     ens, data = _configured_record(cfg, sys_)
     if mode == "noiseless":
-        noiseless = simulate(sys_, np.zeros(sys_.state_dim), ens.u)
-        data = synth.DataHankels.from_trajectory(noiseless, data.L)
+        data = _noiseless_twin(sys_, ens.u, data.L)
         result = synth.synth_robust(data, weights, 0.0, structure=structure)
     elif mode == "robust":
         result = synth.synth_robust(data, weights, _resolve_eps(cfg, ens, data), structure=structure)
@@ -176,11 +182,9 @@ def cmd_bounds(cfg: dict) -> dict:
     seed = cfg["sampling"]["seed"]
     n = sys_.state_dim
 
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal((T, sys_.input_dim))
-    noiseless = simulate(sys_, np.zeros(n), u)
+    twin = _noiseless_twin(sys_, np.random.default_rng(seed).standard_normal((T, sys_.input_dim)), L)
     responses_star, terms = analysis._plant_terms(sys_, weights, T)
-    gstar = lqg.recover_gstar(build_hankel(noiseless.x, L), build_hankel(noiseless.u, L), responses_star)
+    gstar = lqg.recover_gstar(twin.hx, twin.hu, responses_star)
     toep = terms["toepnorm"]
     eps_max = analysis.eps_precondition(gstar.norm, L, toep)
 
@@ -220,7 +224,7 @@ def cmd_mpc(cfg: dict) -> dict:
         sys_,
         weights,
         N_list=cfg["sampling"]["N_list"],
-        trials_per_N=cfg["sampling"]["trials"],
+        trials_per_N=_trials(cfg),
         seed=cfg["sampling"]["seed"],
         T=cfg["horizons"]["T"],
         mpc_horizon=cfg["horizons"]["H"],
@@ -244,7 +248,7 @@ def cmd_concentration(cfg: dict) -> dict:
     T = cfg["horizons"]["T"]
     L = cfg["horizons"]["L"]
     N = cfg["sampling"]["N"]
-    trials = cfg["sampling"]["trials"]
+    trials = _trials(cfg)
     seed = cfg["sampling"]["seed"]
     sigma2 = cfg["system"]["sigma2"]
     params = analysis.TailParams(n=n, T=T, N=N, sigma2=sigma2)

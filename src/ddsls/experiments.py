@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import BoundInputs, _plant_terms, bootstrap_epsilon, suboptimality_bound
 from .blockops import CostWeights, LtvOperator, spectral_norm
-from .hankel import NotPersistentlyExciting, build_hankel
+from .hankel import NotPersistentlyExciting
 from .lqg import recover_gstar, riccati_finite
 from .lti import Ensemble, LtiSystem, average, generate_ensemble, simulate
 from .sls import responses_from_controller, sls_cost
@@ -163,6 +163,11 @@ def _record(sys: LtiSystem, T: int, N: int, seed: int, L: int) -> tuple[Ensemble
     return ens, DataHankels.from_trajectory(average(ens), L)
 
 
+def _noiseless_twin(sys: LtiSystem, u: np.ndarray, L: int) -> DataHankels:
+    """The order-L Hankels of the noise-free rollout from the zero state under ``u``."""
+    return DataHankels.from_trajectory(simulate(sys, np.zeros(sys.state_dim), u), L)
+
+
 def _bootstrap_budget(ens: Ensemble, L: int, statistic: str = "noise", resamples: int = 1000) -> float:
     """``bootstrap_epsilon`` of a generated record, seeded by the record's seed + 1."""
     return bootstrap_epsilon(ens, L, resamples=resamples, statistic=statistic, seed=ens.seed + 1)
@@ -204,11 +209,9 @@ def compare_controllers(
         eps_boot = _bootstrap_budget(ens, L, resamples=bootstrap_resamples)
 
         # Certification inputs come from the noiseless twin of this record.
-        noiseless = simulate(sys, np.zeros(sys.state_dim), ens.u)
+        twin = _noiseless_twin(sys, ens.u, L)
         try:
-            gstar_norm = recover_gstar(
-                build_hankel(noiseless.x, L), build_hankel(noiseless.u, L), responses_star
-            ).norm
+            gstar_norm = recover_gstar(twin.hx, twin.hu, responses_star).norm
         except NotPersistentlyExciting:
             gstar_norm = None  # no bound without the optimal parameter
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import matrix_rank
+from .blockops import matrix_rank, rank_tolerance
 
 __all__ = [
     "build_hankel",
@@ -130,8 +130,9 @@ def reconstruct(
 
     Solves the minimum-norm g with [H_1(x); H_L(u)] g = [x0; vec(u_target)]
     and returns (g, x_traj, u_traj) where the trajectories are read off the
-    order-L Hankel matrices of the data.  Requires the stacked data matrix
-    to have full rank.
+    order-L Hankel matrices of the data.  One SVD of the stacked data matrix
+    gives both its rank and its pseudo-inverse; a rank below n + mL raises
+    NotPersistentlyExciting.
     """
     xs = _as_signal(x_data, "x_data")
     us = _as_signal(u_data, "u_data")
@@ -140,14 +141,25 @@ def reconstruct(
     x0 = np.asarray(x0, dtype=float).reshape(n)
 
     hx, hu = build_hankel(xs, L), build_hankel(us, L)
-    rank, full = _data_rank(hx[:n], hu)
-    if not full:
-        raise NotPersistentlyExciting(
-            f"stacked data matrix has rank {rank} < {n + m * L}; data is not persistently exciting"
-        )
-    stack = np.vstack([hx[:n], hu])
     rhs = np.concatenate([x0, u_target.reshape(-1)])
-    g = np.linalg.pinv(stack) @ rhs
+    g = _min_norm_solve(np.vstack([hx[:n], hu]), rhs, n + m * L, "stacked data matrix")
     x_traj = (hx @ g).reshape(L, n)
     u_traj = (hu @ g).reshape(L, m)
     return g, x_traj, u_traj
+
+
+def _min_norm_solve(stack: np.ndarray, rhs: np.ndarray, required: int, label: str) -> np.ndarray:
+    """Minimum-norm solution of ``stack @ g = rhs`` from one SVD of ``stack``.
+
+    Raises NotPersistentlyExciting, naming ``label``, when the rank under the
+    shared relative threshold is below ``required``.  The pseudo-inverse
+    uses np.linalg.pinv's 1e-15 cutoff and arithmetic.
+    """
+    u, s, vt = np.linalg.svd(stack, full_matrices=False)
+    rank = int(np.sum(s > rank_tolerance(s, stack.shape)))
+    if rank < required:
+        raise NotPersistentlyExciting(
+            f"{label} has rank {rank} < {required}; data is not persistently exciting to the required order"
+        )
+    inv = np.divide(1.0, s, where=s > 1e-15 * s[0], out=np.zeros_like(s))
+    return np.matmul(vt.T, inv[:, None] * u.T) @ rhs

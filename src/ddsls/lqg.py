@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import CostWeights, LtvOperator, rank_tolerance, spectral_norm
-from .hankel import NotPersistentlyExciting
+from .blockops import CostWeights, LtvOperator, spectral_norm
+from .hankel import _min_norm_solve
 from .lti import LtiSystem
 from .sls import SystemResponsePair, responses_from_controller, sls_cost
 
@@ -121,7 +121,9 @@ def recover_gstar(hx: np.ndarray, hu: np.ndarray, responses: SystemResponsePair)
     exciting record.  Block k solves the shift-truncated system: only the
     leading L-k window blocks of a response column survive the k-step
     downshift of the assembly, so block k is the minimum-norm solution of
-    the correspondingly truncated stacked-Hankel equation.
+    the correspondingly truncated stacked-Hankel equation, from one SVD
+    that also checks its rank.  Raises NotPersistentlyExciting, naming the
+    block, when that rank is below n + m(L - k).
     """
     L, n, m = responses.horizon, responses.state_dim, responses.input_dim
     cols = hx.shape[1]
@@ -130,18 +132,9 @@ def recover_gstar(hx: np.ndarray, hu: np.ndarray, responses: SystemResponsePair)
     blocks = []
     for k in range(L):
         keep = L - k
-        stack = np.vstack([hx[: n * keep], hu[: m * keep]])
-        # One SVD gives the rank and the pseudo-inverse, with np.linalg.pinv's cutoff and arithmetic.
-        u, s, vt = np.linalg.svd(stack, full_matrices=False)
-        rank = int(np.sum(s > rank_tolerance(s, stack.shape)))
-        if rank < n + m * keep:
-            raise NotPersistentlyExciting(
-                f"data supports rank {rank} < {n + m * keep} "
-                f"for block {k}; data is not persistently exciting to the required order"
-            )
         target_x = responses.phi_x.dense[k * n :, k * n : (k + 1) * n]
         target_u = responses.phi_u.dense[k * m :, k * n : (k + 1) * n]
-        large = s > 1e-15 * s[0]
-        inv = np.divide(1.0, s, where=large, out=np.zeros_like(s))
-        blocks.append(np.matmul(vt.T, inv[:, None] * u.T) @ np.vstack([target_x, target_u]))
+        stack = np.vstack([hx[: n * keep], hu[: m * keep]])
+        rhs = np.vstack([target_x, target_u])
+        blocks.append(_min_norm_solve(stack, rhs, n + m * keep, f"the data of block {k}"))
     return GStar(blocks=blocks)

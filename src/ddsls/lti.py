@@ -69,6 +69,8 @@ class Trajectory:
 
     ``w[0]`` equals ``x[0]`` (initial-condition embedding) and ``w[t]`` for
     t >= 1 is the process noise entering the transition from t-1 to t.
+    A record that breaks this, or has non-finite or mismatched entries,
+    raises ValueError.
     """
 
     x: np.ndarray
@@ -76,18 +78,8 @@ class Trajectory:
     w: np.ndarray
 
     def __post_init__(self):
-        x = as_matrix(self.x, "x")
-        u = as_matrix(self.u, "u")
-        w = as_matrix(self.w, "w")
-        if not (x.shape[0] == u.shape[0] == w.shape[0]):
-            raise ValueError("x, u, w must share the same horizon")
-        if w.shape[1] != x.shape[1]:
-            raise ValueError("w must have the state dimension")
-        if not np.array_equal(w[0], x[0]):
-            raise ValueError("w[0] must equal x[0] (initial-condition embedding)")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "w", w)
+        for name, a in zip("xuw", _record_arrays(self.x, self.u, self.w, ndim=2)):
+            object.__setattr__(self, name, a)
 
     @property
     def horizon(self) -> int:
@@ -118,13 +110,39 @@ def _process_noise(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _record_arrays(x, u, w, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float arrays of a valid record: ``ndim``-D (..., T, n) states ``x`` and
+    noise ``w`` under their (T, m) input ``u``.
+
+    Raises ValueError unless the three share the horizon, ``w`` has the shape
+    of ``x``, every entry is finite and the noise embeds the initial
+    condition (``w[..., 0, :] == x[..., 0, :]``).
+    """
+    x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
+    u = as_matrix(u, "u")
+    if x.ndim != ndim or 0 in x.shape[:-2]:
+        raise ValueError(f"x must be a nonempty {ndim}-D record, got shape {x.shape}")
+    if w.shape != x.shape:
+        raise ValueError(f"w must have the shape {x.shape} of x, got {w.shape}")
+    if u.shape[0] != x.shape[-2]:
+        raise ValueError("x, u, w must share the same horizon")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(w))):
+        raise ValueError("x and w must have finite entries")
+    if not np.array_equal(w[..., 0, :], x[..., 0, :]):
+        raise ValueError("w[..., 0, :] must equal x[..., 0, :] (initial-condition embedding)")
+    return x, u, w
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """N trajectories under one shared input, stored stacked, plus their seed.
 
     ``x`` and ``w`` are (N, T, n): member i's states and its noise record in
     the initial-condition-embedded layout of :class:`Trajectory`.  ``u`` is
-    the (T, m) input every member received.
+    the (T, m) input every member received.  The record passes the same
+    check as a :class:`Trajectory` (shared horizon, matching shapes, finite
+    entries, embedded initial condition) and at least one member; otherwise
+    ValueError.
     """
 
     x: np.ndarray
@@ -133,20 +151,8 @@ class Ensemble:
     seed: int | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        u = as_matrix(self.u, "u")
-        if x.ndim != 3 or x.shape[0] < 1:
-            raise ValueError(f"x must be a nonempty (N, T, n) stack, got shape {x.shape}")
-        if w.shape != x.shape:
-            raise ValueError("w must have the shape of x")
-        if u.shape[0] != x.shape[1]:
-            raise ValueError("x, u, w must share the same horizon")
-        if not np.array_equal(w[:, 0], x[:, 0]):
-            raise ValueError("w[:, 0] must equal x[:, 0] (initial-condition embedding)")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "u", u)
+        for name, a in zip("xuw", _record_arrays(self.x, self.u, self.w, ndim=3)):
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -181,12 +187,8 @@ def simulate(
     else:
         noise = np.asarray(noise, dtype=float).reshape(T - 1, n)
 
-    x = np.empty((T, n))
-    x[0] = x0
-    for t in range(T - 1):
-        x[t + 1] = sys.A @ x[t] + sys.B @ u[t] + noise[t]
-    w = np.vstack([x0[None, :], noise])
-    return Trajectory(x=x, u=u.copy(), w=w)
+    x, w = _rollout(sys, x0[None, :], u, noise[None])
+    return Trajectory(x=x[0], u=u.copy(), w=w[0])
 
 
 def generate_ensemble(sys: LtiSystem, T: int, N: int, seed: int) -> Ensemble:
@@ -202,14 +204,23 @@ def generate_ensemble(sys: LtiSystem, T: int, N: int, seed: int) -> Ensemble:
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((T, m))
     noise = sys.noise_std * rng.standard_normal((N, T - 1, n))
+    x, w = _rollout(sys, np.zeros((N, n)), u, noise)
+    return Ensemble(x=x, w=w, u=u, seed=seed)
 
-    # Batch rollout: one time loop advances all members together.
-    u_all = np.broadcast_to(u, (N, T, m))
-    x = np.zeros((N, T, n))
+
+def _rollout(sys: LtiSystem, x0: np.ndarray, u: np.ndarray, noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T, n) states and embedded noise records of N rollouts under one (T, m) input.
+
+    ``x0`` is (N, n) and ``noise`` the (N, T-1, n) process noises.  One time
+    loop advances all members together.
+    """
+    N, T = noise.shape[0], u.shape[0]
+    u_all = np.broadcast_to(u, (N, T, u.shape[1]))
+    x = np.empty((N, T, sys.state_dim))
+    x[:, 0, :] = x0
     for t in range(T - 1):
         x[:, t + 1, :] = x[:, t, :] @ sys.A.T + u_all[:, t, :] @ sys.B.T + noise[:, t, :]
-    w = np.concatenate([np.zeros((N, 1, n)), noise], axis=1)
-    return Ensemble(x=x, w=w, u=u, seed=seed)
+    return x, np.concatenate([x0[:, None, :], noise], axis=1)
 
 
 def average(ens: Ensemble) -> Trajectory:

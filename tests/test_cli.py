@@ -245,6 +245,27 @@ def test_error_exit_code(tmp_path, capsys):
     assert record["command"] == "synth"
 
 
+@pytest.mark.parametrize("command", ["concentration", "mpc"])
+def test_rejects_fewer_than_one_trial(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run([command, "--config", write_config(tmp_path), "--out", str(out), "--trials", "0"]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and "sampling.trials" in record["message"]
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_loaded_config_does_not_share_the_defaults(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"horizons": {"L": 4}}))
+    for cfg in (cli.load_config(None), cli.load_config(str(path)), cli.load_config(None, {"output_dir": "o"})):
+        cfg["sampling"]["seed"] = 99
+        cfg["system"]["A"][0][0] = 99.0
+        cfg["weights"]["R"][1][1] = 99.0
+    assert cli.DEFAULT_CONFIG["sampling"]["seed"] == 0
+    assert cli.DEFAULT_CONFIG["system"]["A"][0][0] == 1.01
+    assert cli.DEFAULT_CONFIG["weights"]["R"][1][1] == 1.0
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "s1", tmp_path / "s2"

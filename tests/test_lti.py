@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddsls.lti import (
     Ensemble,
@@ -92,6 +94,33 @@ class TestEnsemble:
         ens = generate_ensemble(plant, 25, 8, seed=4)
         for x, w in zip(ens.x, ens.w):
             assert transition_error(Trajectory(x=x, u=ens.u, w=w), plant) < 1e-10
+
+
+    @pytest.mark.parametrize("field", ["x", "w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, plant, field, bad):
+        ens = generate_ensemble(plant, 6, 2, seed=9)
+        arrays = {"x": ens.x.copy(), "w": ens.w.copy()}
+        arrays[field][1, 3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Ensemble(u=ens.u, **arrays)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 3),
+        T=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_single_member_is_the_simulated_rollout(self, n, m, T, seed):
+        # Both rollouts run one loop: a one-member ensemble replays under
+        # simulate bit for bit.
+        rng = np.random.default_rng(seed)
+        sys = LtiSystem(A=rng.standard_normal((n, n)) / n, B=rng.standard_normal((n, m)), noise_std=0.3)
+        ens = generate_ensemble(sys, T, 1, seed)
+        traj = simulate(sys, np.zeros(n), ens.u, noise=ens.w[0, 1:])
+        np.testing.assert_array_equal(traj.x, ens.x[0])
+        np.testing.assert_array_equal(traj.w, ens.w[0])
 
 
 class TestAverage:
