@@ -38,15 +38,30 @@ __all__ = [
 ]
 
 
+def _require_nonnegative(**values: float) -> None:
+    """Raise ValueError naming the first argument that is negative."""
+    for name, value in values.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _require_positive_dims(**dims: int) -> None:
+    """Raise ValueError naming the first dimension below 1."""
+    for name, dim in dims.items():
+        if dim < 1:
+            raise ValueError(f"{name} must be >= 1, got {dim}")
+
+
 def eps_precondition(gstar_norm: float, L: int, toepnorm: float) -> float:
     """Largest noise budget for which the suboptimality bound is certified.
 
     Returns min{ 1 / (3 sqrt(L) g), 1 / (2 g t) } for g the optimal
     parameter norm and t the strictly-lower Toeplitz stack norm.  A zero g
-    (degenerate cost) makes the budget unbounded.
+    (degenerate cost) makes the budget unbounded; L < 1 or a negative norm
+    raises ValueError.
     """
-    if gstar_norm < 0 or toepnorm < 0:
-        raise ValueError("norms must be nonnegative")
+    _require_positive_dims(L=L)
+    _require_nonnegative(gstar_norm=gstar_norm, toepnorm=toepnorm)
     if gstar_norm == 0:
         warnings.warn("zero parameter norm: eps precondition is unbounded")
         return math.inf
@@ -84,9 +99,11 @@ def suboptimality_bound(b: BoundInputs) -> BoundValue:
     observability stack norm, and q the Frobenius norm of the square-root
     state weight.  The value is certified only when eps passes
     :func:`eps_precondition` and the data horizon satisfies T >= 2L + 1.
+    A negative eps raises ValueError.
     """
     if b.jstar <= 0:
         raise ValueError("jstar must be positive for the relative bound")
+    _require_nonnegative(eps=b.eps)
     value = (
         6.0
         * b.gstar_norm
@@ -130,10 +147,8 @@ class TailParams:
     sigma2: float
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
+        _require_positive_dims(n=self.n, T=self.T, N=self.N)
+        _require_nonnegative(sigma2=self.sigma2)
 
 
 def tail_bound_matrix(t: float, p: TailParams) -> float:
@@ -187,9 +202,12 @@ def sample_complexity(
 
     Inverting the matrix tail bound at this N produces a noise budget that
     meets the eps precondition; a miss of that self-consistency raises ``RuntimeError``.
+    Dimensions below 1 and negative norms or noise variance raise ValueError.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    _require_positive_dims(L=L, n=n, T=T)
+    _require_nonnegative(gstar_norm=gstar_norm, toepnorm=toepnorm, sigma2=sigma2)
     # By the matrix tail bound, the noise Hankel norm exceeds sqrt(quantile / N) with probability <= delta.
     quantile = 2.0 * sigma2 * n * T * math.log(2.0 * n * T / delta)
     N = max(1, math.ceil(quantile * max(9.0 * L * gstar_norm**2, 4.0 * (gstar_norm * toepnorm) ** 2)))
@@ -200,13 +218,80 @@ def sample_complexity(
     return N
 
 
+def _grams(signals: np.ndarray, L: int) -> np.ndarray:
+    """Grams H H^T of the order-L Hankels of a (B, T, p) signal batch.
+
+    Each Gram is its own BLAS product, so a member's Gram does not depend on
+    the batch it is built in; the bootstrap's exact percentile rests on that.
+    """
+    H = build_hankel(signals, L)
+    return np.matmul(H, H.transpose(0, 2, 1))
+
+
 def hankel_norms_of_signals(signals: np.ndarray, L: int) -> np.ndarray:
     """Spectral norms of the order-L Hankels of a (B, T, p) signal batch, through H H^T."""
     # Chunks of 250 keep the Hankels and their Grams small beside the batch;
     # the clip keeps a zero Hankel's rounding-level negative eigenvalue at 0.
-    chunks = (build_hankel(c, L) for c in np.split(signals, np.arange(250, len(signals), 250)))
-    top = np.concatenate([np.linalg.eigvalsh(np.matmul(H, H.transpose(0, 2, 1)))[:, -1] for H in chunks])
+    chunks = np.split(signals, np.arange(250, len(signals), 250))
+    top = np.concatenate([np.linalg.eigvalsh(_grams(c, L))[:, -1] for c in chunks])
     return np.sqrt(np.maximum(top, 0.0))
+
+
+# Relative widening of both bounds of a top-eigenvalue bracket.  It covers
+# the rounding of the bounds and of eigvalsh, both near 1e-13 of the top
+# eigenvalue for Grams of order up to a few hundred.
+_BRACKET_MARGIN = 1e-6
+
+
+def _top_eigenvalue_brackets(signals: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the top Gram eigenvalue of each order-L Hankel of a signal batch.
+
+    With s = tr G and A = G / s, the top eigenvalue l of G satisfies
+    s v'Av / v'v <= l <= s (tr A^16)^(1/16), for v the column of A^8 with the
+    largest diagonal entry (a Rayleigh quotient, and tr A^16 = ||A^8||_F^2 >= (l/s)^16).
+    Both bounds are widened by ``_BRACKET_MARGIN`` relative, so they hold the
+    value that eigvalsh returns; a zero Gram gets the bracket [0, 0].
+    """
+    lower, upper = [], []
+    for chunk in np.split(signals, np.arange(100, len(signals), 100)):
+        G = _grams(chunk, L)
+        s = np.trace(G, axis1=1, axis2=2)
+        A = np.divide(G, s[:, None, None], out=G, where=s[:, None, None] > 0)
+        A8 = A @ A
+        A8 = A8 @ A8
+        A8 = A8 @ A8
+        upper.append(s * np.einsum("bij,bij->b", A8, A8) ** 0.0625 * (1 + _BRACKET_MARGIN))
+        j = np.argmax(np.diagonal(A8, axis1=1, axis2=2), axis=1)
+        v = np.take_along_axis(A8, j[:, None, None], axis=2)[..., 0]
+        vv = np.einsum("bi,bi->b", v, v)
+        vav = np.einsum("bi,bij,bj->b", v, A, v)
+        rayleigh = np.divide(vav, vv, out=np.zeros_like(vv), where=vv > 0)
+        lower.append(s * rayleigh * (1 - _BRACKET_MARGIN))
+    return np.concatenate(lower), np.concatenate(upper)
+
+
+def _hankel_norm_percentile(signals: np.ndarray, L: int, q: float) -> float:
+    """``np.percentile(hankel_norms_of_signals(signals, L), q)``, bit for bit, from few eigvalsh calls.
+
+    The percentile interpolates the order statistics of ranks k and k + 1
+    (ranks count from 0), k = floor((B - 1) q / 100).  The window runs from the (k - 1)-th smallest
+    lower bound to the (k + 2)-th smallest upper bound (one rank of slack on
+    each side, so no rounding of k matters) and holds both.  A member whose
+    bracket meets the window gets its exact norm; any other lies wholly below
+    or above it and stands in with the bound on its own side.  The count of
+    values below each point of the window is then the exact one, and so are
+    the order statistics inside it.
+    """
+    lower, upper = _top_eigenvalue_brackets(signals, L)
+    B = len(lower)
+    k = math.floor((B - 1) * (q / 100))
+    window_lo = np.partition(lower, max(k - 1, 0))[max(k - 1, 0)]
+    window_hi = np.partition(upper, min(k + 2, B - 1))[min(k + 2, B - 1)]
+    below = upper < window_lo
+    norms = np.sqrt(np.maximum(np.where(below, upper, lower), 0.0))
+    exact = np.flatnonzero(~below & (lower <= window_hi))
+    norms[exact] = hankel_norms_of_signals(signals[exact], L)
+    return float(np.percentile(norms, q))
 
 
 def bootstrap_epsilon(
@@ -235,6 +320,13 @@ def bootstrap_epsilon(
     statistic, and plain with-replacement resampling is known to inflate its
     quantiles through the anisotropy of the shared empirical covariance;
     subsampling avoids that and keeps the percentile close to nominal.
+
+    The percentile is exact: it equals ``np.percentile`` of every resample's
+    norm from :func:`hankel_norms_of_signals`, bit for bit.  Cheap bounds on
+    each resample's top Gram eigenvalue (three batched matrix squarings)
+    pick the few resamples that can sit at the two order statistics the
+    percentile interpolates; only those get an exact eigvalsh.  The bounds
+    are widened by a relative margin of 1e-6 against rounding.
     """
     N = len(ens)
     if N < 2:
@@ -260,5 +352,4 @@ def bootstrap_epsilon(
     # the sampling variance of a fresh mean of N members.
     means = (sel @ flat) * (np.sqrt(m * (N - 1) / (N - m)) / (m * np.sqrt(N)))
     means = means.reshape(resamples, *deviations.shape[1:])
-    norms = hankel_norms_of_signals(means, L)
-    return float(np.percentile(norms, 95.0))
+    return _hankel_norm_percentile(means, L, 95.0)

@@ -110,18 +110,25 @@ def _process_noise(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_horizon(T: int) -> None:
+    """Raise ValueError unless the horizon T holds at least one step."""
+    if T < 1:
+        raise ValueError(f"horizon T must be >= 1, got {T}")
+
+
 def _record_arrays(x, u, w, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The float arrays of a valid record: ``ndim``-D (..., T, n) states ``x`` and
     noise ``w`` under their (T, m) input ``u``.
 
-    Raises ValueError unless the three share the horizon, ``w`` has the shape
-    of ``x``, every entry is finite and the noise embeds the initial
-    condition (``w[..., 0, :] == x[..., 0, :]``).
+    Raises ValueError unless the three share a horizon of at least one step,
+    ``w`` has the shape of ``x``, every entry is finite and the noise embeds
+    the initial condition (``w[..., 0, :] == x[..., 0, :]``).
     """
     x, w = np.asarray(x, dtype=float), np.asarray(w, dtype=float)
     u = as_matrix(u, "u")
     if x.ndim != ndim or 0 in x.shape[:-2]:
         raise ValueError(f"x must be a nonempty {ndim}-D record, got shape {x.shape}")
+    _check_horizon(x.shape[-2])
     if w.shape != x.shape:
         raise ValueError(f"w must have the shape {x.shape} of x, got {w.shape}")
     if u.shape[0] != x.shape[-2]:
@@ -178,6 +185,7 @@ def simulate(
     if u.ndim == 1:
         u = u[:, None]
     T = u.shape[0]
+    _check_horizon(T)
     n, m = sys.state_dim, sys.input_dim
     if u.shape[1] != m:
         raise ValueError(f"u has {u.shape[1]} columns, expected {m}")
@@ -200,6 +208,7 @@ def generate_ensemble(sys: LtiSystem, T: int, N: int, seed: int) -> Ensemble:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_horizon(T)
     n, m = sys.state_dim, sys.input_dim
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((T, m))

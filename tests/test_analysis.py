@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddsls import analysis
 from ddsls.analysis import (
@@ -35,6 +37,11 @@ class TestEpsPrecondition:
     def test_zero_norm_unbounded(self):
         with pytest.warns(UserWarning):
             assert eps_precondition(0.0, 5, 2.0) == math.inf
+
+    @pytest.mark.parametrize("name, args", [("L", (1.0, 0, 1.0)), ("gstar_norm", (-1.0, 5, 1.0))])
+    def test_invalid_arguments_rejected_by_name(self, name, args):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            eps_precondition(*args)
 
     def test_bench_values_finite(self, plant, bench_weights):
         from ddsls.blockops import toeplitz_stack
@@ -85,6 +92,10 @@ class TestSuboptimalityBound:
         b = suboptimality_bound(_inputs(1e-6, T=15, L=10))
         assert not b.certified
 
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError, match="^eps "):
+            suboptimality_bound(BoundInputs(1.0, -1.0, 3, 10, 1.0, 1.0, 1.0, 1.0))
+
 
 class TestTailBounds:
     P = TailParams(n=3, T=45, N=100, sigma2=0.1)
@@ -118,6 +129,14 @@ class TestTailBounds:
         assert tail_bound_matrix(0.0, p) == 1.0
         assert tail_bound_matrix(0.1, p) == 0.0
 
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [("n", {"n": 0}), ("T", {"T": 0}), ("N", {"N": 0}), ("sigma2", {"sigma2": -0.1})],
+    )
+    def test_invalid_params_rejected_by_name(self, name, kwargs):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            TailParams(**{"n": 3, "T": 45, "N": 100, "sigma2": 0.1, **kwargs})
+
     def test_monte_carlo_dominance_desk_scale(self):
         # Small pilot of the full acceptance check.
         p = self.P
@@ -147,6 +166,15 @@ class TestSampleComplexity:
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
             sample_complexity(1.5, 1.0, 5, 1.0, 2, 20, 0.1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("gstar_norm", -2.0), ("L", 0), ("toepnorm", -40.0), ("n", 0), ("T", 0), ("sigma2", -0.1)],
+    )
+    def test_invalid_arguments_rejected_by_name(self, name, value):
+        args = {"gstar_norm": 2.0, "L": 10, "toepnorm": 40.0, "n": 3, "T": 45, "sigma2": 0.1}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            sample_complexity(0.05, **{**args, name: value})
 
     def test_inconsistent_precondition_raises(self, monkeypatch):
         # The check survives python -O, which strips asserts.
@@ -210,3 +238,73 @@ def test_hankel_norms_match_direct_construction():
     for b in range(5):
         direct = spectral_norm(build_hankel(sigs[b], 3))
         assert norms[b] == pytest.approx(direct, rel=1e-12)
+
+
+def _member_batches(B, T, p, seed, zero_share, tie_share, repeat_share, scaled_share):
+    """A (B, T, p) signal batch mixing Gaussian members with all-zero members,
+    members whose top two Gram eigenvalues tie exactly, repeats of the
+    previous member and members scaled by 1e-100 or 1e100."""
+    rng = np.random.default_rng(seed)
+    signals = rng.standard_normal((B, T, p))
+    kind = rng.random(B)
+    zero = kind < zero_share
+    tie = (kind >= zero_share) & (kind < zero_share + tie_share)
+    signals[zero] = 0.0
+    # An impulse at t = 1 fills block rows 0 and 1 of columns 1 and 0 with
+    # one value, so the Gram is diagonal with two equal top entries.
+    signals[tie] = 0.0
+    signals[tie, 1, 0] = rng.uniform(0.5, 2.0, size=int(tie.sum()))
+    repeat = rng.random(B) < repeat_share
+    repeat[0] = False
+    for i in np.flatnonzero(repeat):
+        signals[i] = signals[i - 1]
+    scaled = rng.random(B) < scaled_share
+    signals[scaled] *= rng.choice([1e-100, 1e100], size=int(scaled.sum()))[:, None, None]
+    return signals
+
+
+class TestHankelNormPercentile:
+    batches = dict(
+        B=st.sampled_from([1, 2, 21, 101, 1000]),
+        T=st.integers(3, 30),
+        p=st.integers(1, 3),
+        L=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+        zero_share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        tie_share=st.sampled_from([0.0, 0.1, 0.5]),
+        repeat_share=st.sampled_from([0.0, 0.2]),
+        scaled_share=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(**batches)
+    def test_brackets_hold_the_exact_top_eigenvalue(self, B, T, p, L, **kinds):
+        L = min(L, T - 1)
+        signals = _member_batches(B, T, p, **kinds)
+        lower, upper = analysis._top_eigenvalue_brackets(signals, L)
+        exact = np.linalg.eigvalsh(analysis._grams(signals, L))[:, -1]
+        assert np.all(lower <= exact) and np.all(exact <= upper)
+        assert np.all(lower >= 0.0)
+        zero = ~signals.any(axis=(1, 2))
+        assert np.all(upper[zero] == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**batches)
+    def test_percentile_equals_the_exact_one_bit_for_bit(self, B, T, p, L, **kinds):
+        L = min(L, T - 1)
+        signals = _member_batches(B, T, p, **kinds)
+        exact = float(np.percentile(hankel_norms_of_signals(signals, L), 95.0))
+        assert analysis._hankel_norm_percentile(signals, L, 95.0) == exact
+
+    def test_bootstrap_uses_few_exact_norms(self, plant, monkeypatch):
+        ens = generate_ensemble(plant, T_BENCH, 64, seed=9)
+        exact_counts = []
+        norms = analysis.hankel_norms_of_signals
+
+        def counting(signals, L):
+            exact_counts.append(len(signals))
+            return norms(signals, L)
+
+        monkeypatch.setattr(analysis, "hankel_norms_of_signals", counting)
+        bootstrap_epsilon(ens, L_BENCH, resamples=1000, statistic="noise", seed=3)
+        assert exact_counts and exact_counts[0] < 100

@@ -59,6 +59,10 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(plant, np.zeros(3), np.zeros((5, 2)))
 
+    def test_empty_horizon_rejected(self, plant):
+        with pytest.raises(ValueError, match="horizon"):
+            simulate(plant, np.zeros(3), np.zeros((0, 3)))
+
 
 class TestEnsemble:
     def test_singleton(self, plant):
@@ -159,6 +163,14 @@ class TestAverage:
         with pytest.raises(ValueError):
             Ensemble(x=np.zeros((0, 5, 2)), w=np.zeros((0, 5, 2)), u=np.zeros((5, 1)))
 
+    def test_empty_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            Ensemble(x=np.zeros((3, 0, 2)), w=np.zeros((3, 0, 2)), u=np.zeros((0, 1)))
+
+    def test_generate_empty_horizon_rejected(self, plant):
+        with pytest.raises(ValueError, match="horizon"):
+            generate_ensemble(plant, 0, 4, seed=0)
+
 
 class TestSerialization:
     def test_trajectory_roundtrip(self, plant, tmp_path):
@@ -220,6 +232,10 @@ class TestSerialization:
     def test_trajectory_validation(self):
         with pytest.raises(ValueError):
             Trajectory(x=np.zeros((5, 2)), u=np.zeros((5, 1)), w=np.ones((5, 2)))
+
+    def test_trajectory_empty_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            Trajectory(x=np.zeros((0, 2)), u=np.zeros((0, 2)), w=np.zeros((0, 2)))
 
     def test_concurrent_writers_leave_a_complete_file(self, tmp_path):
         import sys
