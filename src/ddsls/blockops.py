@@ -167,6 +167,8 @@ class LtvOperator:
     @classmethod
     def from_block_diagonal(cls, blocks: list[np.ndarray]) -> "LtvOperator":
         """Block-diagonal operator from per-step gains (time-varying static map)."""
+        if len(blocks) == 0:
+            raise ValueError("blocks must hold at least one per-step gain")
         p, q = as_matrix(blocks[0], "block").shape
         return cls(horizon=len(blocks), block_rows=p, block_cols=q, dense=block_diag(blocks))
 
@@ -205,21 +207,25 @@ class CostWeights:
         for name, M in (("q_state", Q), ("r_input", R), ("q_terminal", QF)):
             if M.shape[0] != M.shape[1]:
                 raise ValueError(f"{name} must be square")
-            if not np.allclose(M, M.T, atol=1e-12, rtol=0.0):
-                raise ValueError(f"{name} must be symmetric to 1e-12")
         if QF.shape != Q.shape:
             raise ValueError("q_terminal must match q_state in shape")
-        if np.linalg.eigvalsh(R).min() <= 0.0:
-            raise ValueError("r_input must be positive definite")
-        if np.linalg.eigvalsh(Q).min() < -1e-10:
-            raise ValueError("q_state must be positive semidefinite")
-        if np.linalg.eigvalsh(QF).min() < -1e-10:
-            raise ValueError("q_terminal must be positive semidefinite")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        # psd_sqrt holds the symmetry and semidefiniteness checks.
+        qh, qfh = psd_sqrt(Q, "q_state"), psd_sqrt(QF, "q_terminal")
+        if np.linalg.eigvalsh(R).min() <= 0.0:
+            raise ValueError("r_input must be positive definite")
+        rh = psd_sqrt(R, "r_input")
+        L, n, m = self.horizon, Q.shape[0], R.shape[0]
+        W = np.zeros(((n + m) * L, (n + m) * L))
+        W[: n * L, : n * L] = np.kron(np.eye(L), qh)
+        W[(L - 1) * n : n * L, (L - 1) * n : n * L] = qfh
+        W[n * L :, n * L :] = np.kron(np.eye(L), rh)
+        W.flags.writeable = False
         object.__setattr__(self, "q_state", Q)
         object.__setattr__(self, "r_input", R)
         object.__setattr__(self, "q_terminal", QF)
+        object.__setattr__(self, "_root", W)
 
     @property
     def state_dim(self) -> int:
@@ -230,13 +236,5 @@ class CostWeights:
         return self.r_input.shape[0]
 
     def weight_sqrt(self) -> np.ndarray:
-        """blkdiag of the PSD square roots of the lifted state/input weights."""
-        L, n, m = self.horizon, self.state_dim, self.input_dim
-        qh = psd_sqrt(self.q_state, "q_state")
-        rh = psd_sqrt(self.r_input, "r_input")
-        qfh = psd_sqrt(self.q_terminal, "q_terminal")
-        W = np.zeros(((n + m) * L, (n + m) * L))
-        W[: n * L, : n * L] = np.kron(np.eye(L), qh)
-        W[(L - 1) * n : n * L, (L - 1) * n : n * L] = qfh
-        W[n * L :, n * L :] = np.kron(np.eye(L), rh)
-        return W
+        """blkdiag of the PSD square roots of the lifted state/input weights (read-only, built once)."""
+        return self._root

@@ -40,7 +40,11 @@ _DIVERGENCE_THRESHOLD = 1e6  # state norm beyond which an MPC run stops as diver
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """One receding-horizon run of a finite-horizon LTV controller."""
+    """One receding-horizon run of a finite-horizon LTV controller.
+
+    A controller whose blocks are not (inputs x states) of the plant, or a
+    ``q_state`` or ``r_input`` of another size than the plant's, raises ValueError.
+    """
 
     horizon: int
     plant: LtiSystem
@@ -52,6 +56,13 @@ class MpcConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        n, m = self.plant.state_dim, self.plant.input_dim
+        blocks = (self.controller.block_rows, self.controller.block_cols)
+        if blocks != (m, n):
+            raise ValueError(f"controller blocks must be {m} x {n} (inputs x states), got {blocks[0]} x {blocks[1]}")
+        for name, M, k in (("q_state", self.q_state, n), ("r_input", self.r_input, m)):
+            if np.shape(M) != (k, k):
+                raise ValueError(f"{name} must be {k} x {k} to match the plant, got shape {np.shape(M)}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ optimal responses from noiseless trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,9 +109,9 @@ class GStar:
 
     blocks: list
 
-    @property
+    @cached_property
     def norm(self) -> float:
-        """Spectral norm; equals the largest block norm by block-diagonality."""
+        """Spectral norm, computed once; equals the largest block norm by block-diagonality."""
         return max(spectral_norm(b) for b in self.blocks)
 
 

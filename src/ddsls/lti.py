@@ -179,7 +179,7 @@ def simulate(
     """Roll the system forward under an input signal.
 
     ``noise`` is the (T-1, n) array of process noises w(0..T-2); zeros when
-    absent.
+    absent.  An ``x0`` or ``noise`` of the wrong size raises ValueError.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
@@ -189,11 +189,13 @@ def simulate(
     n, m = sys.state_dim, sys.input_dim
     if u.shape[1] != m:
         raise ValueError(f"u has {u.shape[1]} columns, expected {m}")
-    x0 = np.asarray(x0, dtype=float).reshape(n)
-    if noise is None:
-        noise = np.zeros((T - 1, n))
-    else:
-        noise = np.asarray(noise, dtype=float).reshape(T - 1, n)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size != n:
+        raise ValueError(f"x0 must hold {n} states, got shape {x0.shape}")
+    noise = np.zeros((T - 1, n)) if noise is None else np.asarray(noise, dtype=float)
+    if noise.size != (T - 1) * n:
+        raise ValueError(f"noise must hold {T - 1} x {n} process noises, got shape {noise.shape}")
+    x0, noise = x0.reshape(n), noise.reshape(T - 1, n)
 
     x, w = _rollout(sys, x0[None, :], u, noise[None])
     return Trajectory(x=x[0], u=u.copy(), w=w[0])

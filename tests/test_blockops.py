@@ -191,6 +191,10 @@ class TestLtvOperator:
         with pytest.raises(ValueError):
             LtvOperator(2, 2, 2, np.zeros((3, 4)))
 
+    def test_block_diagonal_of_no_blocks_rejected(self):
+        with pytest.raises(ValueError, match="^blocks must hold"):
+            LtvOperator.from_block_diagonal([])
+
 
 class TestCostWeights:
     def test_lifted_blocks(self):
@@ -220,3 +224,15 @@ class TestCostWeights:
                 q_terminal=np.eye(2),
                 horizon=2,
             )
+
+    def test_root_is_built_once_and_read_only(self):
+        w = CostWeights(q_state=np.eye(2), r_input=np.eye(1), q_terminal=2 * np.eye(2), horizon=3)
+        W = w.weight_sqrt()
+        assert W is w.weight_sqrt() and not W.flags.writeable
+
+    def test_semidefiniteness_is_relative_to_the_largest_eigenvalue(self):
+        # An eigenvalue of -5e-9 is rounding beside 1e3: accepted, and its root is zero.
+        w = CostWeights(q_state=np.diag([1e3, 1.0, -5e-9]), r_input=np.eye(1), q_terminal=np.eye(3), horizon=2)
+        np.testing.assert_array_equal(np.diag(w.weight_sqrt())[:3], [np.sqrt(1e3), 1.0, 0.0])
+        with pytest.raises(ValueError, match="q_state must be positive semidefinite"):
+            CostWeights(q_state=np.diag([1.0, 1.0, -5e-9]), r_input=np.eye(1), q_terminal=np.eye(3), horizon=2)

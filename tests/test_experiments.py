@@ -121,6 +121,27 @@ class TestMpcRun:
         assert a.state_norm == b.state_norm
 
 
+    @pytest.mark.parametrize(
+        "name, override",
+        [
+            ("controller", {"controller": LtvOperator(L_BENCH, 3, 2, np.zeros((30, 20)))}),
+            ("q_state", {"q_state": np.eye(2)}),
+            ("r_input", {"r_input": np.eye(4)}),
+        ],
+    )
+    def test_shapes_that_miss_the_plant_rejected_by_name(self, plant, bench_weights, name, override):
+        args = dict(
+            horizon=10,
+            plant=plant,
+            controller=stationary_controller(plant, bench_weights),
+            q_state=bench_weights.q_state,
+            r_input=bench_weights.r_input,
+            seed=0,
+        )
+        with pytest.raises(ValueError, match=f"^{name} "):
+            MpcConfig(**{**args, **override})
+
+
 class TestCompareControllers:
     def test_desk_scale_structure(self, plant, bench_weights):
         results = compare_controllers(

@@ -63,6 +63,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="horizon"):
             simulate(plant, np.zeros(3), np.zeros((0, 3)))
 
+    @pytest.mark.parametrize(
+        "name, x0, noise", [("x0", np.zeros(2), None), ("noise", np.zeros(3), np.zeros((5, 3)))]
+    )
+    def test_wrong_size_arguments_rejected_by_name(self, plant, name, x0, noise):
+        with pytest.raises(ValueError, match=f"^{name} must hold"):
+            simulate(plant, x0, np.zeros((5, 3)), noise=noise)
+
 
 class TestEnsemble:
     def test_singleton(self, plant):
