@@ -11,14 +11,12 @@ gap, ``search_gap``, gamma, h and jhat/J*, the realized cost of the
 controller over the optimal one.
 
     PYTHONPATH=src python scripts/default_inputs.py
-    PYTHONPATH=src python scripts/default_inputs.py --structures full --sizes 8 --seeds 1
 
 Run with ``OPENBLAS_NUM_THREADS=1`` for steadier times.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import time
 
@@ -54,15 +52,10 @@ def run_input(structure: str, N: int, seed: int, max_iter: int = 10_000) -> dict
     }
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--structures", nargs="+", default=["blockdiag", "full"])
-    parser.add_argument("--sizes", nargs="+", type=int, default=[8, 32, 128])
-    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    args = parser.parse_args(argv)
-    for structure in args.structures:
-        for N in args.sizes:
-            for seed in args.seeds:
+def main() -> None:
+    for structure in ("blockdiag", "full"):
+        for N in (8, 32, 128):
+            for seed in (1, 2, 3):
                 print(json.dumps(run_input(structure, N, seed)), flush=True)
 
 

@@ -120,7 +120,6 @@ class TestMpcRun:
         assert a.cost == b.cost
         assert a.state_norm == b.state_norm
 
-
     @pytest.mark.parametrize(
         "name, override",
         [
