@@ -8,7 +8,9 @@ realized noise Hankel norm ||hw||_2.  Each input runs ``synth_robust``
 with its default solver settings for each structure, and prints one JSON
 line: wall time, inner solves and iterations, the final solve's status and
 gap, ``search_gap``, gamma, h and jhat/J*, the realized cost of the
-controller over the optimal one.
+controller over the optimal one.  After them it prints one JSON line per
+structure with its totals over the nine inputs: final solves "optimal",
+inner solves, iterations and the median wall time.
 
     PYTHONPATH=src python scripts/default_inputs.py
 
@@ -18,6 +20,7 @@ Run with ``OPENBLAS_NUM_THREADS=1`` for steadier times.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 from ddsls import cli, experiments, lqg, sls, synth
@@ -52,11 +55,27 @@ def run_input(structure: str, N: int, seed: int, max_iter: int = 10_000) -> dict
     }
 
 
+def totals(rows: list[dict]) -> dict:
+    """One structure's totals over its inputs' rows."""
+    return {
+        "structure": rows[0]["structure"],
+        "inputs": len(rows),
+        "optimal": sum(row["status"] == "optimal" for row in rows),
+        "solves": sum(row["solves"] for row in rows),
+        "iterations": sum(row["iterations"] for row in rows),
+        "median_wall_s": statistics.median(row["wall_s"] for row in rows),
+    }
+
+
 def main() -> None:
-    for structure in ("blockdiag", "full"):
+    by_structure = {"blockdiag": [], "full": []}
+    for structure, rows in by_structure.items():
         for N in (8, 32, 128):
             for seed in (1, 2, 3):
-                print(json.dumps(run_input(structure, N, seed)), flush=True)
+                rows.append(run_input(structure, N, seed))
+                print(json.dumps(rows[-1]), flush=True)
+    for rows in by_structure.values():
+        print(json.dumps(totals(rows)), flush=True)
 
 
 if __name__ == "__main__":

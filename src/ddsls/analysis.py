@@ -39,9 +39,9 @@ __all__ = [
 
 
 def _require_nonnegative(**values: float) -> None:
-    """Raise ValueError naming the first argument that is negative."""
+    """Raise ValueError naming the first argument that is negative or NaN."""
     for name, value in values.items():
-        if value < 0:
+        if not value >= 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 

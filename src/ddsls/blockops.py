@@ -128,12 +128,16 @@ def matrix_rank(M: np.ndarray) -> int:
 
 
 def psd_sqrt(M: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition."""
+    """Symmetric PSD square root via eigendecomposition.
+
+    An eigenvalue below -1e-10 times the largest |eigenvalue| is a negative
+    direction and raises ValueError; one above it is rounding, rooted as 0.
+    """
     M = as_matrix(M, name)
     if not np.allclose(M, M.T, atol=1e-12, rtol=0.0):
         raise ValueError(f"{name} must be symmetric to 1e-12")
     vals, vecs = np.linalg.eigh(M)
-    if vals.min(initial=0.0) < -1e-10 * max(1.0, abs(vals).max(initial=0.0)):
+    if vals.min(initial=0.0) < -1e-10 * abs(vals).max(initial=0.0):
         raise ValueError(f"{name} must be positive semidefinite")
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 

@@ -205,6 +205,10 @@ def compare_controllers(
     ``N_list``, then trial, then optimal, robust_bootstrap, robust_true,
     naive.
     """
+    if trials_per_N < 1:
+        raise ValueError(f"trials_per_N must be >= 1, got {trials_per_N}")
+    if not N_list:
+        raise ValueError("N_list must hold at least one sample size")
     L = weights.horizon
     responses_star, plant_terms = _plant_terms(sys, weights, T)
     jstar = plant_terms["jstar"]

@@ -49,8 +49,8 @@ class LtiSystem:
             raise ValueError("A must be square")
         if B.shape[0] != A.shape[0]:
             raise ValueError("B row count must match A")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 

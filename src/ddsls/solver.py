@@ -23,8 +23,9 @@ the Lagrange dual of the ball by a primal-dual Newton method.  The coupled
 causal variable (``CoupledCausalProblem``) is solved by ADMM in nullspace
 coordinates, certified by the Fenchel dual of the splitting at its multiplier.
 Both stop on that gap alone, once it is at most ``tol``: the Newton method
-checks it at every step, the ADMM every ``_GAP_EVERY`` iterations, and the
-ADMM's primal and dual residuals only steer its penalty rho.
+checks it at every step, the ADMM every ``_GAP_EVERY`` iterations.  Those
+check points are also the only places where the ADMM's penalty rho moves,
+steered by its primal and dual residuals.
 
 ``gamma_search`` minimizes h(gamma) = f(gamma) / (1 - gamma) over one inner
 problem, where f(gamma) is the inner optimal value at radius
@@ -462,7 +463,7 @@ class CoupledCausalProblem:
     (rows x rows); the inverse is formed once per rho from K_j's eigenbasis.
     """
 
-    _GAP_EVERY = 50  # iterations between gap checks; one costs about 3 iterations
+    _GAP_EVERY = 50  # iterations between check points, where rho moves and the gap (~3 iterations' work) is checked
 
     def __init__(self, cmap: np.ndarray, h1x: np.ndarray):
         self.C = np.asarray(cmap, dtype=float)
@@ -509,6 +510,8 @@ class CoupledCausalProblem:
         G = self._original(self._closed[: self._free])
         self.unconstrained = _closed_form_report(G, self._objective(G), self._least)
         self.unconstrained_norm = float(np.linalg.svd(G, compute_uv=False)[0])
+        # A cold start's penalty, far below the top curvature of block column 0.
+        self._rho0 = float(1e-4 * lam[0, -1]) if lam[0, -1] > 0 else 1.0
 
     def _objective(self, G: np.ndarray) -> float:
         return float(np.linalg.norm(self.C @ G))
@@ -545,31 +548,21 @@ class CoupledCausalProblem:
         """The point G_part + (I (x) N) Z of free part Z, in the original coordinates."""
         return self.G_part + np.matmul(self._null, Z.reshape(self.L, -1, Z.shape[1])).reshape(self.G_part.shape)
 
-    def _initial_rho(self) -> float:
-        """Penalty matched to the curvature spread of block column 0 (else 1).
-
-        Its reduced Gram (C_0 B)^T (C_0 B), B = I_L (x) N, shares the nonzero
-        spectrum of K_0 and is singular when it is wider than K_0.
-        """
-        lam = self._eigvals[0]
-        reduced = self.L * self._null.shape[1]
-        if lam[-1] <= 0:
-            return 1.0
-        low = lam[lam.size - reduced] if reduced <= lam.size else 0.0
-        return float(np.sqrt(max(low, 1e-8 * lam[-1]) * lam[-1]))
-
     def solve(self, tau: float, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
         """Solve with ball radius tau.
 
         The result depends on the arguments only: the ADMM resumes from the
         (Y, Uv, rho) ``start.state`` (nullspace coordinates) of an earlier
-        report at any radius, else from the ball projection of the closed form.
+        report at any radius, else from the ball projection of the closed form
+        with U = 0 and rho 1e-4 times the top eigenvalue of K_0.
 
-        Every ``_GAP_EVERY`` iterations the report of the current iterate is
-        built, and the ADMM stops once its gap is at most ``tol``; at the cap
-        one report is built.  The primal and dual residuals only steer rho.
-        ``gap`` and ``cut`` come from ``_dual_bound`` at the multiplier
-        rho U, capped solves included, and "optimal" means gap <= tol.
+        Every ``_GAP_EVERY`` iterations, and only there, rho moves: it doubles
+        (halves) when the primal residual ||G - Y|| is more than ten times the
+        dual one rho ||Y - Y_prev|| (the reverse), with Uv rescaled.  Then the
+        report of the current iterate is built, and the ADMM stops once its
+        gap is at most ``tol``; at the cap one report is built.  ``gap`` and
+        ``cut`` come from ``_dual_bound`` at the multiplier rho U, capped
+        solves included, and "optimal" means gap <= tol.
         """
         if (closed := _closed_form_at(self, tau)) is not None:
             return closed
@@ -577,13 +570,11 @@ class CoupledCausalProblem:
             Y, Uv, rho = start.state
         else:
             Y = _ball_projection(self._closed, tau)
-            Uv, rho = np.zeros_like(Y), self._initial_rho()
-        free, relax, inv, inv_rho = self._free, 1.7, None, None
+            Uv, rho = np.zeros_like(Y), self._rho0
+        free, relax, inv = self._free, 1.7, self._resolvent(rho)
         G = np.vstack([np.zeros_like(self._causal), self._fixed])  # its trailing rows never change
         it = 0
         for it in range(1, max_iter + 1):
-            if rho != inv_rho:
-                inv, inv_rho = self._resolvent(rho, inv), rho
             G[:free] = self._step(inv, (Y[:free] - Uv[:free]) * self._causal, self._CG)[0]
             # Over-relaxed ball step: Q = relax G + (1 - relax) Y + Uv.
             Q = relax * G
@@ -591,16 +582,15 @@ class CoupledCausalProblem:
             Q += Uv
             Y_prev, Y = Y, _ball_projection(Q, tau)
             Uv = np.subtract(Q, Y, out=Q)
-            if it % 10 == 0:
+            if it % self._GAP_EVERY == 0:
                 r = float(np.linalg.norm(G - Y))
                 s = rho * float(np.linalg.norm(Y - Y_prev))
                 if r > 10.0 * s or s > 10.0 * r:
                     factor = 2.0 if r > s else 0.5
                     rho *= factor
                     Uv /= factor
-            if it % self._GAP_EVERY == 0 and it < max_iter:
-                rep = self._report(Y, Uv, rho, tau, tol, it)
-                if rep.status == "optimal":
+                    inv = self._resolvent(rho, inv)
+                if it < max_iter and (rep := self._report(Y, Uv, rho, tau, tol, it)).status == "optimal":
                     return rep
         G = Y_prev = inv = None  # the loop's arrays: freed before the report makes its own
         return self._report(Y, Uv, rho, tau, tol, it)

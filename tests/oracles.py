@@ -261,7 +261,7 @@ def coupled_admm(
     Starts at Y the ball projection of the closed form, U = 0, and runs
     ``iters`` over-relaxed (1.7) iterations: G the reference step at
     V = Y - U, Y the ball projection of 1.7 G - 0.7 Y + U, U the remainder.
-    Every 10 iterations rho doubles (U halves) when the primal residual
+    Every 50 iterations rho doubles (U halves) when the primal residual
     ||G - Y|| exceeds ten times the dual one rho ||Y - Y_prev||, and halves
     (U doubles) in the opposite case.  Returns the affine projection of the
     last Y, blended toward the minimum-norm point until it is in the ball,
@@ -278,7 +278,7 @@ def coupled_admm(
         Q = 1.7 * G - 0.7 * Y + U
         Y_prev, Y = Y, _project_ball(Q, tau)
         U = Q - Y
-        if it % 10 == 0:
+        if it % 50 == 0:
             r, s = np.linalg.norm(G - Y), rho * np.linalg.norm(Y - Y_prev)
             if r > 10.0 * s:
                 rho, U = 2.0 * rho, U / 2.0

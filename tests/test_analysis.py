@@ -38,7 +38,10 @@ class TestEpsPrecondition:
         with pytest.warns(UserWarning):
             assert eps_precondition(0.0, 5, 2.0) == math.inf
 
-    @pytest.mark.parametrize("name, args", [("L", (1.0, 0, 1.0)), ("gstar_norm", (-1.0, 5, 1.0))])
+    @pytest.mark.parametrize(
+        "name, args",
+        [("L", (1.0, 0, 1.0)), ("gstar_norm", (-1.0, 5, 1.0)), ("gstar_norm", (math.nan, 5, 1.0))],
+    )
     def test_invalid_arguments_rejected_by_name(self, name, args):
         with pytest.raises(ValueError, match=f"^{name} "):
             eps_precondition(*args)
@@ -96,6 +99,13 @@ class TestSuboptimalityBound:
         with pytest.raises(ValueError, match="^eps "):
             suboptimality_bound(BoundInputs(1.0, -1.0, 3, 10, 1.0, 1.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "name, kwargs", [("eps", {"eps": math.nan}), ("gstar_norm", {"eps": 1e-4, "g": math.nan})]
+    )
+    def test_nan_input_rejected_by_name(self, name, kwargs):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            suboptimality_bound(_inputs(**kwargs))
+
 
 class TestTailBounds:
     P = TailParams(n=3, T=45, N=100, sigma2=0.1)
@@ -131,7 +141,13 @@ class TestTailBounds:
 
     @pytest.mark.parametrize(
         "name, kwargs",
-        [("n", {"n": 0}), ("T", {"T": 0}), ("N", {"N": 0}), ("sigma2", {"sigma2": -0.1})],
+        [
+            ("n", {"n": 0}),
+            ("T", {"T": 0}),
+            ("N", {"N": 0}),
+            ("sigma2", {"sigma2": -0.1}),
+            ("sigma2", {"sigma2": math.nan}),
+        ],
     )
     def test_invalid_params_rejected_by_name(self, name, kwargs):
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -169,7 +185,16 @@ class TestSampleComplexity:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("gstar_norm", -2.0), ("L", 0), ("toepnorm", -40.0), ("n", 0), ("T", 0), ("sigma2", -0.1)],
+        [
+            ("gstar_norm", -2.0),
+            ("L", 0),
+            ("toepnorm", -40.0),
+            ("n", 0),
+            ("T", 0),
+            ("sigma2", -0.1),
+            ("gstar_norm", math.nan),
+            ("sigma2", math.nan),
+        ],
     )
     def test_invalid_arguments_rejected_by_name(self, name, value):
         args = {"gstar_norm": 2.0, "L": 10, "toepnorm": 40.0, "n": 3, "T": 45, "sigma2": 0.1}

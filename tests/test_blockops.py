@@ -236,3 +236,12 @@ class TestCostWeights:
         np.testing.assert_array_equal(np.diag(w.weight_sqrt())[:3], [np.sqrt(1e3), 1.0, 0.0])
         with pytest.raises(ValueError, match="q_state must be positive semidefinite"):
             CostWeights(q_state=np.diag([1.0, 1.0, -5e-9]), r_input=np.eye(1), q_terminal=np.eye(3), horizon=2)
+
+    def test_semidefiniteness_holds_below_unit_scale(self, bench_weights):
+        # A negative direction as large as the positive one is no rounding,
+        # however small the weight.
+        with pytest.raises(ValueError, match="q_state must be positive semidefinite"):
+            CostWeights(q_state=1e-11 * np.diag([1.0, -1.0]), r_input=np.eye(1), q_terminal=np.eye(2), horizon=2)
+        # The reference weights, Q = 1e-3 I and the DARE terminal weight, pass.
+        for M in (bench_weights.q_state, bench_weights.q_terminal):
+            np.testing.assert_allclose(psd_sqrt(M) @ psd_sqrt(M), M, rtol=0, atol=1e-12 * np.abs(M).max())

@@ -142,6 +142,11 @@ class TestMpcRun:
 
 
 class TestCompareControllers:
+    @pytest.mark.parametrize("name, N_list, trials", [("trials_per_N", [8], 0), ("N_list", [], 1)])
+    def test_empty_comparison_rejected_by_name(self, plant, bench_weights, name, N_list, trials):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            compare_controllers(plant, bench_weights, N_list=N_list, trials_per_N=trials, seed=0, T=T_BENCH)
+
     def test_desk_scale_structure(self, plant, bench_weights):
         results = compare_controllers(
             plant,

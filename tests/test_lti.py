@@ -24,6 +24,12 @@ def transition_error(traj, sys):
     return float(np.abs(traj.x[1:] - pred).max(initial=0.0))
 
 
+@pytest.mark.parametrize("noise_std", [np.nan, np.inf])
+def test_noise_std_must_be_finite_and_nonnegative(noise_std):
+    with pytest.raises(ValueError, match="^noise_std "):
+        LtiSystem(A=np.eye(2), B=np.eye(2), noise_std=noise_std)
+
+
 class TestSimulate:
     def test_integrator_copies_input(self):
         sys = LtiSystem(A=np.zeros((2, 2)), B=np.eye(2))
