@@ -10,7 +10,7 @@ line: wall time, inner solves and iterations, the final solve's status and
 gap, ``search_gap``, gamma, h and jhat/J*, the realized cost of the
 controller over the optimal one.  After them it prints one JSON line per
 structure with its totals over the nine inputs: final solves "optimal",
-inner solves, iterations and the median wall time.
+inner solves, iterations, the largest final gap and the median wall time.
 
     PYTHONPATH=src python scripts/default_inputs.py
 
@@ -63,6 +63,7 @@ def totals(rows: list[dict]) -> dict:
         "optimal": sum(row["status"] == "optimal" for row in rows),
         "solves": sum(row["solves"] for row in rows),
         "iterations": sum(row["iterations"] for row in rows),
+        "max_gap": max(row["gap"] for row in rows),
         "median_wall_s": statistics.median(row["wall_s"] for row in rows),
     }
 

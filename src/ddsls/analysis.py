@@ -45,6 +45,13 @@ def _require_nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is infinite or NaN."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _require_positive_dims(**dims: int) -> None:
     """Raise ValueError naming the first dimension below 1."""
     for name, dim in dims.items():
@@ -99,11 +106,12 @@ def suboptimality_bound(b: BoundInputs) -> BoundValue:
     observability stack norm, and q the Frobenius norm of the square-root
     state weight.  The value is certified only when eps passes
     :func:`eps_precondition` and the data horizon satisfies T >= 2L + 1.
-    A negative eps raises ValueError.
+    A jstar that is not positive, or a negative or NaN eps, obsnorm or
+    qhalf_frob, raises ValueError.
     """
-    if b.jstar <= 0:
-        raise ValueError("jstar must be positive for the relative bound")
-    _require_nonnegative(eps=b.eps)
+    if not b.jstar > 0:
+        raise ValueError(f"jstar must be positive for the relative bound, got {b.jstar}")
+    _require_nonnegative(eps=b.eps, obsnorm=b.obsnorm, qhalf_frob=b.qhalf_frob)
     value = (
         6.0
         * b.gstar_norm
@@ -202,12 +210,14 @@ def sample_complexity(
 
     Inverting the matrix tail bound at this N produces a noise budget that
     meets the eps precondition; a miss of that self-consistency raises ``RuntimeError``.
-    Dimensions below 1 and negative norms or noise variance raise ValueError.
+    Dimensions below 1 and negative, NaN or infinite norms or noise variance
+    raise ValueError.
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     _require_positive_dims(L=L, n=n, T=T)
     _require_nonnegative(gstar_norm=gstar_norm, toepnorm=toepnorm, sigma2=sigma2)
+    _require_finite(gstar_norm=gstar_norm, toepnorm=toepnorm, sigma2=sigma2)
     # By the matrix tail bound, the noise Hankel norm exceeds sqrt(quantile / N) with probability <= delta.
     quantile = 2.0 * sigma2 * n * T * math.log(2.0 * n * T / delta)
     N = max(1, math.ceil(quantile * max(9.0 * L * gstar_norm**2, 4.0 * (gstar_norm * toepnorm) ** 2)))

@@ -25,7 +25,10 @@ coordinates, certified by the Fenchel dual of the splitting at its multiplier.
 Both stop on that gap alone, once it is at most ``tol``: the Newton method
 checks it at every step, the ADMM every ``_GAP_EVERY`` iterations.  Those
 check points are also the only places where the ADMM's penalty rho moves,
-steered by its primal and dual residuals.
+and only where the gap stalls: when it did not at least halve since the
+previous check, rho moves by the power of two nearest the ratio of the
+primal to the dual residual (residual balancing, Wohlberg,
+arXiv:1704.06209, 2017), capped at 2^6 either way.
 
 ``gamma_search`` minimizes h(gamma) = f(gamma) / (1 - gamma) over one inner
 problem, where f(gamma) is the inner optimal value at radius
@@ -42,6 +45,7 @@ debug line per solve goes to the ``ddsls.solver`` logger.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -442,6 +446,14 @@ def _ball_projection(M: np.ndarray, tau: float) -> np.ndarray:
     return M @ ((V * shrink) @ V.T)
 
 
+def _rho_factor(r: float, s: float) -> float:
+    """The power of two nearest r / s, capped at 2^6 either way; 1 unless r and s are more than 2x apart."""
+    if not (r > 2.0 * s or s > 2.0 * r):
+        return 1.0
+    ratio = min(max(r / s, 2.0**-6), 2.0**6) if s > 0 else 2.0**6
+    return 2.0 ** round(math.log2(ratio))
+
+
 class CoupledCausalProblem:
     """Ball-constrained least squares over a causal block-triangular variable.
 
@@ -463,7 +475,7 @@ class CoupledCausalProblem:
     (rows x rows); the inverse is formed once per rho from K_j's eigenbasis.
     """
 
-    _GAP_EVERY = 50  # iterations between check points, where rho moves and the gap (~3 iterations' work) is checked
+    _GAP_EVERY = 50  # iterations between check points, where the gap (~3 iterations' work) is checked and rho moves
 
     def __init__(self, cmap: np.ndarray, h1x: np.ndarray):
         self.C = np.asarray(cmap, dtype=float)
@@ -556,21 +568,29 @@ class CoupledCausalProblem:
         report at any radius, else from the ball projection of the closed form
         with U = 0 and rho 1e-4 times the top eigenvalue of K_0.
 
-        Every ``_GAP_EVERY`` iterations, and only there, rho moves: it doubles
-        (halves) when the primal residual ||G - Y|| is more than ten times the
-        dual one rho ||Y - Y_prev|| (the reverse), with Uv rescaled.  Then the
-        report of the current iterate is built, and the ADMM stops once its
-        gap is at most ``tol``; at the cap one report is built.  ``gap`` and
-        ``cut`` come from ``_dual_bound`` at the multiplier rho U, capped
-        solves included, and "optimal" means gap <= tol.
+        Every ``_GAP_EVERY`` iterations the report of the current iterate is
+        built, and the ADMM stops once its gap is at most ``tol``.  Otherwise,
+        and only there, rho may move: if the gap did not at least halve since
+        the previous check (the start's, when it is a report at this radius),
+        and the primal residual r = ||G - Y|| and the dual one
+        s = rho ||Y - Y_prev|| are more than 2x apart, rho is multiplied by
+        the power of two nearest r / s, capped at 2^6 either way, and Uv
+        divided by it, so the multiplier rho U is unchanged.  A solve capped
+        at a check point makes that move too and returns the moved state, so
+        a solve resumed from it continues the uncapped one exactly; at any
+        other cap one report is built.  ``gap`` and ``cut`` come from
+        ``_dual_bound`` at the multiplier rho U, capped solves included, and
+        "optimal" means gap <= tol.
         """
         if (closed := _closed_form_at(self, tau)) is not None:
             return closed
-        if start is not None and start.state is not None:
+        resumed = start is not None and start.state is not None
+        if resumed:
             Y, Uv, rho = start.state
         else:
             Y = _ball_projection(self._closed, tau)
             Uv, rho = np.zeros_like(Y), self._rho0
+        last_gap = start.gap if resumed and start.tau == tau else None
         free, relax, inv = self._free, 1.7, self._resolvent(rho)
         G = np.vstack([np.zeros_like(self._causal), self._fixed])  # its trailing rows never change
         it = 0
@@ -583,15 +603,17 @@ class CoupledCausalProblem:
             Y_prev, Y = Y, _ball_projection(Q, tau)
             Uv = np.subtract(Q, Y, out=Q)
             if it % self._GAP_EVERY == 0:
-                r = float(np.linalg.norm(G - Y))
-                s = rho * float(np.linalg.norm(Y - Y_prev))
-                if r > 10.0 * s or s > 10.0 * r:
-                    factor = 2.0 if r > s else 0.5
-                    rho *= factor
-                    Uv /= factor
-                    inv = self._resolvent(rho, inv)
-                if it < max_iter and (rep := self._report(Y, Uv, rho, tau, tol, it)).status == "optimal":
+                rep = self._report(Y, Uv, rho, tau, tol, it)
+                if rep.status == "optimal":
                     return rep
+                if last_gap is None or rep.gap > 0.5 * last_gap:  # the gap stalled: balance the residuals
+                    factor = _rho_factor(float(np.linalg.norm(G - Y)), rho * float(np.linalg.norm(Y - Y_prev)))
+                    if factor != 1.0:
+                        rho, Uv = rho * factor, Uv / factor
+                        inv = self._resolvent(rho, inv)
+                last_gap = rep.gap
+                if it == max_iter:
+                    return replace(rep, state=(Y, Uv, rho))
         G = Y_prev = inv = None  # the loop's arrays: freed before the report makes its own
         return self._report(Y, Uv, rho, tau, tol, it)
 

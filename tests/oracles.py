@@ -253,40 +253,90 @@ def coupled_quad_step(
     return G
 
 
+def coupled_dual_bound(C: np.ndarray, A: np.ndarray, L: int, cols: int, n: int, tau: float, lam: np.ndarray) -> float:
+    """Lower bound on the coupled problem's squared optimum from a multiplier ``lam`` of G = Y.
+
+    The Fenchel dual of the splitting, in the original coordinates, one
+    block column j (block rows j..L-1, C_j their columns of C) at a time:
+    G0_j minimizes ||C_j G_j|| on the block column's affine set, and the
+    free part of lam_j (its nullspace part in every block, P_N lam_j) is
+    replaced by the least-norm x with A_j x = 0 and C_j x = C_j P_N lam_j,
+    its projection onto what C_j sees, x = P_N C_j^T y for the least-norm
+    y; all three from ``kkt_equality_ls``.  With lam' the multiplier so
+    changed, the dual at s lam' is
+    least + s (sum_j <lam'_j, G0_j> - tau ||lam'||_*) - s^2 ||y||^2 / 4,
+    maximized in s >= 0, the nuclear norm from an SVD.
+    """
+    _, null = _affine_basis(A, np.eye(A.shape[0]))
+    lam = lam.copy()
+    least = lin = quad = 0.0
+    for j in range(L):
+        k = L - j
+        rows, csel = slice(j * cols, L * cols), slice(j * n, (j + 1) * n)
+        Cj, Aj = C[:, rows], np.kron(np.eye(k), A)
+        zero = np.zeros((k * A.shape[0], n))
+        rhs = zero.copy()
+        rhs[: A.shape[0]] = np.eye(n)
+        G0, f = kkt_equality_ls(Cj, Aj, rhs)
+        PN = np.kron(np.eye(k), null @ null.T)
+        free = PN @ lam[rows, csel]
+        x = kkt_equality_ls(np.eye(k * cols), np.vstack([Aj, Cj]), np.vstack([zero, Cj @ free]))[0]
+        y = kkt_equality_ls(np.eye(len(C)), PN @ Cj.T, x)[0]
+        lam[rows, csel] += x - free
+        least += f**2
+        lin += float(np.vdot(lam[rows, csel], G0))
+        quad += 0.25 * float(np.vdot(y, y))
+    lin -= tau * float(np.linalg.svd(lam, compute_uv=False).sum())
+    s = max(lin, 0.0) / (2.0 * quad) if quad > 0 else 0.0
+    return least + s * lin - s * s * quad
+
+
 def coupled_admm(
     C: np.ndarray, A: np.ndarray, L: int, cols: int, n: int, tau: float, rho: float, iters: int
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, list[float]]:
     """The coupled solver's ADMM in the original coordinates, from ``coupled_quad_step``.
 
     Starts at Y the ball projection of the closed form, U = 0, and runs
     ``iters`` over-relaxed (1.7) iterations: G the reference step at
     V = Y - U, Y the ball projection of 1.7 G - 0.7 Y + U, U the remainder.
-    Every 50 iterations rho doubles (U halves) when the primal residual
-    ||G - Y|| exceeds ten times the dual one rho ||Y - Y_prev||, and halves
-    (U doubles) in the opposite case.  Returns the affine projection of the
-    last Y, blended toward the minimum-norm point until it is in the ball,
-    and the last rho.
+    Every 50 iterations it reads the relative gap of the point below at
+    the multiplier rho U (``coupled_dual_bound``).  If that gap did not at
+    least halve since the previous check (always, at the first), and the
+    primal residual r = ||G - Y|| and the dual one s = rho ||Y - Y_prev|| are
+    more than 2x apart, rho is multiplied (U divided) by 2^k, k the integer
+    nearest log2(r / s) clipped to [-6, 6].  Returns the affine projection
+    of the last Y, blended toward the minimum-norm point until it is in the
+    ball, and every rho the loop ran or ended with, the first one included.
     """
     pinv, null = _affine_basis(A, np.eye(A.shape[0]))
     G_part = np.kron(np.eye(L), pinv)
     mask = np.kron(np.tril(np.ones((L, L))), np.ones((cols, n)))
     projector = np.kron(np.eye(L), null @ null.T)
+    floor = np.linalg.norm(G_part, 2)
+
+    def point(Y):
+        G = G_part + mask * (projector @ Y)
+        norm = np.linalg.norm(G, 2)
+        if norm > tau:
+            theta = (tau - floor) / (norm - floor)
+            G = theta * G + (1.0 - theta) * G_part
+        return G
+
     Y = _project_ball(coupled_quad_step(C, A, L, cols, n, None, rho), tau)
     U = np.zeros_like(Y)
+    rhos, last_gap = [rho], None
     for it in range(1, iters + 1):
         G = coupled_quad_step(C, A, L, cols, n, Y - U, rho)
         Q = 1.7 * G - 0.7 * Y + U
         Y_prev, Y = Y, _project_ball(Q, tau)
         U = Q - Y
         if it % 50 == 0:
+            f2 = np.linalg.norm(C @ point(Y)) ** 2
+            gap = max(f2 - coupled_dual_bound(C, A, L, cols, n, tau, rho * U), 0.0) / f2
             r, s = np.linalg.norm(G - Y), rho * np.linalg.norm(Y - Y_prev)
-            if r > 10.0 * s:
-                rho, U = 2.0 * rho, U / 2.0
-            elif s > 10.0 * r:
-                rho, U = rho / 2.0, 2.0 * U
-    G = G_part + mask * (projector @ Y)
-    norm, floor = np.linalg.norm(G, 2), np.linalg.norm(G_part, 2)
-    if norm > tau:
-        theta = (tau - floor) / (norm - floor)
-        G = theta * G + (1.0 - theta) * G_part
-    return G, rho
+            if (last_gap is None or gap > 0.5 * last_gap) and (r > 2.0 * s or s > 2.0 * r):
+                factor = 2.0 ** np.clip(np.rint(np.log2(r / s)), -6, 6)
+                rho, U = factor * rho, U / factor
+                rhos.append(rho)
+            last_gap = gap
+    return point(Y), rhos

@@ -100,7 +100,14 @@ class TestSuboptimalityBound:
             suboptimality_bound(BoundInputs(1.0, -1.0, 3, 10, 1.0, 1.0, 1.0, 1.0))
 
     @pytest.mark.parametrize(
-        "name, kwargs", [("eps", {"eps": math.nan}), ("gstar_norm", {"eps": 1e-4, "g": math.nan})]
+        "name, kwargs",
+        [
+            ("eps", {"eps": math.nan}),
+            ("gstar_norm", {"eps": 1e-4, "g": math.nan}),
+            ("jstar", {"eps": 1e-4, "jstar": math.nan}),
+            ("obsnorm", {"eps": 1e-4, "obs": math.nan}),
+            ("qhalf_frob", {"eps": 1e-4, "q": math.nan}),
+        ],
     )
     def test_nan_input_rejected_by_name(self, name, kwargs):
         with pytest.raises(ValueError, match=f"^{name} "):
@@ -194,6 +201,9 @@ class TestSampleComplexity:
             ("sigma2", -0.1),
             ("gstar_norm", math.nan),
             ("sigma2", math.nan),
+            ("gstar_norm", math.inf),
+            ("toepnorm", math.inf),
+            ("sigma2", math.inf),
         ],
     )
     def test_invalid_arguments_rejected_by_name(self, name, value):

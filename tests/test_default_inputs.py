@@ -19,9 +19,17 @@ def test_one_input_prints_its_figures(structure):
 
 def test_totals_sum_one_structures_rows():
     rows = [
-        {"structure": "full", "status": "optimal", "solves": 9, "iterations": 100, "wall_s": 1.0},
-        {"structure": "full", "status": "max-iter", "solves": 8, "iterations": 300, "wall_s": 3.0},
-        {"structure": "full", "status": "optimal", "solves": 10, "iterations": 200, "wall_s": 2.0},
+        {"structure": "full", "status": "optimal", "solves": 9, "iterations": 100, "gap": 1e-8, "wall_s": 1.0},
+        {"structure": "full", "status": "max-iter", "solves": 8, "iterations": 300, "gap": 3e-5, "wall_s": 3.0},
+        {"structure": "full", "status": "optimal", "solves": 10, "iterations": 200, "gap": 9e-8, "wall_s": 2.0},
     ]
-    expected = {"structure": "full", "inputs": 3, "optimal": 2, "solves": 27, "iterations": 600, "median_wall_s": 2.0}
+    expected = {
+        "structure": "full",
+        "inputs": 3,
+        "optimal": 2,
+        "solves": 27,
+        "iterations": 600,
+        "max_gap": 3e-5,
+        "median_wall_s": 2.0,
+    }
     assert totals(rows) == expected

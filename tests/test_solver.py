@@ -844,10 +844,11 @@ class TestCoupledCausalProblem:
         prob, _, _ = horizon3
         tau = prob.floor + 0.2 * (prob.unconstrained_norm - prob.floor)
         # A tol out of reach: every solve stops at its cap, and the straight
-        # one checks its gap at 50, 100 and 150.  A cold start moves rho at
-        # 50 and 100, so the resumed solve starts from a moved rho.
+        # one checks its gap at 50, 100 and 150.  A cold start moves rho 64x
+        # at 50, so the resumed solve starts from a moved rho, and at 150 it
+        # reads its gap against the one its start reported at 100.
         half = prob.solve(tau, tol=1e-15, max_iter=100)
-        assert (half.status, half.iterations, half.state[2]) == ("max-iter", 100, 4.0 * prob._rho0)
+        assert (half.status, half.iterations, half.state[2]) == ("max-iter", 100, 64.0 * prob._rho0)
         resumed = prob.solve(tau, tol=1e-15, max_iter=100, start=half)
         straight = prob.solve(tau, tol=1e-15, max_iter=200)
         assert (resumed.iterations, straight.iterations) == (100, 200)
@@ -921,10 +922,10 @@ class TestCoupledCausalProblem:
     @pytest.mark.parametrize("factor", [1e-3, 1e3])
     def test_admm_matches_the_reference_loop(self, which, factor, request):
         # 150 iterations, three check points, of the same ADMM in the original
-        # coordinates, built from the reduced-basis step and an SVD ball
-        # projection.  From 1e-3 times the cold start's rho the rule doubles
-        # rho at every check point; from 1e3 times it, it halves rho at one
-        # or more of them.
+        # coordinates, built from the reduced-basis step, an SVD ball
+        # projection and a gap of its own certificate.  From 1e-3 (1e3) times
+        # the cold start's rho the residuals are far apart at the first check,
+        # so rho rises (falls) there, and the gap gates the later checks.
         prob, cmap, data = request.getfixturevalue(which)
         tau = prob.floor + 0.3 * (prob.unconstrained_norm - prob.floor)
         rho = factor * prob._rho0
@@ -932,16 +933,51 @@ class TestCoupledCausalProblem:
         Y = _ball_projection(prob._closed, tau)
         start = replace(prob.unconstrained, state=(Y, np.zeros_like(Y), rho))
         rep = prob.solve(tau, tol=1e-15, max_iter=150, start=start)
-        ref, ref_rho = coupled_admm(cmap, data.h1x, data.L, data.cols, data.n, tau, rho, 150)
-        assert (rep.status, rep.iterations, rep.state[2]) == ("max-iter", 150, ref_rho)
-        assert ref_rho == 8.0 * rho if factor < 1.0 else ref_rho < rho
+        ref, rhos = coupled_admm(cmap, data.h1x, data.L, data.cols, data.n, tau, rho, 150)
+        assert (rep.status, rep.iterations, rep.state[2]) == ("max-iter", 150, rhos[-1])
+        assert rhos[-1] > rho if factor < 1.0 else rhos[-1] < rho
         # The loops drift apart by the rounding of their shifted solves, which
         # the condition number at the least rho scales (as in the step test
         # above), over a floor of 1e-9 from the ball projections.
-        low = min(rho, ref_rho)
+        low = min(rhos)
         rel = 1e-9 + 64 * np.finfo(float).eps * (prob._eigvals.max() + 0.5 * low) / (0.5 * low)
         np.testing.assert_allclose(rep.solution, ref, rtol=0, atol=rel * np.abs(ref).max())
         assert rep.objective == pytest.approx(np.linalg.norm(cmap @ ref), rel=rel)
+
+    @pytest.mark.parametrize(
+        "scale, expected", [(1e-6, 64.0), (1.0, 4.0), (2.0, 2.0), (3.0, 1.0), (1e2, 1 / 16), (1e6, 1 / 64)]
+    )
+    def test_rho_moves_only_where_the_gap_stalls(self, scale, expected, bench_instance):
+        # From ``scale`` times the cold start's rho, r / s at the first check
+        # point is about 2^38, 2^2.5, 2^1.5, 2^0.9, 2^-4.2 and 2^-17.  Two
+        # solves from that start differ only in the gap their start reports at
+        # this radius: the check at 50 reads its gap against it, held where it
+        # at least halved, else moved by the power of two nearest r / s,
+        # capped at 2^6, if r and s are more than 2x apart (not at 2^0.9).
+        prob, _, _ = bench_instance
+        tau = prob.floor + 0.3 * (prob.unconstrained_norm - prob.floor)
+        rho, every = scale * prob._rho0, prob._GAP_EVERY
+        Y = _ball_projection(prob._closed, tau)
+        start = replace(prob.unconstrained, tau=tau, state=(Y, np.zeros_like(Y), rho))
+        before = prob.solve(tau, tol=1e-15, max_iter=every - 1, start=replace(start, gap=np.inf))
+        gap = prob.solve(tau, tol=1e-15, max_iter=every, start=replace(start, gap=np.inf)).gap
+        held = prob.solve(tau, tol=1e-15, max_iter=every, start=replace(start, gap=2.0 * gap))
+        moved = prob.solve(tau, tol=1e-15, max_iter=every, start=replace(start, gap=1.999 * gap))
+        assert held.gap == moved.gap == gap
+        assert held.state[2] == rho
+        # The residuals at the check, from one more step of the iterate before it.
+        Y_prev, Uv_prev, _ = before.state
+        free = prob._free
+        step = prob._step(prob._resolvent(rho), (Y_prev[:free] - Uv_prev[:free]) * prob._causal, prob._CG)[0]
+        G = np.vstack([step, prob._fixed])
+        Y, Uv = held.state[:2]
+        r, s = np.linalg.norm(G - Y), rho * np.linalg.norm(Y - Y_prev)
+        factor = 2.0 ** np.clip(np.rint(np.log2(r / s)), -6, 6) if max(r / s, s / r) > 2.0 else 1.0
+        assert factor == expected
+        np.testing.assert_array_equal(moved.state[0], Y)
+        assert moved.state[2] == factor * rho
+        # The multiplier rho U is unchanged: a power of two scales exactly.
+        np.testing.assert_array_equal(moved.state[1] * factor, Uv)
 
     @pytest.mark.parametrize(
         "seed, n, m, L, radius, frac",
