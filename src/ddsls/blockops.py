@@ -103,12 +103,11 @@ def toeplitz_stack(A: np.ndarray, X: np.ndarray, L: int) -> np.ndarray:
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value.  Accepts stacked inputs (..., m, n)."""
+    """Largest singular value of one matrix."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0.0
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[..., 0]) if M.ndim == 2 else s[..., 0]
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def rank_tolerance(singular_values: np.ndarray, shape: tuple[int, int]) -> float:

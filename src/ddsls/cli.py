@@ -67,6 +67,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 
 def _system(cfg: dict) -> LtiSystem:
     s = cfg["system"]
+    if not s["sigma2"] >= 0:
+        raise ValueError(f"system.sigma2 must be nonnegative, got {s['sigma2']}")
     return LtiSystem(
         A=np.asarray(s["A"], dtype=float),
         B=np.asarray(s["B"], dtype=float),

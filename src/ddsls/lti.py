@@ -285,17 +285,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-class _JsonEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return super().default(o)
-
-
 def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, cls=_JsonEncoder, allow_nan=True) + "\n")
+    _atomic_write(path, json.dumps(obj, indent=2, allow_nan=True) + "\n")
 
 
 def save_trajectory_csv(traj: Trajectory, path: str) -> None:

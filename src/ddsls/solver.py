@@ -23,12 +23,15 @@ the Lagrange dual of the ball by a primal-dual Newton method.  The coupled
 causal variable (``CoupledCausalProblem``) is solved by ADMM in nullspace
 coordinates, certified by the Fenchel dual of the splitting at its multiplier.
 Both stop on that gap alone, once it is at most ``tol``: the Newton method
-checks it at every step, the ADMM every ``_GAP_EVERY`` iterations.  Those
-check points are also the only places where the ADMM's penalty rho moves,
-and only where the gap stalls: when it did not at least halve since the
-previous check, rho moves by the power of two nearest the ratio of the
-primal to the dual residual (residual balancing, Wohlberg,
-arXiv:1704.06209, 2017), capped at 2^6 either way.
+checks it at every step, the ADMM every ``_GAP_EVERY`` iterations and at
+its cap.  Those check points are also the only places where the ADMM's
+penalty rho moves, and only where the gap stalls: when it did not at least
+halve since the previous check, rho moves by the power of two nearest the
+ratio of the primal to the dual residual (residual balancing, Wohlberg,
+arXiv:1704.06209, 2017), capped at 2^6 either way.  Both return the
+structured parameter G (L cols x L n) as their solution, and both take
+their ``tol`` and ``max_iter`` from the caller: ``gamma_search`` holds the
+only defaults.
 
 ``gamma_search`` minimizes h(gamma) = f(gamma) / (1 - gamma) over one inner
 problem, where f(gamma) is the inner optimal value at radius
@@ -50,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockops import rank_tolerance
+from .blockops import block_diag, rank_tolerance
 
 __all__ = [
     "SolveReport",
@@ -82,7 +85,7 @@ class SolveReport:
     its ADMM's nullspace coordinates).
     """
 
-    solution: np.ndarray
+    solution: np.ndarray  # the structured parameter G, (L cols x L n)
     objective: float
     status: str  # "optimal" | "max-iter"
     gap: float
@@ -105,6 +108,14 @@ def _closed_form_at(problem, tau: float) -> SolveReport | None:
     if tau < problem.floor * (1.0 - 1e-9):
         raise InfeasibleEpsilon(f"ball radius {tau:.6g} is below the feasibility floor {problem.floor:.6g}")
     return replace(problem.unconstrained, tau=tau) if problem.unconstrained_norm <= tau * _BINDS else None
+
+
+def _check_settings(tol: float, max_iter: int) -> None:
+    """Reject a NaN or negative ``tol`` and a ``max_iter`` below 1, naming the setting."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
 def _layout(cmap: np.ndarray, h1x: np.ndarray) -> tuple[int, int, int]:
@@ -157,10 +168,11 @@ class BlockDiagonalProblem:
     ``BlockDiagonalProblem(cmap, h1x)`` solves for the diagonal blocks G_k
     (cols x n) of the structured parameter; block k has the objective map
     C_k, column block k of the cost map, and the blocks share the
-    constraint.  Every feasible block is G_part + N Z_k, with G_part the
-    minimum-norm solution and N an orthonormal nullspace basis of h1x;
-    G_part is orthogonal to N, so the ball reads Z_k^T Z_k <= S with
-    S = tau^2 I - G_part^T G_part.
+    constraint.  Its solutions are the structured parameter itself,
+    (L cols x L n) and block diagonal, as the coupled problem's are.  Every
+    feasible block is G_part + N Z_k, with G_part the minimum-norm solution
+    and N an orthonormal nullspace basis of h1x; G_part is orthogonal to N,
+    so the ball reads Z_k^T Z_k <= S with S = tau^2 I - G_part^T G_part.
 
     A block whose closed-form solution fits in the ball is finished.  The
     others are matrix trust-region subproblems (Moré & Sorensen, SIAM J. Sci.
@@ -222,7 +234,8 @@ class BlockDiagonalProblem:
         inv = np.divide(1.0, self._sig, out=np.zeros_like(self._sig), where=~self._flat)
         G = self._to_blocks(-inv[:, :, None] * self._lin, slice(None))
         objective = self._combined(G)
-        self.unconstrained = _closed_form_report(G, objective, objective**2)
+        self._closed_blocks = G  # (L, cols, n); a solve replaces the blocks the ball binds
+        self.unconstrained = _closed_form_report(block_diag(G), objective, objective**2)
         self.unconstrained_norms = np.linalg.svd(G, compute_uv=False)[:, 0]  # of each block
         self.unconstrained_norm = float(self.unconstrained_norms.max())
 
@@ -233,8 +246,8 @@ class BlockDiagonalProblem:
         """G_part + N U_k Z for Z in the Gram eigenbasis of blocks k."""
         return self.G_part[None] + np.matmul(self.null_basis[None], np.matmul(self._eigvecs[k], Z))
 
-    def solve(self, tau: float, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
-        """Solve with ball radius tau.
+    def solve(self, tau: float, tol: float, max_iter: int, start=None) -> SolveReport:
+        """Solve with ball radius tau; ``solution`` is the block diagonal G.
 
         The result depends on the arguments only: the Newton iteration
         resumes from the multipliers ``start.state`` of an earlier report at
@@ -250,17 +263,18 @@ class BlockDiagonalProblem:
         objective^2 (1 - gap) - (t^2 - tau^2) sum_k tr Lam_k,
         whose derivative at tau is -2 tau sum_k tr Lam_k.
         """
+        _check_settings(tol, max_iter)
         if (closed := _closed_form_at(self, tau)) is not None:
             return closed
         k = np.flatnonzero(self.unconstrained_norms > tau * _BINDS)
         Z, gap, iterations, Lam = self._dual_newton(k, tau, tol, max_iter, start)
-        G = self.unconstrained.solution.copy()
+        G = self._closed_blocks.copy()
         G[k] = self._to_blocks(Z, k)
         state = np.zeros((self.L, *Lam.shape[1:]))
         state[k] = Lam
         objective, gap, trace = self._combined(G), float(gap.max()), float(np.einsum("kii->", Lam))
         return SolveReport(
-            solution=G,
+            solution=block_diag(G),
             objective=objective,
             status="optimal" if gap <= tol else "max-iter",
             iterations=iterations,
@@ -560,7 +574,7 @@ class CoupledCausalProblem:
         """The point G_part + (I (x) N) Z of free part Z, in the original coordinates."""
         return self.G_part + np.matmul(self._null, Z.reshape(self.L, -1, Z.shape[1])).reshape(self.G_part.shape)
 
-    def solve(self, tau: float, tol: float = 1e-7, max_iter: int = 50_000, start=None) -> SolveReport:
+    def solve(self, tau: float, tol: float, max_iter: int, start=None) -> SolveReport:
         """Solve with ball radius tau.
 
         The result depends on the arguments only: the ADMM resumes from the
@@ -568,20 +582,20 @@ class CoupledCausalProblem:
         report at any radius, else from the ball projection of the closed form
         with U = 0 and rho 1e-4 times the top eigenvalue of K_0.
 
-        Every ``_GAP_EVERY`` iterations the report of the current iterate is
-        built, and the ADMM stops once its gap is at most ``tol``.  Otherwise,
-        and only there, rho may move: if the gap did not at least halve since
-        the previous check (the start's, when it is a report at this radius),
-        and the primal residual r = ||G - Y|| and the dual one
-        s = rho ||Y - Y_prev|| are more than 2x apart, rho is multiplied by
-        the power of two nearest r / s, capped at 2^6 either way, and Uv
-        divided by it, so the multiplier rho U is unchanged.  A solve capped
-        at a check point makes that move too and returns the moved state, so
-        a solve resumed from it continues the uncapped one exactly; at any
-        other cap one report is built.  ``gap`` and ``cut`` come from
-        ``_dual_bound`` at the multiplier rho U, capped solves included, and
-        "optimal" means gap <= tol.
+        Every ``_GAP_EVERY`` iterations, and at ``max_iter``, is a check
+        point: the report of the current iterate is built, and the ADMM stops
+        once its gap is at most ``tol``.  Otherwise, and only there, rho may
+        move: if the gap did not at least halve since the previous check (the
+        start's, when it is a report at this radius), and the primal residual
+        r = ||G - Y|| and the dual one s = rho ||Y - Y_prev|| are more than 2x
+        apart, rho is multiplied by the power of two nearest r / s, capped at
+        2^6 either way, and Uv divided by it, so the multiplier rho U is
+        unchanged.  A capped solve returns that moved state, so a solve
+        resumed from it continues from where the loop would have.  ``gap``
+        and ``cut`` come from ``_dual_bound`` at the multiplier rho U, capped
+        solves included, and "optimal" means gap <= tol.
         """
+        _check_settings(tol, max_iter)
         if (closed := _closed_form_at(self, tau)) is not None:
             return closed
         resumed = start is not None and start.state is not None
@@ -593,7 +607,6 @@ class CoupledCausalProblem:
         last_gap = start.gap if resumed and start.tau == tau else None
         free, relax, inv = self._free, 1.7, self._resolvent(rho)
         G = np.vstack([np.zeros_like(self._causal), self._fixed])  # its trailing rows never change
-        it = 0
         for it in range(1, max_iter + 1):
             G[:free] = self._step(inv, (Y[:free] - Uv[:free]) * self._causal, self._CG)[0]
             # Over-relaxed ball step: Q = relax G + (1 - relax) Y + Uv.
@@ -602,7 +615,7 @@ class CoupledCausalProblem:
             Q += Uv
             Y_prev, Y = Y, _ball_projection(Q, tau)
             Uv = np.subtract(Q, Y, out=Q)
-            if it % self._GAP_EVERY == 0:
+            if it % self._GAP_EVERY == 0 or it == max_iter:
                 rep = self._report(Y, Uv, rho, tau, tol, it)
                 if rep.status == "optimal":
                     return rep
@@ -614,8 +627,6 @@ class CoupledCausalProblem:
                 last_gap = rep.gap
                 if it == max_iter:
                     return replace(rep, state=(Y, Uv, rho))
-        G = Y_prev = inv = None  # the loop's arrays: freed before the report makes its own
-        return self._report(Y, Uv, rho, tau, tol, it)
 
     def _report(self, Y: np.ndarray, Uv: np.ndarray, rho: float, tau: float, tol: float, it: int) -> SolveReport:
         """The feasible point of ADMM iterate (Y, Uv, rho) and its certificate."""
@@ -770,6 +781,13 @@ def gamma_search(
     quasi-convex.  With eps = 0 the closed form is returned at gamma = 0.
     Every radius solved is above the floor: the least gamma searched is
     1.001 sqrt(L) eps floor + 1e-12, and one not below 1 raises ``InfeasibleEpsilon``.
+    ``solution`` is the structured parameter G for both problem classes.
+
+    Its four settings have the library's only defaults: ``synth_robust``
+    passes them through and both ``solve`` methods take ``tol`` and
+    ``max_iter`` from here.  Before any solve, ``grid_points`` below 1, a
+    NaN or negative ``gamma_tol`` or ``tol`` and ``max_iter`` below 1 raise
+    ``ValueError``.
 
     The search scans ``grid_points`` radii between the feasibility floor and
     the radius where the ball stops binding, skipping those whose h the cuts
@@ -805,6 +823,9 @@ def gamma_search(
         raise ValueError(f"eps must be nonnegative, got {eps}")
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points}")
+    if not gamma_tol >= 0:
+        raise ValueError(f"gamma_tol must be nonnegative, got {gamma_tol}")
+    _check_settings(tol, max_iter)
     scale = np.sqrt(problem.L) * eps
     closed = problem.unconstrained
     if eps == 0.0:

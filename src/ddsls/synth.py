@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .blockops import CostWeights, LtvOperator, block_diag, spectral_norm
+from .blockops import CostWeights, LtvOperator, spectral_norm
 from .hankel import NotPersistentlyExciting, _data_rank, build_hankel
 from .lti import Trajectory
 from .sls import _STRUCT_TOL, Perturbation, SystemResponsePair, recover_controller
@@ -244,10 +244,7 @@ def synth_robust(
     eps: float,
     mode: str = "robust",
     structure: str = "blockdiag",
-    grid_points: int = 16,
-    gamma_tol: float = 1e-4,
-    tol: float = 1e-7,
-    max_iter: int = 10_000,
+    **search,
 ) -> SynthesisResult:
     """Robust synthesis from noisy data under a noise-Hankel norm budget.
 
@@ -262,17 +259,17 @@ def synth_robust(
 
     gamma comes from ``solver.gamma_search`` over the inner problem of the
     chosen ``structure``, the same search for both; its docstring holds the
-    scan, step and stopping rules, and ``grid_points``, ``gamma_tol``,
-    ``tol`` and ``max_iter`` are passed to it unchanged.  Its record is
+    scan, step and stopping rules, and the keyword arguments ``search``
+    (``grid_points``, ``gamma_tol``, ``tol``, ``max_iter``) are passed to it
+    unchanged, so its signature holds their defaults.  Its record is
     ``search``; its certificate is ``search.search_gap``, not ``gamma_tol``.
 
     Before the search, data that are not persistently exciting raise
     ``NotPersistentlyExciting``, and weights that do not fit the data, a
     NaN or negative ``eps``, or an unknown ``mode`` or ``structure`` raise
     ``ValueError``.
-    After it, ``ghat`` is the search's solution, for blockdiag the block
-    diagonal of its blocks, and the responses and the controller are
-    assembled from it.
+    After it, ``ghat`` is the search's solution, and the responses and the
+    controller are assembled from it.
     """
     _require_excitation(data)
     for name, have, want in (
@@ -287,27 +284,18 @@ def synth_robust(
     if mode not in ("robust", "naive"):
         raise ValueError(f"unknown mode {mode!r}")
     start = time.perf_counter()
-    search = gamma_search(
-        _build_problem(data, weights, structure),
-        eps if mode == "robust" else 0.0,
-        grid_points=grid_points,
-        gamma_tol=gamma_tol,
-        tol=tol,
-        max_iter=max_iter,
-    )
-    # Blockdiag solutions are the stack of the diagonal blocks.
-    ghat = block_diag(search.solution) if structure == "blockdiag" else search.solution
-    responses = assemble_responses(data, ghat)
+    result = gamma_search(_build_problem(data, weights, structure), eps if mode == "robust" else 0.0, **search)
+    responses = assemble_responses(data, result.solution)
     return SynthesisResult(
-        ghat=ghat,
-        gamma=search.gamma if mode == "robust" else None,
+        ghat=result.solution,
+        gamma=result.gamma if mode == "robust" else None,
         responses=responses,
         controller=recover_controller(responses),
-        objective=search.objective,
+        objective=result.objective,
         eps=eps,
         mode=mode,
         structure=structure,
-        f_value=search.f_value,
-        search=search,
+        f_value=result.f_value,
+        search=result,
         timings={"solve_s": time.perf_counter() - start},
     )

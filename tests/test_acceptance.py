@@ -161,12 +161,12 @@ def test_criterion_05_solver_against_oracles():
     for seed in range(20):
         C, A = oracle_friendly_instance(seed + 500)
         solver = BlockDiagonalProblem(C, A)
-        ref = solver.solve(1.5 * solver.unconstrained_norm)  # ball inactive
+        ref = solver.solve(1.5 * solver.unconstrained_norm, tol=1e-7, max_iter=50_000)  # ball inactive
         _, obj_kkt = kkt_equality_ls(C, A, np.eye(len(A)))
         worst_kkt = max(worst_kkt, abs(ref.objective - obj_kkt) / max(obj_kkt, 1e-12))
 
         tau = active_radius(solver)
-        rep = solver.solve(tau, tol=1e-9)
+        rep = solver.solve(tau, tol=1e-9, max_iter=50_000)
         _, obj_pg = projected_gradient_spectral(C, A, np.eye(len(A)), tau, iters=20_000)
         worst_pg = max(worst_pg, abs(rep.objective - obj_pg) / obj_pg)
     elapsed = time.perf_counter() - start

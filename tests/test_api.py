@@ -68,6 +68,28 @@ def test_names_the_benchmark_tracer_patches_stay_in_place():
         assert inspect.isfunction(fn) and fn.__module__ == "ddsls.synth"
 
 
+def test_each_search_setting_has_one_default():
+    # gamma_search alone defaults the four search settings: both solve
+    # methods require tol and max_iter, and synth_robust and the
+    # default-input script forward **search to it.
+    from ddsls.solver import BlockDiagonalProblem, CoupledCausalProblem, gamma_search
+    from ddsls.synth import synth_robust
+    from scripts.default_inputs import run_input
+
+    settings = ("grid_points", "gamma_tol", "tol", "max_iter")
+    path = (gamma_search, BlockDiagonalProblem.solve, CoupledCausalProblem.solve, synth_robust, run_input)
+    defaults = {name: [fn.__qualname__ for fn in path if name in _defaults(fn)] for name in settings}
+    assert defaults == {name: ["gamma_search"] for name in settings}
+    for solve in path[1:3]:
+        assert {"tol", "max_iter"} <= set(inspect.signature(solve).parameters)
+    for fn in path[3:]:
+        assert list(inspect.signature(fn).parameters.values())[-1].kind is inspect.Parameter.VAR_KEYWORD
+
+
+def _defaults(fn) -> set:
+    return {n for n, p in inspect.signature(fn).parameters.items() if p.default is not inspect.Parameter.empty}
+
+
 # The documented verification and reconstruction API (README): called by
 # users and tests, not by the library itself.
 DOCUMENTED_ENTRY_POINTS = {

@@ -254,6 +254,15 @@ def test_rejects_fewer_than_one_trial(tmp_path, capsys, command):
     assert not out.exists() or not os.listdir(out)
 
 
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_rejects_a_negative_noise_variance(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, {"system": {"sigma2": -0.1}})
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and record["command"] == command
+    assert record["message"] == "system.sigma2 must be nonnegative, got -0.1"
+
+
 def test_loaded_config_does_not_share_the_defaults(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"horizons": {"L": 4}}))

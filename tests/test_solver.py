@@ -78,7 +78,7 @@ class TestEqLs:
         rng = np.random.default_rng(0)
         A = rng.standard_normal((2, 8))
         rep = closed_form(np.zeros((3, 8)), A)
-        np.testing.assert_allclose(rep.solution[0], np.linalg.pinv(A), atol=1e-10)
+        np.testing.assert_allclose(rep.solution, np.linalg.pinv(A), atol=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_kkt_oracle(self, seed):
@@ -86,13 +86,13 @@ class TestEqLs:
         rep = closed_form(C, A)
         _, obj_kkt = kkt_equality_ls(C, A, np.eye(len(A)))
         assert rep.objective == pytest.approx(obj_kkt, abs=1e-8, rel=1e-8)
-        assert np.abs(A @ rep.solution[0] - np.eye(len(A))).max() < 1e-9
+        assert np.abs(A @ rep.solution - np.eye(len(A))).max() < 1e-9
 
     def test_stationarity_residual(self):
         C, A = small_instance(99)
         rep = closed_form(C, A)
         solver = BlockDiagonalProblem(C, A)
-        grad = C.T @ (C @ rep.solution[0])
+        grad = C.T @ (C @ rep.solution)
         assert np.abs(solver.null_basis.T @ grad).max() < 1e-9
 
 
@@ -123,12 +123,12 @@ class TestSpectralAdmm:
         C, A = small_instance(6)
         solver = BlockDiagonalProblem(C, A)
         ref = solver.unconstrained
-        inactive = solver.solve(1.2 * solver.unconstrained_norm, tol=1e-9)
+        inactive = solver.solve(1.2 * solver.unconstrained_norm, tol=1e-9, max_iter=50_000)
         assert (inactive.status, inactive.iterations, inactive.gap) == ("optimal", 0, 0.0)
         np.testing.assert_array_equal(inactive.solution, ref.solution)
         # Just inside the closed-form norm the ball binds: the dual Newton
         # iterates and lands on (nearly) the closed-form point.
-        rep = solver.solve((1.0 - 1e-6) * solver.unconstrained_norm, tol=1e-9)
+        rep = solver.solve((1.0 - 1e-6) * solver.unconstrained_norm, tol=1e-9, max_iter=50_000)
         assert rep.status == "optimal" and rep.iterations > 0 and rep.gap <= 1e-9
         assert rep.objective == pytest.approx(ref.objective, rel=1e-6, abs=1e-8)
 
@@ -137,7 +137,7 @@ class TestSpectralAdmm:
         C, A = oracle_friendly_instance(seed + 20)
         solver = BlockDiagonalProblem(C, A)
         tau = active_radius(solver)
-        rep = solver.solve(tau, tol=1e-9)
+        rep = solver.solve(tau, tol=1e-9, max_iter=50_000)
         assert rep.status == "optimal"
         _, obj_ref = projected_gradient_spectral(
             C, A, np.eye(len(A)), tau, iters=20_000
@@ -148,9 +148,9 @@ class TestSpectralAdmm:
         C, A = small_instance(7)
         solver = BlockDiagonalProblem(C, A)
         tau = active_radius(solver)
-        rep = solver.solve(tau, tol=1e-8)
-        assert np.abs(A @ rep.solution[0] - np.eye(len(A))).max() < 1e-10
-        assert spectral_norm(rep.solution[0]) <= tau * (1.0 + 1e-6)
+        rep = solver.solve(tau, tol=1e-8, max_iter=50_000)
+        assert np.abs(A @ rep.solution - np.eye(len(A))).max() < 1e-10
+        assert spectral_norm(rep.solution) <= tau * (1.0 + 1e-6)
 
     def test_matches_interior_point_on_thin_feasible_sets(self):
         cp = pytest.importorskip("cvxpy")
@@ -158,7 +158,7 @@ class TestSpectralAdmm:
             C, A = small_instance(seed)
             solver = BlockDiagonalProblem(C, A)
             tau = active_radius(solver)
-            rep = solver.solve(tau, tol=1e-9)
+            rep = solver.solve(tau, tol=1e-9, max_iter=50_000)
             G = cp.Variable((C.shape[1], len(A)))
             prob = cp.Problem(
                 cp.Minimize(cp.norm(C @ G, "fro")),
@@ -171,7 +171,7 @@ class TestSpectralAdmm:
         C, A = small_instance(8)
         for solver in (BlockDiagonalProblem(C, A), CoupledCausalProblem(np.hstack([C, C]), A)):
             with pytest.raises(InfeasibleEpsilon, match="below the feasibility floor"):
-                solver.solve(0.5 * solver.floor)
+                solver.solve(0.5 * solver.floor, tol=1e-7, max_iter=50_000)
 
     def test_floor_equals_min_norm_solution_norm(self):
         C, A = small_instance(9)
@@ -201,6 +201,22 @@ class TestGammaSearch:
         prob, _ = self.build_problem(1)
         with pytest.raises(InfeasibleEpsilon):
             gamma_search(prob, 1e9)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"gamma_tol": np.nan}, "gamma_tol must be nonnegative, got nan"),
+            ({"gamma_tol": -1e-4}, "gamma_tol must be nonnegative, got -0.0001"),
+            ({"tol": np.nan}, "tol must be nonnegative, got nan"),
+            ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ],
+        ids=["nan-gamma_tol", "negative-gamma_tol", "nan-tol", "zero-max_iter"],
+    )
+    def test_bad_settings_rejected_before_the_first_solve(self, setting, message):
+        recording = RecordingProblem(self.build_problem(2)[0])
+        with pytest.raises(ValueError, match=message):
+            gamma_search(recording, 0.1, **setting)
+        assert recording.calls == []
 
     @pytest.mark.parametrize("structure", ["blockdiag", "full"])
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -573,11 +589,17 @@ def blockdiag_instance(sys, weights, T, N, seed):
     return _build_problem(data, weights, "blockdiag"), data
 
 
+def diagonal_blocks(G, L):
+    """The L diagonal blocks of a block-diagonal G, each (cols x n)."""
+    cols, n = G.shape[0] // L, G.shape[1] // L
+    return [G[k * cols : (k + 1) * cols, k * n : (k + 1) * n] for k in range(L)]
+
+
 def assert_blocks_certified(rep, prob, data, tau, tol):
     """Every block affine-feasible, in the ball and within tol of its dual bound."""
     assert rep.status == "optimal" and 0.0 <= rep.gap <= tol
     assert np.isfinite(rep.solution).all()
-    for G in rep.solution:
+    for G in diagonal_blocks(rep.solution, prob.L):
         assert np.abs(data.h1x @ G - np.eye(data.n)).max() < 1e-10
         assert spectral_norm(G) <= tau * (1.0 + 1e-12)
 
@@ -637,7 +659,7 @@ class TestBlockDiagonalProblem:
         ranks = [np.linalg.matrix_rank(C @ prob.null_basis) for C in prob.C]
         assert ranks[-1] < d and ranks[0] == d
         tau = np.sqrt(prob.floor * prob.unconstrained_norm)
-        rep = prob.solve(tau, tol=1e-9)
+        rep = prob.solve(tau, tol=1e-9, max_iter=50_000)
         assert_blocks_certified(rep, prob, data, tau, 1e-9)
         # The singular blocks bind too: their closed-form points leave the ball.
         singular = [k for k, r in enumerate(ranks) if r < d]
@@ -646,7 +668,7 @@ class TestBlockDiagonalProblem:
     def test_near_floor_converges_within_default_cap(self, bench_problem):
         prob, data = bench_problem
         tau = prob.floor * (1.0 + 1e-3)
-        rep = prob.solve(tau)
+        rep = prob.solve(tau, tol=1e-7, max_iter=50_000)
         assert_blocks_certified(rep, prob, data, tau, 1e-7)
         assert 0 < rep.iterations < 100
 
@@ -655,25 +677,25 @@ class TestBlockDiagonalProblem:
         tau = prob.floor * (1.0 + 1e-3)
         rep = prob.solve(tau, tol=1e-12, max_iter=1)
         assert (rep.status, rep.iterations) == ("max-iter", 1) and rep.gap > 1e-12
-        for G in rep.solution:
+        for G in diagonal_blocks(rep.solution, prob.L):
             assert np.abs(data.h1x @ G - np.eye(data.n)).max() < 1e-10
             assert spectral_norm(G) <= tau * (1.0 + 1e-12)
 
     def test_identical_calls_give_identical_reports(self, bench_problem):
         prob, _ = bench_problem
         tau = 2.0 * prob.floor
-        first = prob.solve(tau, tol=1e-5)
+        first = prob.solve(tau, tol=1e-5, max_iter=50_000)
         assert first.iterations > 0
-        assert_same_report(prob.solve(tau, tol=1e-5), first)
+        assert_same_report(prob.solve(tau, tol=1e-5, max_iter=50_000), first)
 
     def test_repeated_radius_reuses_multipliers(self, bench_problem):
         prob, _ = bench_problem
         tau = 2.0 * prob.floor
-        first = prob.solve(tau, tol=1e-5)
-        again = prob.solve(tau, tol=1e-5, start=first)
+        first = prob.solve(tau, tol=1e-5, max_iter=50_000)
+        again = prob.solve(tau, tol=1e-5, max_iter=50_000, start=first)
         assert first.iterations > 0 and again.iterations == 0
         np.testing.assert_array_equal(again.solution, first.solution)
-        tighter = prob.solve(tau, tol=1e-10, start=first)
+        tighter = prob.solve(tau, tol=1e-10, max_iter=50_000, start=first)
         assert tighter.status == "optimal" and tighter.gap <= 1e-10
         assert tighter.objective <= first.objective * (1.0 + 1e-12)
 
@@ -689,10 +711,10 @@ class TestBlockDiagonalProblem:
         floor, top = prob.floor, prob.unconstrained_norm
         for frac in (0.2, 0.5, 0.9):
             tau = floor * (top / floor) ** frac
-            rep = prob.solve(tau, tol=1e-10)
+            rep = prob.solve(tau, tol=1e-10, max_iter=50_000)
             assert rep.status == "optimal"
             assert cut_slope(rep) == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-5)
-        assert cut_slope(prob.solve(1.1 * top, tol=1e-10)) == 0.0
+        assert cut_slope(prob.solve(1.1 * top, tol=1e-10, max_iter=50_000)) == 0.0
 
     @pytest.mark.slow
     @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -713,7 +735,7 @@ class TestBlockDiagonalProblem:
         floor, top = prob.floor, prob.unconstrained_norm
         assume(top > 1.001 * floor)
         tau = 1.001 * floor * (top / (1.001 * floor)) ** frac
-        rep = prob.solve(tau, tol=1e-8)
+        rep = prob.solve(tau, tol=1e-8, max_iter=50_000)
         assert_blocks_certified(rep, prob, data, tau, 1e-8)
         # The interior-point oracle starts from the minimum-norm point, so it
         # needs room between the floor and the radius; check the most
@@ -723,7 +745,7 @@ class TestBlockDiagonalProblem:
         k = int(np.argmax(prob.unconstrained_norms))
         if tau >= 1.6 * floor and prob.unconstrained_norms[k] > tau:
             _, obj_ref = barrier_spectral(prob.C[k], data.h1x, np.eye(n), tau)
-            obj = np.linalg.norm(prob.C[k] @ rep.solution[k])
+            obj = np.linalg.norm(prob.C[k] @ diagonal_blocks(rep.solution, L)[k])
             assert obj == pytest.approx(obj_ref, rel=1e-4)
             # The oracle's point is feasible: it cannot beat a certified optimum.
             assert obj <= obj_ref * (1.0 + 1e-8)
@@ -741,7 +763,7 @@ class TestBlockDiagonalProblem:
         total = 0.0
         for k, C in enumerate(Cs):
             ref = closed_form(C, A)
-            np.testing.assert_allclose(rep.solution[k], ref.solution[0], atol=1e-9)
+            np.testing.assert_allclose(diagonal_blocks(rep.solution, batch.L)[k], ref.solution, atol=1e-9)
             total += ref.objective**2
         assert rep.objective == pytest.approx(np.sqrt(total), rel=1e-10)
 
@@ -751,11 +773,50 @@ class TestBlockDiagonalProblem:
         Cs = [rng.standard_normal((5, 9)) for _ in range(3)]
         batch = BlockDiagonalProblem(np.hstack(Cs), A)
         tau = max(1.05 * batch.floor, 0.5 * batch.unconstrained_norm)
-        rep = batch.solve(tau, tol=1e-9)
+        rep = batch.solve(tau, tol=1e-9, max_iter=50_000)
         for k, C in enumerate(Cs):
-            single = BlockDiagonalProblem(C, A).solve(tau, tol=1e-9)
-            obj_k = float(np.linalg.norm(C @ rep.solution[k]))
+            single = BlockDiagonalProblem(C, A).solve(tau, tol=1e-9, max_iter=50_000)
+            obj_k = float(np.linalg.norm(C @ diagonal_blocks(rep.solution, batch.L)[k]))
             assert obj_k == pytest.approx(single.objective, rel=1e-5, abs=1e-7)
+
+
+def structured_problem(cls):
+    """An inner problem of class ``cls`` (L = 3) and its data."""
+    n, m, L = 2, 1, 3
+    w = CostWeights(np.eye(n), np.eye(m), q_terminal=np.eye(n), horizon=L)
+    data = DataHankels.from_trajectory(average(generate_ensemble(random_plant(17, n, m, 1.1), 15, 4, seed=17)), L)
+    return cls(stacked_cost_map(data, w), data.h1x), data
+
+
+@pytest.mark.parametrize("cls", [BlockDiagonalProblem, CoupledCausalProblem], ids=["blockdiag", "full"])
+def test_both_classes_return_the_structured_parameter(cls):
+    # One layout for both: G is (L cols x L n), and blockdiag's G is zero off its diagonal blocks.
+    prob, data = structured_problem(cls)
+    L, n = data.L, data.n
+    for rep in (prob.unconstrained, prob.solve(active_radius(prob), tol=1e-7, max_iter=50)):
+        assert rep.solution.shape == (L * data.cols, L * n)
+        assert_causal_and_feasible(rep.solution, data, 1e-10)
+        if cls is BlockDiagonalProblem:
+            off = rep.solution.copy()
+            for G in diagonal_blocks(off, L):
+                G[...] = 0.0
+            assert not off.any()
+
+
+@pytest.mark.parametrize("cls", [BlockDiagonalProblem, CoupledCausalProblem], ids=["blockdiag", "full"])
+@pytest.mark.parametrize(
+    "tol, max_iter, message",
+    [
+        (np.nan, 10, "tol must be nonnegative, got nan"),
+        (-1e-7, 10, "tol must be nonnegative, got -1e-07"),
+        (1e-7, 0, "max_iter must be >= 1, got 0"),
+    ],
+    ids=["nan-tol", "negative-tol", "zero-max_iter"],
+)
+def test_bad_solve_settings_rejected(cls, tol, max_iter, message):
+    prob, _ = structured_problem(cls)
+    with pytest.raises(ValueError, match=message):
+        prob.solve(active_radius(prob), tol=tol, max_iter=max_iter)
 
 
 def test_rank_deficient_constraint_is_infeasible_in_both_classes():
@@ -828,7 +889,7 @@ class TestCoupledCausalProblem:
         prob, _, _ = horizon3
         ref = prob.unconstrained
         for tau in (prob.unconstrained_norm, 1.2 * prob.unconstrained_norm):
-            rep = prob.solve(tau, tol=1e-9)
+            rep = prob.solve(tau, tol=1e-9, max_iter=50_000)
             # The cut's derivative is exactly zero at every radius.
             assert (rep.status, rep.iterations, rep.gap, rep.cut[1:]) == ("optimal", 0, 0.0, (0.0, 0.0))
             np.testing.assert_array_equal(rep.solution, ref.solution)
@@ -836,9 +897,9 @@ class TestCoupledCausalProblem:
     def test_identical_calls_give_identical_reports(self, horizon3):
         prob, _, _ = horizon3
         tau = prob.floor + 0.2 * (prob.unconstrained_norm - prob.floor)
-        first = prob.solve(tau, max_iter=200)
+        first = prob.solve(tau, tol=1e-7, max_iter=200)
         assert first.iterations > 0
-        assert_same_report(prob.solve(tau, max_iter=200), first)
+        assert_same_report(prob.solve(tau, tol=1e-7, max_iter=200), first)
 
     def test_resumed_solve_continues_exactly(self, horizon3):
         prob, _, _ = horizon3
@@ -858,7 +919,7 @@ class TestCoupledCausalProblem:
     def test_slope_matches_finite_difference(self, frac, horizon3):
         prob, _, _ = horizon3
         tau = prob.floor + frac * (prob.unconstrained_norm - prob.floor)
-        rep = prob.solve(tau, tol=1e-10)
+        rep = prob.solve(tau, tol=1e-10, max_iter=50_000)
         assert rep.status == "optimal"
         # The dual cut's derivative matched to 2.4e-8 on these radii.
         assert cut_slope(rep) == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-6)
@@ -868,7 +929,7 @@ class TestCoupledCausalProblem:
         # The residual rule alone stopped these solves at gaps of 2.5e-4 and 1.3e-3.
         prob, _, _ = bench_instance
         tau = prob.floor + frac * (prob.unconstrained_norm - prob.floor)
-        rep = prob.solve(tau, tol=1e-4)
+        rep = prob.solve(tau, tol=1e-4, max_iter=50_000)
         assert rep.status == "optimal" and 0.0 <= rep.gap <= 1e-4
         # Walk the gap check points: a solve resumed for ``every`` iterations
         # continues the loop exactly, so it reports what a solve capped at
@@ -1000,6 +1061,24 @@ class TestCoupledCausalProblem:
         f2 = rep.objective**2
         assert -1e-9 * F <= f2 - F <= tol * f2
         assert cut_value(rep, tau) <= F * (1.0 + 1e-12)
+
+    def test_a_cap_off_the_check_points_is_a_check_point(self, horizon3):
+        # A solve capped at 49 checks there, as at 50.  Two solves from one
+        # start differ only in the gap their start reports: the one against
+        # which the cap's gap stalls moves rho by the residual rule (r / s is
+        # past 2^6 from this start) and returns the moved state.
+        prob, _, _ = horizon3
+        tau = prob.floor + 0.2 * (prob.unconstrained_norm - prob.floor)
+        rho, cap = prob._rho0, prob._GAP_EVERY - 1
+        Y = _ball_projection(prob._closed, tau)
+        start = replace(prob.unconstrained, tau=tau, state=(Y, np.zeros_like(Y), rho))
+        held = prob.solve(tau, tol=1e-15, max_iter=cap, start=replace(start, gap=np.inf))
+        moved = prob.solve(tau, tol=1e-15, max_iter=cap, start=replace(start, gap=held.gap))
+        assert (held.status, held.iterations, held.state[2]) == ("max-iter", cap, rho)
+        assert_same_report(replace(moved, state=None), replace(held, state=None))
+        np.testing.assert_array_equal(moved.state[0], held.state[0])
+        np.testing.assert_array_equal(moved.state[1] * 64.0, held.state[1])
+        assert moved.state[2] == 64.0 * rho
 
     def test_capped_solve_returns_feasible_point(self, bench_instance):
         prob, _, data = bench_instance
