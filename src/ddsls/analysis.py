@@ -16,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import CostWeights, obs_stack, psd_sqrt, spectral_norm, toeplitz_stack
+from .blockops import (
+    CostWeights,
+    _require_count,
+    _require_finite,
+    _require_nonnegative,
+    obs_stack,
+    psd_sqrt,
+    spectral_norm,
+    toeplitz_stack,
+)
 from .hankel import build_hankel
 from .lqg import optimal_responses
 from .lti import Ensemble, LtiSystem
@@ -38,27 +47,6 @@ __all__ = [
 ]
 
 
-def _require_nonnegative(**values: float) -> None:
-    """Raise ValueError naming the first argument that is negative or NaN."""
-    for name, value in values.items():
-        if not value >= 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
-def _require_finite(**values: float) -> None:
-    """Raise ValueError naming the first argument that is infinite or NaN."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _require_positive_dims(**dims: int) -> None:
-    """Raise ValueError naming the first dimension below 1."""
-    for name, dim in dims.items():
-        if dim < 1:
-            raise ValueError(f"{name} must be >= 1, got {dim}")
-
-
 def eps_precondition(gstar_norm: float, L: int, toepnorm: float) -> float:
     """Largest noise budget for which the suboptimality bound is certified.
 
@@ -67,7 +55,7 @@ def eps_precondition(gstar_norm: float, L: int, toepnorm: float) -> float:
     (degenerate cost) makes the budget unbounded; L < 1 or a negative norm
     raises ValueError.
     """
-    _require_positive_dims(L=L)
+    _require_count(L=L)
     _require_nonnegative(gstar_norm=gstar_norm, toepnorm=toepnorm)
     if gstar_norm == 0:
         warnings.warn("zero parameter norm: eps precondition is unbounded")
@@ -155,14 +143,13 @@ class TailParams:
     sigma2: float
 
     def __post_init__(self):
-        _require_positive_dims(n=self.n, T=self.T, N=self.N)
+        _require_count(n=self.n, T=self.T, N=self.N)
         _require_nonnegative(sigma2=self.sigma2)
 
 
 def tail_bound_matrix(t: float, p: TailParams) -> float:
     """Matrix-series tail: P[ ||H_L(w_bar)||_2 >= t ] <= 2nT exp(-t^2 N / (2 sigma^2 n T))."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _require_nonnegative(t=t)
     if p.sigma2 == 0:
         return 1.0 if t == 0 else 0.0
     exponent = -(t * t) * p.N / (2.0 * p.sigma2 * p.n * p.T)
@@ -180,8 +167,7 @@ def tail_bound_lipschitz(t: float, p: TailParams) -> float:
     Bounds P[ ||H_L(w_bar)||_2 >= t + sigma T / sqrt(N) ] by
     exp(-t^2 N / (sigma^2 T)).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    _require_nonnegative(t=t)
     if p.sigma2 == 0:
         return 1.0 if t == 0 else 0.0
     return min(1.0, math.exp(-(t * t) * p.N / (p.sigma2 * p.T)))
@@ -215,7 +201,7 @@ def sample_complexity(
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    _require_positive_dims(L=L, n=n, T=T)
+    _require_count(L=L, n=n, T=T)
     _require_nonnegative(gstar_norm=gstar_norm, toepnorm=toepnorm, sigma2=sigma2)
     _require_finite(gstar_norm=gstar_norm, toepnorm=toepnorm, sigma2=sigma2)
     # By the matrix tail bound, the noise Hankel norm exceeds sqrt(quantile / N) with probability <= delta.
@@ -341,8 +327,7 @@ def bootstrap_epsilon(
     N = len(ens)
     if N < 2:
         raise ValueError("bootstrap requires at least two trajectories")
-    if resamples < 1:
-        raise ValueError(f"resamples must be >= 1, got {resamples}")
+    _require_count(resamples=resamples)
     if statistic == "deviation":
         members = ens.x
     elif statistic == "noise":

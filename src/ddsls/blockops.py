@@ -6,10 +6,16 @@ is built densely.  ``spectral_norm`` and ``matrix_rank`` go through the SVD,
 which keeps rank decisions reproducible; the batched Hankel norms of
 ``analysis`` and the spectral-ball projection of ``solver`` go through the
 eigenvalues of small Gram matrices instead.
+
+The package's argument checks live here too: ``as_matrix`` for matrix
+inputs, and ``_require_count``, ``_require_nonnegative`` and
+``_require_finite`` for scalars.  Each names the offending argument and its
+value, and NaN fails every range check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,27 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _require_count(**values: int) -> None:
+    """Raise ValueError naming the first argument below 1 or NaN."""
+    for name, value in values.items():
+        if not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _require_nonnegative(**values: float) -> None:
+    """Raise ValueError naming the first argument that is negative or NaN."""
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first argument that is infinite or NaN."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def block_diag(blocks) -> np.ndarray:
     """Block-diagonal matrix of 2-D blocks, which need not be square; zero elsewhere."""
     blocks = [np.asarray(b, dtype=float) for b in blocks]
@@ -55,8 +82,7 @@ def block_downshift(L: int, n: int) -> np.ndarray:
 
     The result is nL x nL, nilpotent of index L (its L-th power vanishes).
     """
-    if L < 1 or n < 1:
-        raise ValueError("L and n must be >= 1")
+    _require_count(L=L, n=n)
     Z = np.zeros((n * L, n * L))
     for i in range(1, L):
         Z[i * n : (i + 1) * n, (i - 1) * n : i * n] = np.eye(n)
@@ -69,8 +95,7 @@ def obs_stack(A: np.ndarray, L: int) -> np.ndarray:
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError("A must be square")
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    _require_count(L=L)
     rows = [np.eye(n)]
     for _ in range(L - 1):
         rows.append(A @ rows[-1])
@@ -88,8 +113,7 @@ def toeplitz_stack(A: np.ndarray, X: np.ndarray, L: int) -> np.ndarray:
     n = A.shape[0]
     if A.shape != (n, n) or X.shape[0] != n:
         raise ValueError("A must be square and X must have matching row count")
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    _require_count(L=L)
     q = X.shape[1]
     out = np.zeros((n * L, q * L))
     # A^d X for d = 0..L-2; diagonal offset i-j determines the power.
@@ -212,8 +236,7 @@ class CostWeights:
                 raise ValueError(f"{name} must be square")
         if QF.shape != Q.shape:
             raise ValueError("q_terminal must match q_state in shape")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _require_count(horizon=self.horizon)
         # psd_sqrt holds the symmetry and semidefiniteness checks.
         qh, qfh = psd_sqrt(Q, "q_state"), psd_sqrt(QF, "q_terminal")
         if np.linalg.eigvalsh(R).min() <= 0.0:

@@ -22,7 +22,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import analysis, lqg, synth
-from .blockops import CostWeights, spectral_norm
+from .blockops import CostWeights, _require_count, _require_nonnegative, spectral_norm
 from .experiments import TrialRecord, _bootstrap_budget, _noiseless_twin, _record, compare_controllers
 from .lti import LtiSystem, _write_csv, _write_json, generate_ensemble, save_ensemble
 
@@ -67,8 +67,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
 
 def _system(cfg: dict) -> LtiSystem:
     s = cfg["system"]
-    if not s["sigma2"] >= 0:
-        raise ValueError(f"system.sigma2 must be nonnegative, got {s['sigma2']}")
+    _require_nonnegative(**{"system.sigma2": s["sigma2"]})
     return LtiSystem(
         A=np.asarray(s["A"], dtype=float),
         B=np.asarray(s["B"], dtype=float),
@@ -95,8 +94,7 @@ def _weights(cfg: dict, sys_: LtiSystem) -> CostWeights:
 
 def _trials(cfg: dict) -> int:
     trials = cfg["sampling"]["trials"]
-    if trials < 1:
-        raise ValueError(f"sampling.trials must be >= 1, got {trials}")
+    _require_count(**{"sampling.trials": trials})
     return trials
 
 
@@ -129,7 +127,10 @@ def _resolve_eps(cfg: dict, ens, data) -> float:
         return _bootstrap_budget(ens, data.L)
     if spec == "true":
         return float(spectral_norm(data.hw))
-    return float(spec)
+    try:
+        return float(spec)
+    except (TypeError, ValueError):
+        raise ValueError(f'synthesis.eps must be "bootstrap", "true" or a number, got {spec!r}') from None
 
 
 def cmd_synth(cfg: dict) -> dict:

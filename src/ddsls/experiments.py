@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .analysis import BoundInputs, _plant_terms, bootstrap_epsilon, suboptimality_bound
-from .blockops import CostWeights, LtvOperator, spectral_norm
+from .blockops import CostWeights, LtvOperator, _require_count, spectral_norm
 from .hankel import NotPersistentlyExciting
 from .lqg import recover_gstar, riccati_finite
 from .lti import Ensemble, LtiSystem, average, generate_ensemble, simulate
@@ -54,8 +54,7 @@ class MpcConfig:
     seed: int
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        _require_count(horizon=self.horizon)
         n, m = self.plant.state_dim, self.plant.input_dim
         blocks = (self.controller.block_rows, self.controller.block_cols)
         if blocks != (m, n):
@@ -205,8 +204,7 @@ def compare_controllers(
     ``N_list``, then trial, then optimal, robust_bootstrap, robust_true,
     naive.
     """
-    if trials_per_N < 1:
-        raise ValueError(f"trials_per_N must be >= 1, got {trials_per_N}")
+    _require_count(trials_per_N=trials_per_N)
     if not N_list:
         raise ValueError("N_list must hold at least one sample size")
     L = weights.horizon

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import matrix_rank, rank_tolerance
+from .blockops import _require_count, as_matrix, matrix_rank, rank_tolerance
 
 __all__ = [
     "build_hankel",
@@ -29,13 +29,18 @@ class NotPersistentlyExciting(RuntimeError):
 
 
 def _as_signal(sig, name: str = "signal", batch: bool = False) -> np.ndarray:
-    """``sig`` as a float (T, p) array, a 1-D signal as one column; with ``batch``, (..., T, p) too."""
+    """``sig`` as a finite float (T, p) array, a 1-D signal as one column.
+
+    With ``batch``, as ``build_hankel`` reads its input, a (..., T, p) stack
+    passes too and entries are not checked: the bootstrap builds the Hankels
+    of every chunk of its resamples.
+    """
     s = np.asarray(sig, dtype=float)
     if s.ndim == 1:
         s = s[:, None]
     if s.ndim < 2 or (s.ndim > 2 and not batch):
         raise ValueError(f"{name} must be (T, p), got shape {s.shape}")
-    return s
+    return s if batch else as_matrix(s, name)
 
 
 def build_hankel(signal: np.ndarray, L: int) -> np.ndarray:
@@ -47,8 +52,7 @@ def build_hankel(signal: np.ndarray, L: int) -> np.ndarray:
     """
     s = _as_signal(signal, batch=True)
     *batch, T, p = s.shape
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    _require_count(L=L)
     if L > T:
         raise ValueError(f"Hankel order {L} exceeds signal horizon {T}")
     windows = np.lib.stride_tricks.sliding_window_view(s, L, axis=-2)  # (..., cols, p, L)
@@ -87,8 +91,7 @@ def is_pe(signal: np.ndarray, order: int) -> PeReport:
     """
     s = _as_signal(signal)
     T, p = s.shape
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _require_count(order=order)
     required = p * order
     rank = matrix_rank(build_hankel(s, order)) if order <= T else 0
     feasible = order <= T and T >= (p + 1) * order - 1

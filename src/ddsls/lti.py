@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockops import as_matrix
+from .blockops import _require_count, _require_finite, _require_nonnegative, as_matrix
 
 __all__ = [
     "LtiSystem",
@@ -49,8 +49,8 @@ class LtiSystem:
             raise ValueError("A must be square")
         if B.shape[0] != A.shape[0]:
             raise ValueError("B row count must match A")
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
+        _require_nonnegative(noise_std=self.noise_std)
+        _require_finite(noise_std=self.noise_std)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -110,12 +110,6 @@ def _process_noise(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_horizon(T: int) -> None:
-    """Raise ValueError unless the horizon T holds at least one step."""
-    if T < 1:
-        raise ValueError(f"horizon T must be >= 1, got {T}")
-
-
 def _record_arrays(x, u, w, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The float arrays of a valid record: ``ndim``-D (..., T, n) states ``x`` and
     noise ``w`` under their (T, m) input ``u``.
@@ -128,7 +122,7 @@ def _record_arrays(x, u, w, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     u = as_matrix(u, "u")
     if x.ndim != ndim or 0 in x.shape[:-2]:
         raise ValueError(f"x must be a nonempty {ndim}-D record, got shape {x.shape}")
-    _check_horizon(x.shape[-2])
+    _require_count(horizon=x.shape[-2])
     if w.shape != x.shape:
         raise ValueError(f"w must have the shape {x.shape} of x, got {w.shape}")
     if u.shape[0] != x.shape[-2]:
@@ -185,7 +179,7 @@ def simulate(
     if u.ndim == 1:
         u = u[:, None]
     T = u.shape[0]
-    _check_horizon(T)
+    _require_count(horizon=T)
     n, m = sys.state_dim, sys.input_dim
     if u.shape[1] != m:
         raise ValueError(f"u has {u.shape[1]} columns, expected {m}")
@@ -208,9 +202,7 @@ def generate_ensemble(sys: LtiSystem, T: int, N: int, seed: int) -> Ensemble:
     the excitation out.  Deterministic under the seed: the input is drawn
     first, then the noise of all members.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    _check_horizon(T)
+    _require_count(N=N, horizon=T)
     n, m = sys.state_dim, sys.input_dim
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((T, m))

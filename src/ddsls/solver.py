@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockops import block_diag, rank_tolerance
+from .blockops import _require_count, _require_nonnegative, block_diag, rank_tolerance
 
 __all__ = [
     "SolveReport",
@@ -108,14 +108,6 @@ def _closed_form_at(problem, tau: float) -> SolveReport | None:
     if tau < problem.floor * (1.0 - 1e-9):
         raise InfeasibleEpsilon(f"ball radius {tau:.6g} is below the feasibility floor {problem.floor:.6g}")
     return replace(problem.unconstrained, tau=tau) if problem.unconstrained_norm <= tau * _BINDS else None
-
-
-def _check_settings(tol: float, max_iter: int) -> None:
-    """Reject a NaN or negative ``tol`` and a ``max_iter`` below 1, naming the setting."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
 def _layout(cmap: np.ndarray, h1x: np.ndarray) -> tuple[int, int, int]:
@@ -263,7 +255,8 @@ class BlockDiagonalProblem:
         objective^2 (1 - gap) - (t^2 - tau^2) sum_k tr Lam_k,
         whose derivative at tau is -2 tau sum_k tr Lam_k.
         """
-        _check_settings(tol, max_iter)
+        _require_nonnegative(tol=tol)
+        _require_count(max_iter=max_iter)
         if (closed := _closed_form_at(self, tau)) is not None:
             return closed
         k = np.flatnonzero(self.unconstrained_norms > tau * _BINDS)
@@ -595,7 +588,8 @@ class CoupledCausalProblem:
         and ``cut`` come from ``_dual_bound`` at the multiplier rho U, capped
         solves included, and "optimal" means gap <= tol.
         """
-        _check_settings(tol, max_iter)
+        _require_nonnegative(tol=tol)
+        _require_count(max_iter=max_iter)
         if (closed := _closed_form_at(self, tau)) is not None:
             return closed
         resumed = start is not None and start.state is not None
@@ -819,13 +813,8 @@ def gamma_search(
     the search's certificate, which a stop on bracket width can leave above
     ``gamma_tol``.
     """
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points}")
-    if not gamma_tol >= 0:
-        raise ValueError(f"gamma_tol must be nonnegative, got {gamma_tol}")
-    _check_settings(tol, max_iter)
+    _require_nonnegative(eps=eps, gamma_tol=gamma_tol, tol=tol)
+    _require_count(grid_points=grid_points, max_iter=max_iter)
     scale = np.sqrt(problem.L) * eps
     closed = problem.unconstrained
     if eps == 0.0:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .blockops import CostWeights, LtvOperator, spectral_norm
+from .blockops import CostWeights, LtvOperator, _require_nonnegative, spectral_norm
 from .hankel import NotPersistentlyExciting, _data_rank, build_hankel
 from .lti import Trajectory
 from .sls import _STRUCT_TOL, Perturbation, SystemResponsePair, recover_controller
@@ -279,8 +279,7 @@ def synth_robust(
     ):
         if have != want:
             raise ValueError(f"weights {name} {have} does not match the data's {want}")
-    if not eps >= 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _require_nonnegative(eps=eps)
     if mode not in ("robust", "naive"):
         raise ValueError(f"unknown mode {mode!r}")
     start = time.perf_counter()

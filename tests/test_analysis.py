@@ -160,6 +160,16 @@ class TestTailBounds:
         with pytest.raises(ValueError, match=f"^{name} "):
             TailParams(**{"n": 3, "T": 45, "N": 100, "sigma2": 0.1, **kwargs})
 
+    @pytest.mark.parametrize("sigma2", [0.1, 0.0])
+    @pytest.mark.parametrize(
+        "bound, name",
+        [(tail_bound_matrix, "t"), (tail_bound_lipschitz, "t"), (tail_bound_lipschitz_at, "(t|threshold)")],
+        ids=["matrix", "lipschitz", "lipschitz_at"],
+    )
+    def test_nan_threshold_rejected_by_name(self, bound, name, sigma2):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got nan"):
+            bound(math.nan, TailParams(n=3, T=45, N=100, sigma2=sigma2))
+
     def test_monte_carlo_dominance_desk_scale(self):
         # Small pilot of the full acceptance check.
         p = self.P

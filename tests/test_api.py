@@ -141,6 +141,29 @@ def test_every_library_definition_is_used_by_the_library():
     assert [where for where, name in defined if name not in used] == []
 
 
+RANGE_CHECK_PHRASES = ("must be >= 1", "must be nonnegative", "must be finite")
+
+
+def test_range_checks_are_raised_by_blockops_alone():
+    # blockops._require_count, _require_nonnegative and _require_finite are
+    # the package's one vocabulary for these checks; a hand-rolled
+    # ``raise ValueError("... must be >= 1")`` elsewhere should call them.
+    found = []
+    for path in sorted(Path(ddsls.__file__).parent.glob("*.py")):
+        if path.name == "blockops.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            if getattr(node.exc.func, "id", None) != "ValueError":
+                continue
+            strings = [c.value for c in ast.walk(node.exc) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+            text = "".join(strings)
+            if any(phrase in text for phrase in RANGE_CHECK_PHRASES):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 NUMPY_ONLY_SCRIPT = textwrap.dedent(
     """
     import sys

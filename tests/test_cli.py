@@ -263,6 +263,14 @@ def test_rejects_a_negative_noise_variance(tmp_path, capsys, command):
     assert record["message"] == "system.sigma2 must be nonnegative, got -0.1"
 
 
+def test_an_unknown_eps_spec_is_named_with_its_accepted_values(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"synthesis": {"eps": "boot"}})
+    assert run(["synth", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ValueError" and record["command"] == "synth"
+    assert record["message"] == "synthesis.eps must be \"bootstrap\", \"true\" or a number, got 'boot'"
+
+
 def test_loaded_config_does_not_share_the_defaults(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"horizons": {"L": 4}}))

@@ -210,6 +210,25 @@ class TestReconstruct:
             reconstruct(np.ones(3), np.ones((4, 3)), traj.x, traj.u, 4)
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("signal", lambda x, u: is_pe(x, 2)),
+        ("x", lambda x, u: stacked_rank(x, u, 2)),
+        ("u", lambda x, u: stacked_rank(u, x, 2)),
+        ("x_data", lambda x, u: reconstruct(np.zeros(2), np.zeros((2, 1)), x, u, 2)),
+        ("u_data", lambda x, u: reconstruct(np.zeros(1), np.zeros((2, 2)), u, x, 2)),
+    ],
+    ids=["is_pe", "stacked_rank-x", "stacked_rank-u", "reconstruct-x_data", "reconstruct-u_data"],
+)
+def test_non_finite_signal_rejected_by_name(name, call):
+    # Rejected by the caller's argument name before any rank or SVD work.
+    bad = np.random.default_rng(9).standard_normal((12, 2))
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+        call(bad, np.ones((12, 1)))
+
+
 def test_span_equivalence_between_data_and_simulation(plant):
     """Every combination of Hankel columns is a trajectory and vice versa."""
     rng = np.random.default_rng(8)

@@ -924,7 +924,7 @@ class TestCoupledCausalProblem:
         # The dual cut's derivative matched to 2.4e-8 on these radii.
         assert cut_slope(rep) == pytest.approx(squared_objective_slope(prob, tau, 1e-10), rel=1e-6)
 
-    @pytest.mark.parametrize("frac", [0.5, 0.8])
+    @pytest.mark.parametrize("frac", [0.5, pytest.param(0.8, marks=pytest.mark.slow)])
     def test_optimal_means_the_gap_is_within_tol(self, frac, bench_instance):
         # The residual rule alone stopped these solves at gaps of 2.5e-4 and 1.3e-3.
         prob, _, _ = bench_instance
@@ -979,7 +979,7 @@ class TestCoupledCausalProblem:
         atol = 64 * np.finfo(float).eps * cond * np.abs(ref).max()
         np.testing.assert_allclose(got, ref, rtol=0, atol=atol)
 
-    @pytest.mark.parametrize("which", ["horizon3", "bench_instance"])
+    @pytest.mark.parametrize("which", ["horizon3", pytest.param("bench_instance", marks=pytest.mark.slow)])
     @pytest.mark.parametrize("factor", [1e-3, 1e3])
     def test_admm_matches_the_reference_loop(self, which, factor, request):
         # 150 iterations, three check points, of the same ADMM in the original
