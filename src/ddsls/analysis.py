@@ -175,6 +175,7 @@ def tail_bound_lipschitz(t: float, p: TailParams) -> float:
 
 def tail_bound_lipschitz_at(threshold: float, p: TailParams) -> float:
     """Lipschitz tail re-expressed on the absolute threshold axis."""
+    _require_nonnegative(threshold=threshold)
     shift = lipschitz_shift(p)
     if threshold <= shift:
         return 1.0
@@ -200,7 +201,7 @@ def sample_complexity(
     raise ValueError.
     """
     if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     _require_count(L=L, n=n, T=T)
     _require_nonnegative(gstar_norm=gstar_norm, toepnorm=toepnorm, sigma2=sigma2)
     _require_finite(gstar_norm=gstar_norm, toepnorm=toepnorm, sigma2=sigma2)
@@ -326,7 +327,7 @@ def bootstrap_epsilon(
     """
     N = len(ens)
     if N < 2:
-        raise ValueError("bootstrap requires at least two trajectories")
+        raise ValueError(f"bootstrap requires at least two trajectories, got {N}")
     _require_count(resamples=resamples)
     if statistic == "deviation":
         members = ens.x

@@ -83,10 +83,17 @@ def block_downshift(L: int, n: int) -> np.ndarray:
     The result is nL x nL, nilpotent of index L (its L-th power vanishes).
     """
     _require_count(L=L, n=n)
-    Z = np.zeros((n * L, n * L))
-    for i in range(1, L):
-        Z[i * n : (i + 1) * n, (i - 1) * n : i * n] = np.eye(n)
-    return Z
+    return _downshift(np.eye(n * L), n)
+
+
+def _downshift(M: np.ndarray, block: int, k: int = 1) -> np.ndarray:
+    """Z^k M, Z the downshift by one block of ``block`` rows: M's rows moved down k blocks, zeros above.
+
+    Row slicing, so the entries are M's own; k * block must not exceed M's row count.
+    """
+    out = np.zeros(M.shape)
+    out[k * block :] = M[: M.shape[0] - k * block]
+    return out
 
 
 def obs_stack(A: np.ndarray, L: int) -> np.ndarray:

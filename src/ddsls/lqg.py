@@ -40,6 +40,19 @@ class RiccatiSolution:
         return LtvOperator.from_block_diagonal(self.gains)
 
 
+def _riccati_step(
+    P: np.ndarray, A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Riccati step back from value matrix P: the symmetrized value before it and its gain.
+
+    K = -(R + B^T P B)^{-1} (A^T P B)^T and P' = sym(Q + A^T P A + A^T P B K).
+    """
+    APB = A.T @ P @ B
+    K = -np.linalg.solve(R + B.T @ P @ B, APB.T)
+    P_prev = Q + A.T @ P @ A + APB @ K
+    return 0.5 * (P_prev + P_prev.T), K
+
+
 def riccati_finite(sys: LtiSystem, weights: CostWeights) -> RiccatiSolution:
     """Finite-horizon LQR backward recursion.
 
@@ -53,17 +66,10 @@ def riccati_finite(sys: LtiSystem, weights: CostWeights) -> RiccatiSolution:
     n, m = sys.state_dim, sys.input_dim
     if Q.shape[0] != n or R.shape[0] != m:
         raise ValueError("weights do not match system dimensions")
-    gains = [np.zeros((m, n))] * L
-    values = [None] * L
-    values[L - 1] = QF.copy()
-    gains[L - 1] = np.zeros((m, n))
+    gains = [None] * (L - 1) + [np.zeros((m, n))]
+    values = [None] * (L - 1) + [QF.copy()]
     for t in range(L - 2, -1, -1):
-        P_next = values[t + 1]
-        S = R + B.T @ P_next @ B
-        K = -np.linalg.solve(S, B.T @ P_next @ A)
-        P = Q + A.T @ P_next @ A + A.T @ P_next @ B @ K
-        values[t] = 0.5 * (P + P.T)
-        gains[t] = K
+        values[t], gains[t] = _riccati_step(values[t + 1], A, B, Q, R)
     return RiccatiSolution(gains=gains, value_mats=values)
 
 
@@ -80,10 +86,7 @@ def dare(sys: LtiSystem, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     R = np.asarray(R, dtype=float)
     P = Q.copy()
     for _ in range(100_000):
-        S = R + B.T @ P @ B
-        APB = A.T @ P @ B
-        P_next = Q + A.T @ P @ A - APB @ np.linalg.solve(S, APB.T)
-        P_next = 0.5 * (P_next + P_next.T)
+        P_next = _riccati_step(P, A, B, Q, R)[0]
         if np.abs(P_next - P).max() <= 1e-12 * max(1.0, np.abs(P_next).max()):
             return P_next
         P = P_next

@@ -97,16 +97,18 @@ def achievability_map(sys: LtiSystem, L: int) -> np.ndarray:
 def responses_from_controller(sys: LtiSystem, K: LtvOperator) -> SystemResponsePair:
     """Exact closed-loop responses of a causal controller over its horizon.
 
-    The matrix I - Z (A_lift + B_lift K) is unit lower triangular, so LU of
-    its transpose picks no pivot and the inverse comes from plain back
-    substitution: its blocks above the diagonal are exactly zero and its
-    diagonal blocks exactly the identity.
+    The matrix I - Z (A_lift + B_lift K), formed as the achievability map
+    times [I; K], is unit lower triangular, and exactly so: Z is strictly
+    lower and K causal, so on and above the diagonal each of its blocks is
+    the identity block of I plus products with exact zeros.  LU of its
+    transpose therefore picks no pivot and the inverse comes from plain
+    back substitution: its blocks above the diagonal are exactly zero and
+    its diagonal blocks exactly the identity.
     """
     n, m, L, Kd = sys.state_dim, sys.input_dim, K.horizon, K.dense
     if Kd.shape != (m * L, n * L):
         raise ValueError(f"controller must be {m * L} x {n * L}, got {Kd.shape}")
-    Z = block_downshift(L, n)
-    closed = np.eye(n * L) - Z @ (np.kron(np.eye(L), sys.A) + np.kron(np.eye(L), sys.B) @ Kd)
+    closed = achievability_map(sys, L) @ np.vstack([np.eye(n * L), Kd])
     phi_x = np.linalg.solve(closed.T, np.eye(n * L)).T
     phi_u = Kd @ phi_x
     return SystemResponsePair(

@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockops import _require_count, _require_nonnegative, block_diag, rank_tolerance
+from .blockops import _require_count, _require_nonnegative, block_diag, rank_tolerance, spectral_norm
 
 __all__ = [
     "SolveReport",
@@ -135,8 +135,7 @@ def _affine_set(A: np.ndarray):
     G_part = (Vt[:rank].T / s[:rank]) @ U[:, :rank].T
     if np.abs(A @ G_part - np.eye(A.shape[0])).max(initial=0.0) > 1e-8:
         raise InfeasibleEpsilon("affine constraints are infeasible")
-    floor = float(np.linalg.svd(G_part, compute_uv=False)[0]) if G_part.size else 0.0
-    return G_part, Vt[rank:].T, Vt[:rank].T, floor
+    return G_part, Vt[rank:].T, Vt[:rank].T, spectral_norm(G_part)
 
 
 def _sym_basis(n: int) -> np.ndarray:
@@ -528,7 +527,7 @@ class CoupledCausalProblem:
         self._closed = np.vstack([self._step(self._pinv, np.zeros(self._causal.shape), self._CG)[0], self._fixed])
         G = self._original(self._closed[: self._free])
         self.unconstrained = _closed_form_report(G, self._objective(G), self._least)
-        self.unconstrained_norm = float(np.linalg.svd(G, compute_uv=False)[0])
+        self.unconstrained_norm = spectral_norm(G)
         # A cold start's penalty, far below the top curvature of block column 0.
         self._rho0 = float(1e-4 * lam[0, -1]) if lam[0, -1] > 0 else 1.0
 
@@ -629,7 +628,7 @@ class CoupledCausalProblem:
         # (the minimum-norm feasible point, of norm floor, free part zero) so
         # the returned point is in the ball exactly: its norm is at most
         # theta * norm + (1 - theta) * floor = tau.
-        norm = float(np.linalg.svd(np.vstack([Z, self._fixed]), compute_uv=False)[0])
+        norm = spectral_norm(np.vstack([Z, self._fixed]))
         if norm > tau:
             Z *= (tau - self.floor) / (norm - self.floor) if tau > self.floor else 0.0
         G_out = self._original(Z)

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .blockops import CostWeights, LtvOperator, _require_nonnegative, spectral_norm
+from .blockops import CostWeights, LtvOperator, _block_max, _downshift, _require_nonnegative, spectral_norm
 from .hankel import NotPersistentlyExciting, _data_rank, build_hankel
 from .lti import Trajectory
 from .sls import _STRUCT_TOL, Perturbation, SystemResponsePair, recover_controller
@@ -129,11 +129,7 @@ class SynthesisResult:
 
 def _shift_stack(H: np.ndarray, L: int, block: int) -> np.ndarray:
     """[H, Z H, ..., Z^{L-1} H], Z the downshift by one block of ``block`` rows."""
-    rows, cols = H.shape
-    out = np.zeros((rows, L * cols))
-    for k in range(L):
-        out[k * block :, k * cols : (k + 1) * cols] = H[: rows - k * block]
-    return out
+    return np.hstack([_downshift(H, block, k) for k in range(L)])
 
 
 def stacked_cost_map(data: DataHankels, weights: CostWeights) -> np.ndarray:
@@ -176,7 +172,7 @@ def _structure_residuals(data: DataHankels, ghat: np.ndarray) -> np.ndarray:
     target = np.eye(L)[:, :, None, None] * np.eye(n)
     return np.where(
         np.triu(np.ones((L, L), dtype=bool), 1),
-        np.abs(blocks).max(axis=(2, 3)),
+        _block_max(ghat, L),
         np.abs(np.matmul(data.h1x, blocks) - target).max(axis=(2, 3)),
     )
 
@@ -216,9 +212,8 @@ def assemble_delta(data: DataHankels, ghat: np.ndarray) -> Perturbation:
     noise Hankel; the result is strictly causal and obeys
     ||delta||_2 <= sqrt(L) * ||hw||_2 * ||ghat||_2.
     """
-    L, n, hw = data.L, data.n, data.hw
-    shifted = np.vstack([np.zeros((n, hw.shape[1])), hw[:-n]])
-    delta = _shift_stack(shifted, L, n) @ _causal_part(data, ghat)
+    L, n = data.L, data.n
+    delta = _shift_stack(_downshift(data.hw, n), L, n) @ _causal_part(data, ghat)
     return Perturbation(delta=LtvOperator(L, n, n, delta))
 
 

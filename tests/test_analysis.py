@@ -163,12 +163,22 @@ class TestTailBounds:
     @pytest.mark.parametrize("sigma2", [0.1, 0.0])
     @pytest.mark.parametrize(
         "bound, name",
-        [(tail_bound_matrix, "t"), (tail_bound_lipschitz, "t"), (tail_bound_lipschitz_at, "(t|threshold)")],
+        [(tail_bound_matrix, "t"), (tail_bound_lipschitz, "t"), (tail_bound_lipschitz_at, "threshold")],
         ids=["matrix", "lipschitz", "lipschitz_at"],
     )
     def test_nan_threshold_rejected_by_name(self, bound, name, sigma2):
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got nan"):
             bound(math.nan, TailParams(n=3, T=45, N=100, sigma2=sigma2))
+
+    @pytest.mark.parametrize("sigma2", [0.1, 0.0])
+    @pytest.mark.parametrize(
+        "bound, name",
+        [(tail_bound_matrix, "t"), (tail_bound_lipschitz, "t"), (tail_bound_lipschitz_at, "threshold")],
+        ids=["matrix", "lipschitz", "lipschitz_at"],
+    )
+    def test_negative_threshold_rejected_by_name(self, bound, name, sigma2):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -0.5"):
+            bound(-0.5, TailParams(n=3, T=45, N=100, sigma2=sigma2))
 
     def test_monte_carlo_dominance_desk_scale(self):
         # Small pilot of the full acceptance check.
@@ -198,6 +208,10 @@ class TestSampleComplexity:
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
+            sample_complexity(1.5, 1.0, 5, 1.0, 2, 20, 0.1)
+
+    def test_invalid_delta_named_with_its_value(self):
+        with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\), got 1.5$"):
             sample_complexity(1.5, 1.0, 5, 1.0, 2, 20, 0.1)
 
     @pytest.mark.parametrize(
@@ -237,6 +251,11 @@ class TestBootstrapEpsilon:
     def test_requires_two_members(self, plant):
         ens = generate_ensemble(plant, 20, 1, seed=2)
         with pytest.raises(ValueError):
+            bootstrap_epsilon(ens, 4)
+
+    def test_one_member_ensemble_named_with_its_size(self, plant):
+        ens = generate_ensemble(plant, 20, 1, seed=2)
+        with pytest.raises(ValueError, match="^bootstrap requires at least two trajectories, got 1$"):
             bootstrap_epsilon(ens, 4)
 
     def test_deterministic_under_seed(self, plant):

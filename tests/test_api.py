@@ -164,6 +164,32 @@ def test_range_checks_are_raised_by_blockops_alone():
     assert found == []
 
 
+def _is_top_singular_value(node: ast.AST) -> bool:
+    """``np.linalg.svd(..., compute_uv=False)[0]``: a singular-value SVD indexed by the plain 0."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)):
+        return False
+    call = node.value
+    return (
+        ast.unparse(call.func) in ("np.linalg.svd", "numpy.linalg.svd")
+        and any(k.arg == "compute_uv" and getattr(k.value, "value", True) is False for k in call.keywords)
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value == 0
+    )
+
+
+def test_top_singular_values_are_taken_by_blockops_alone():
+    # blockops.spectral_norm is the package's one top singular value; a
+    # batched per-block norm (``[:, 0]``) or a singular-value sum is not one.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(ddsls.__file__).parent.glob("*.py"))
+        if path.name != "blockops.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _is_top_singular_value(node)
+    ]
+    assert found == []
+
+
 NUMPY_ONLY_SCRIPT = textwrap.dedent(
     """
     import sys

@@ -48,6 +48,17 @@ class TestResponses:
             resp = responses_from_controller(plant, K)
             assert achievability_residual(resp, plant) < 1e-10
 
+    def test_identity_diagonal_and_zero_upper_blocks_are_exact_off_the_bench_plant(self):
+        # The docstring's exactness claim, on random plants with B != I and random causal gains:
+        # phi_x - I is strictly causal and phi_u causal at tolerance 0.
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            n, m, L = (int(v) for v in rng.integers(1, 6, size=3))
+            random_plant = LtiSystem(A=rng.standard_normal((n, n)), B=rng.standard_normal((n, m)))
+            resp = responses_from_controller(random_plant, random_causal(rng, L, m, n))
+            assert LtvOperator(L, n, n, resp.phi_x.dense - np.eye(n * L)).is_strictly_causal(tol=0.0)
+            assert resp.phi_u.is_causal(tol=0.0)
+
     def test_controller_blocks_must_match_the_plant(self, plant):
         # The benchmark plant has 3 states and 3 inputs; 2 x 3 gains do not fit it.
         with pytest.raises(ValueError, match="controller must be"):
